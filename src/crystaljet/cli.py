@@ -504,8 +504,10 @@ def _cmd_pde(args) -> int:
         return 0
     if args.which == "involutivity":
         system = jets.load_system(_resolve_path(args.file))
-        verdict = jets.formal_integrability_check(system, seed=seed)
-        involutive, ledger = jets.cartan_involutivity_test(system, seed=seed)
+        rep = jets.symbol_report(system, seed=seed)
+        verdict = jets.IntegrabilityVerdict.from_report(rep)
+        ledger = jets.InvolutivityLedger.from_report(rep)
+        involutive = ledger.involutive
         payload = verdict.as_dict()
         payload["cartan_test"] = ledger.as_dict()
         lines = [

@@ -57,18 +57,33 @@ class DiffPoly:
         return cls({((var, 1),): Fraction(1)})
 
     # -- ring operations ----------------------------------------------------
+    @classmethod
+    def _from_clean(cls, terms):
+        """Wrap a dict that already maps monomials to nonzero Fractions."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
+    def sum_of(cls, polys):
+        """Sum of many polynomials in one pass over their terms."""
+        out = {}
+        for p in polys:
+            for mono, c in p.terms.items():
+                if mono in out:
+                    out[mono] += c
+                else:
+                    out[mono] = c
+        return cls._from_clean({m: c for m, c in out.items() if c})
+
     def __add__(self, other):
-        other = _coerce(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return DiffPoly(out)
+        return DiffPoly.sum_of((self, _coerce(other)))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return DiffPoly({m: -c for m, c in self.terms.items()})
+        return DiffPoly._from_clean({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -87,7 +102,7 @@ class DiffPoly:
                     out[m] += c
                 else:
                     out[m] = c
-        return DiffPoly(out)
+        return DiffPoly._from_clean({m: c for m, c in out.items() if c})
 
     def __rmul__(self, other):
         return self.__mul__(other)

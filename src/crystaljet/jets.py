@@ -2,10 +2,23 @@
 ranks at generic points, Cartan characters, involutivity and formal
 integrability, and Cartan distribution dimensions.
 
-Generic-point data is exact: sample points are deterministic seeded
-rationals rejected against the declared exclusions, ranks are computed by
-fraction-free elimination, and every reported dimension is an integer
-identity, never a float.
+Generic ranks come from one kernel.  Sample points are deterministic
+seeded rationals, rejected against the declared exclusions and placed on
+the equation locus by the solve stages; each point is then reduced modulo
+the prime p = 2^61 - 1.  Every equation is compiled once into (coefficient
+mod p, monomial) pairs, one gradient pass per point gives all its partial
+derivatives, and every Jacobian is a set of columns of that gradient,
+ranked by elimination mod p.
+
+What this certifies: the rank mod p of a Jacobian at a point never exceeds
+its rank over Q there, which never exceeds the generic rank, so a nonzero
+r x r minor mod p proves generic rank >= r (and every dimension computed as
+ambient minus rank is an upper bound).  What is only probabilistic: that
+the maximum over the sample points equals the generic rank.  A minor of
+degree d that is not identically zero vanishes at a random point with
+probability at most d / |S| for sample values drawn from S (Schwartz 1980;
+Zippel 1979), and reduction mod p loses it only when p divides its value.
+No floating point is involved.
 """
 
 from __future__ import annotations
@@ -14,15 +27,15 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
-import yaml
-
+from .data import load_document
 from .diffpoly import DiffPoly, jet, par, poly_div_exact, xvar
 
 DEFAULT_SEED = 12345
 SAMPLE_COUNT = 5
 MAX_SAMPLE_ATTEMPTS = 200
+MODULUS = 2**61 - 1  # a Mersenne prime; generic ranks are taken mod MODULUS
 
 
 class NoGenericPoint(RuntimeError):
@@ -61,34 +74,52 @@ def _tokenize(text: str):
     return out
 
 
+def _times(a, b):
+    """Product of two DiffPoly where None stands for the constant one."""
+    if b is None:
+        return a
+    if a is None:
+        return b
+    return a * b
+
+
 class _RationalExpr:
-    """(numerator, denominator) pairs of DiffPoly during parsing."""
+    """(numerator, denominator) pairs of DiffPoly during parsing; a
+    denominator of None is the constant one and is never multiplied in."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         self.num = num
-        self.den = den if den is not None else DiffPoly.constant(1)
+        self.den = den
+
+    @classmethod
+    def sum_of(cls, exprs):
+        """Sum of the terms of an expression.  The polynomial ones are added
+        in one pass, so a long equation parses in linear time."""
+        total = cls(DiffPoly.sum_of(e.num for e in exprs if e.den is None))
+        for e in exprs:
+            if e.den is not None:
+                total = total + e
+        return total
 
     def __add__(self, o):
-        return _RationalExpr(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o):
-        return _RationalExpr(self.num * o.den - o.num * self.den, self.den * o.den)
+        return _RationalExpr(_times(self.num, o.den) + _times(o.num, self.den),
+                             _times(self.den, o.den))
 
     def __mul__(self, o):
-        return _RationalExpr(self.num * o.num, self.den * o.den)
+        return _RationalExpr(self.num * o.num, _times(self.den, o.den))
 
     def __truediv__(self, o):
         if o.num.is_zero():
             raise ParseError("division by zero expression")
-        return _RationalExpr(self.num * o.den, self.den * o.num)
+        return _RationalExpr(_times(self.num, o.den), _times(self.den, o.num))
 
     def __neg__(self):
         return _RationalExpr(-self.num, self.den)
 
     def __pow__(self, k: int):
-        return _RationalExpr(self.num ** k, self.den ** k)
+        return _RationalExpr(self.num ** k, None if self.den is None else self.den ** k)
 
 
 class EquationParser:
@@ -152,13 +183,12 @@ class EquationParser:
         elif (kind, val) == ("op", "+"):
             self._next()
         node = self._term()
-        if sign < 0:
-            node = -node
+        terms = [-node if sign < 0 else node]
         while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
             _, op = self._next()
             rhs = self._term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+            terms.append(rhs if op == "+" else -rhs)
+        return _RationalExpr.sum_of(terms)
 
     def _term(self):
         node = self._factor()
@@ -196,21 +226,26 @@ class EquationParser:
         raise ParseError(f"unexpected token {val!r}")
 
     def parse_polynomial(self, text: str, exclusions=()) -> DiffPoly:
-        """Parse and clear denominators against the declared exclusions."""
+        """Parse and clear denominators against the declared exclusions: the
+        denominator is divided by each exclusion for as long as it divides,
+        and what remains must be a constant."""
         expr = self.parse(text)
         den = expr.den
-        for excl in list(exclusions) * 8:
-            if den.is_constant():
-                break
-            q = poly_div_exact(den, excl)
-            if q is not None:
+        if den is None:
+            return expr.num
+        for excl in exclusions:
+            if excl.is_constant():
+                continue
+            while not den.is_constant():
+                q = poly_div_exact(den, excl)
+                if q is None:
+                    break
                 den = q
         if not den.is_constant():
             raise ParseError(
                 f"denominator of {text!r} is not a product of declared exclusions"
             )
-        scale = den.constant_value()
-        return expr.num * Fraction(1, scale)
+        return expr.num * Fraction(1, den.constant_value())
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +311,7 @@ def _multisets(n, k):
 
 def load_system(source, parameter_overrides=None) -> PdeSystem:
     """Load a PDE system from a YAML document (path, text, or dict)."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source
-        if "\n" not in str(source):
-            with open(source) as fh:
-                text = fh.read()
-        doc = yaml.safe_load(text)
+    doc = load_document(source)
     for key in ("independent", "dependent", "order", "equations"):
         if key not in doc:
             raise ParseError(f"system document is missing the {key!r} field")
@@ -378,7 +406,8 @@ def sample_points(s: PdeSystem, polys, count=SAMPLE_COUNT, seed=DEFAULT_SEED,
     Points satisfy every declared exclusion; when the system carries solve
     stages the points are placed on the equation locus by solving each
     stage's equations for its pivot variables (exactly, by rational
-    elimination).
+    elimination).  A point with a denominator divisible by MODULUS has no
+    reduction mod p and is rejected like one that meets an exclusion.
     """
     rng = random.Random(seed)
     needed = _needed_variables(list(polys) + list(s.exclusions)) | set(extra_vars)
@@ -407,6 +436,8 @@ def sample_points(s: PdeSystem, polys, count=SAMPLE_COUNT, seed=DEFAULT_SEED,
                 break
             point.update(sol)
         if not ok:
+            continue
+        if any(q.denominator % MODULUS == 0 for q in point.values()):
             continue
         if any(e.evaluate(point) == 0 for e in s.exclusions):
             continue
@@ -461,38 +492,95 @@ def _solve_stage(eqs, pivots, point):
     return {pivots[i]: aug[i][k] for i in range(k)}
 
 
-def rank_at_point(rows_of_polys, point) -> int:
-    matrix = [[p.evaluate(point) if not isinstance(p, Fraction) else p for p in row]
-              for row in rows_of_polys]
-    return _rank_fractions(matrix)
+# ---------------------------------------------------------------------------
+# the kernel: gradients and ranks mod p
+# ---------------------------------------------------------------------------
 
 
-def _rank_fractions(matrix) -> int:
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+def _compile(polys):
+    """Each polynomial as a list of (coefficient mod p, monomial) pairs.
+
+    The coefficients are first scaled to coprime integers.  That scales a
+    Jacobian row by a nonzero rational, which changes no rank, and a
+    nonzero polynomial stays nonzero mod p."""
+    out = []
+    for poly in polys:
+        coeffs = poly.terms.values()
+        den = lcm(*(c.denominator for c in coeffs))
+        content = gcd(*(c.numerator for c in coeffs)) or 1
+        out.append([((c.numerator // content) * (den // c.denominator) % MODULUS, mono)
+                    for mono, c in poly.terms.items()])
+    return out
+
+
+def _reduce_point(point):
+    """A rational point mod p; sample_points rejects points whose
+    denominators vanish mod p."""
+    return {v: q.numerator * pow(q.denominator, -1, MODULUS) % MODULUS
+            for v, q in point.items()}
+
+
+def _gradients(compiled, point):
+    """The gradient mod p of every compiled polynomial at a reduced point,
+    as a dict from each variable of the polynomial to its partial
+    derivative there."""
+    out = []
+    for terms in compiled:
+        grad = {}
+        for c, mono in terms:
+            factors = [pow(point[v], e, MODULUS) for v, e in mono]
+            for i, (v, e) in enumerate(mono):
+                d = c * e
+                if e > 1:
+                    d = d * pow(point[v], e - 1, MODULUS) % MODULUS
+                for j, f in enumerate(factors):
+                    if j != i:
+                        d = d * f % MODULUS
+                grad[v] = (grad.get(v, 0) + d) % MODULUS
+        out.append(grad)
+    return out
+
+
+def _jacobians(polys, columns, points):
+    """The Jacobian of the polynomials over the column variables at each
+    sample point, mod p: one gradient pass per point."""
+    compiled = _compile(polys)
+    return [[[grad.get(v, 0) for v in columns]
+             for grad in _gradients(compiled, _reduce_point(pt))]
+            for pt in points]
+
+
+def rank_at_point(rows) -> int:
+    """Rank mod p of a Jacobian evaluated at one sample point, given as a
+    list of rows of residues in [0, p).  A nonzero r x r minor mod p is a
+    nonzero minor over Q, so the result is a lower bound on the rank of the
+    rational matrix."""
+    m = [list(row) for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
     rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r][col] != 0), None)
+    for col in range(n_cols):
+        piv = next((r for r in range(rank, n_rows) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, rows):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        inv = pow(m[rank][col], -1, MODULUS)
+        pivot_row = [x * inv % MODULUS for x in m[rank]]
+        for r in range(rank + 1, n_rows):
+            f = m[r][col]
+            if f:
+                m[r] = [(x - f * y) % MODULUS for x, y in zip(m[r], pivot_row)]
         rank += 1
-        if rank == rows:
+        if rank == n_rows:
             break
     return rank
 
 
-def _generic_rank(jacobian_rows, points):
-    """(max rank, attained count) over the sample points."""
-    ranks = [rank_at_point(jacobian_rows, pt) for pt in points]
-    best = max(ranks) if ranks else 0
-    return best, ranks.count(best), ranks
+def _ranks(matrices, cols=None):
+    """rank_at_point of each matrix, or of the given columns of each."""
+    if cols is not None:
+        matrices = [[[row[c] for c in cols] for row in m] for m in matrices]
+    return [rank_at_point(m) for m in matrices]
 
 
 # ---------------------------------------------------------------------------
@@ -541,46 +629,43 @@ class SymbolReport:
         }
 
 
+def _jets_up_to(s: PdeSystem, k: int):
+    return [jet(j, mu) for j in range(s.m) for o in range(k + 1)
+            for mu in _multisets(s.n, o)]
+
+
 def symbol_report(s: PdeSystem, seed=DEFAULT_SEED) -> SymbolReport:
     """Symbol dimensions, Cartan characters and first-prolongation data at
-    deterministic generic points."""
+    deterministic generic points.
+
+    One Jacobian over all jet variables is evaluated per sample point; the
+    top-order, g^(i) and full Jacobians are column sets of it.  The first
+    prolongation gets its own Jacobian at its own (unstaged) points."""
     if not s.equations:
         raise ValueError("system has no equations")
     k = s.order
     top = s.top_variables(k)
-    all_jets = [jet(j, mu) for j in range(s.m) for o in range(k + 1)
-                for mu in _multisets(s.n, o)]
+    all_jets = _jets_up_to(s, k)
+    col = {v: i for i, v in enumerate(all_jets)}
     points = sample_points(s, s.equations, seed=seed)
-    # top-order Jacobian
-    jac_top = [[eq.partial(v) for v in top] for eq in s.equations]
-    rank_top, attained, ranks = _generic_rank(jac_top, points)
-    inconsistent = attained < 3
+    jac = _jacobians(s.equations, all_jets, points)
+    ranks = _ranks(jac, [col[v] for v in top])
+    rank_top = max(ranks, default=0)
+    inconsistent = 2 * ranks.count(rank_top) <= len(points)
     g_dims = []
     for i in range(s.n + 1):
-        cols = [v for v in top if all(d >= i for d in v[2])]
-        if not cols:
-            g_dims.append(0)
-            continue
-        sub = [[eq.partial(v) for v in cols] for eq in s.equations]
-        r, _, _ = _generic_rank(sub, points)
-        g_dims.append(len(cols) - r)
+        cols = [col[v] for v in top if all(d >= i for d in v[2])]
+        g_dims.append(len(cols) - max(_ranks(jac, cols), default=0) if cols else 0)
     characters = [g_dims[i - 1] - g_dims[i] for i in range(1, s.n + 1)]
-    # full Jacobian over all jet variables
-    jac_full = [[eq.partial(v) for v in all_jets] for eq in s.equations]
-    rank_full, _, _ = _generic_rank(jac_full, points)
-    dim_e = s.jet_space_dim() - rank_full
-    # first prolongation (generic, unstaged sampling)
+    dim_e = s.jet_space_dim() - max(_ranks(jac), default=0)
     prolonged = prolong_system(s, 1)
     ppoints = sample_points(prolonged, prolonged.equations, seed=seed)
+    all_jets1 = _jets_up_to(s, k + 1)
+    col1 = {v: i for i, v in enumerate(all_jets1)}
     top1 = prolonged.top_variables(k + 1)
-    jac1 = [[eq.partial(v) for v in top1] for eq in prolonged.equations]
-    r1, _, _ = _generic_rank(jac1, ppoints)
-    dim_g1 = len(top1) - r1
-    all_jets1 = [jet(j, mu) for j in range(s.m) for o in range(k + 2)
-                 for mu in _multisets(s.n, o)]
-    jacf1 = [[eq.partial(v) for v in all_jets1] for eq in prolonged.equations]
-    rf1, _, _ = _generic_rank(jacf1, ppoints)
-    dim_e1 = prolonged.jet_space_dim() - rf1
+    jac1 = _jacobians(prolonged.equations, all_jets1, ppoints)
+    dim_g1 = len(top1) - max(_ranks(jac1, [col1[v] for v in top1]), default=0)
+    dim_e1 = prolonged.jet_space_dim() - max(_ranks(jac1), default=0)
     return SymbolReport(
         system=s.name,
         n=s.n,
@@ -607,6 +692,17 @@ class InvolutivityLedger:
     filtration_sum: int
     g_dims: list
 
+    @classmethod
+    def from_report(cls, rep: SymbolReport) -> "InvolutivityLedger":
+        """Cartan's test: dim g_{q+1} = sum_{i=0}^{n-1} dim g^{(i)}."""
+        total = sum(rep.g_dims[:-1] if len(rep.g_dims) > 1 else rep.g_dims)
+        return cls(
+            involutive=(rep.dim_g_plus_1 == total),
+            dim_g_plus_1=rep.dim_g_plus_1,
+            filtration_sum=total,
+            g_dims=rep.g_dims,
+        )
+
     def as_dict(self):
         return {
             "involutive": self.involutive,
@@ -618,14 +714,7 @@ class InvolutivityLedger:
 
 def cartan_involutivity_test(s: PdeSystem, seed=DEFAULT_SEED):
     """Cartan's test: dim g_{q+1} = sum_{i=0}^{n-1} dim g^{(i)}."""
-    rep = symbol_report(s, seed=seed)
-    total = sum(rep.g_dims[:-1] if len(rep.g_dims) > 1 else rep.g_dims)
-    ledger = InvolutivityLedger(
-        involutive=(rep.dim_g_plus_1 == total),
-        dim_g_plus_1=rep.dim_g_plus_1,
-        filtration_sum=total,
-        g_dims=rep.g_dims,
-    )
+    ledger = InvolutivityLedger.from_report(symbol_report(s, seed=seed))
     return ledger.involutive, ledger
 
 
@@ -640,6 +729,20 @@ class IntegrabilityVerdict:
         "PASS certifies formal integrability at the dimension level; "
         "complete integrability follows for analytic systems"
     )
+
+    @classmethod
+    def from_report(cls, rep: SymbolReport) -> "IntegrabilityVerdict":
+        """PASS iff dim E_{+1} = dim E + dim g_{+1} and the symbol is
+        involutive by Cartan's test."""
+        involutive = InvolutivityLedger.from_report(rep).involutive
+        surjective = rep.dim_e_plus_1 == rep.dim_e + rep.dim_g_plus_1
+        return cls(
+            passed=involutive and surjective,
+            dim_e=rep.dim_e,
+            dim_e_plus_1=rep.dim_e_plus_1,
+            dim_g_plus_1=rep.dim_g_plus_1,
+            involutive=involutive,
+        )
 
     def as_dict(self):
         return {
@@ -656,17 +759,7 @@ class IntegrabilityVerdict:
 def formal_integrability_check(s: PdeSystem, seed=DEFAULT_SEED) -> IntegrabilityVerdict:
     """PASS iff dim E_{+1} = dim E + dim g_{+1} and the symbol is
     involutive by Cartan's test."""
-    rep = symbol_report(s, seed=seed)
-    total = sum(rep.g_dims[:-1] if len(rep.g_dims) > 1 else rep.g_dims)
-    involutive = rep.dim_g_plus_1 == total
-    surjective = rep.dim_e_plus_1 == rep.dim_e + rep.dim_g_plus_1
-    return IntegrabilityVerdict(
-        passed=involutive and surjective,
-        dim_e=rep.dim_e,
-        dim_e_plus_1=rep.dim_e_plus_1,
-        dim_g_plus_1=rep.dim_g_plus_1,
-        involutive=involutive,
-    )
+    return IntegrabilityVerdict.from_report(symbol_report(s, seed=seed))
 
 
 def prolongation_dimension_formula(dim_prev: int, characters, r: int) -> int:
@@ -682,31 +775,32 @@ def prolongation_dimension_formula(dim_prev: int, characters, r: int) -> int:
 def cartan_distribution_dimension(s: PdeSystem, seed=DEFAULT_SEED) -> int:
     """Dimension of the contact (Cartan) distribution along the equation:
     n horizontal directions plus the top symbol directions, minus the
-    number of independent tangency constraints at a generic point."""
+    number of independent tangency constraints at a generic point.
+
+    The tangency row of an equation F over [X^0..X^{n-1} | Z_top] is
+    filled from the gradient g of F at the point:
+    X^alpha gets g[x_alpha] + sum over jets v below the top order of
+    y_(v+alpha) * g[v], and Z_v gets g[v]."""
     k = s.order
     top = s.top_variables(k)
-    top_index = {v: i for i, v in enumerate(top)}
-    # tangency row of each equation over [X^0..X^{n-1} | Z_top]
-    lifted_vars = set()
-    rows = []
-    for eq in s.equations:
-        jets_low = [v for v in eq.jet_variables() if len(v[2]) <= k - 1]
-        row = []
-        for alpha in range(s.n):
-            coeff = eq.partial(xvar(alpha))
-            for v in jets_low:
-                lifted = jet(v[1], v[2] + (alpha,))
-                lifted_vars.add(lifted)
-                coeff = coeff + DiffPoly.variable(lifted) * eq.partial(v)
-            row.append(coeff)
-        zcoeffs = [DiffPoly.zero()] * len(top)
-        for v in eq.jet_variables():
-            if len(v[2]) == k:
-                zcoeffs[top_index[v]] = eq.partial(v)
-        rows.append(row + zcoeffs)
-    points = sample_points(s, s.equations, seed=seed, extra_vars=lifted_vars)
-    rank, _, _ = _generic_rank(rows, points)
-    return s.n + len(top) - rank
+    low = [[v for v in eq.jet_variables() if len(v[2]) < k] for eq in s.equations]
+    lifted = {(v, alpha): jet(v[1], v[2] + (alpha,))
+              for jets_low in low for v in jets_low for alpha in range(s.n)}
+    points = sample_points(s, s.equations, seed=seed, extra_vars=set(lifted.values()))
+    compiled = _compile(s.equations)
+    ranks = []
+    for pt in points:
+        red = _reduce_point(pt)
+        rows = []
+        for grad, jets_low in zip(_gradients(compiled, red), low):
+            horizontal = [
+                (grad.get(xvar(alpha), 0)
+                 + sum(red[lifted[v, alpha]] * grad[v] for v in jets_low)) % MODULUS
+                for alpha in range(s.n)
+            ]
+            rows.append(horizontal + [grad.get(v, 0) for v in top])
+        ranks.append(rank_at_point(rows))
+    return s.n + len(top) - max(ranks, default=0)
 
 
 def verify_polynomial_solution(s: PdeSystem, section) -> list:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import yaml
-
 from .abelian import FgAbelianGroup
 from .bordism import (
     NotCrystalShapedGroup,
@@ -21,6 +19,7 @@ from .bordism import (
     paper_crystal_assignment,
     relative_bordism,
 )
+from .data import load_document
 
 
 class HypothesisViolated(ValueError):
@@ -318,15 +317,9 @@ def _descriptor_from_dict(doc: dict) -> PdeDescriptor:
 
 
 def load_descriptor(source):
-    """Load a descriptor (plain or singular) from a YAML document."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source
-        if "\n" not in str(source):
-            with open(source) as fh:
-                text = fh.read()
-        doc = yaml.safe_load(text)
+    """Load a descriptor (plain or singular) from a YAML document (path,
+    text, or dict)."""
+    doc = load_document(source)
     if not doc.get("singular"):
         return _descriptor_from_dict(doc)
     components = [_descriptor_from_dict(c) for c in doc["components"]]

@@ -87,6 +87,25 @@ def test_pde_symbol_and_involutivity(capsys):
     assert json.loads(out)["verdict"] == "PASS"
 
 
+def test_pde_involutivity_builds_one_symbol_report(capsys, monkeypatch):
+    from crystaljet import jets
+
+    calls = []
+    original = jets.symbol_report
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jets, "symbol_report", counting)
+    code, out, _ = run_capture(
+        capsys, ["pde", "involutivity", "pressure_e2.pde", "--format", "json"]
+    )
+    assert code == 0 and len(calls) == 1
+    payload = json.loads(out)
+    assert payload["cartan_test"]["involutive"] == payload["involutive_symbol"]
+
+
 def test_pde_verify_solution(capsys):
     code, out, _ = run_capture(
         capsys,

@@ -249,6 +249,21 @@ def test_parser_rationals_cleared():
         parser.parse_polynomial("1/u1_x", exclusions=[u2y])
 
 
+def test_parser_clears_repeated_exclusion_factors():
+    parser = EquationParser(["x"], ["u"])
+    u, ux = DiffPoly.variable(jet(0, ())), DiffPoly.variable(jet(0, (0,)))
+    assert parser.parse_polynomial("u_x/u^9 - 1", exclusions=[u]) == ux - u ** 9
+    with pytest.raises(ParseError):
+        parser.parse_polynomial("u_x/(u^9 + 1)", exclusions=[u])
+
+
+def test_load_system_from_one_line_document():
+    s = load_system('{independent: [x], dependent: [u], order: 1, equations: ["u_x"]}')
+    assert s.equations == [DiffPoly.variable(jet(0, (0,)))]
+    with pytest.raises(ValueError):
+        load_system("no-such-system.pde")
+
+
 def test_parser_errors():
     parser = EquationParser(["x"], ["u"])
     with pytest.raises(ParseError):

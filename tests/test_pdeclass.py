@@ -221,3 +221,8 @@ def test_affine_bundle_base_reported_when_different():
     c = classify(d)
     assert c.weak_bordism == FgAbelianGroup.z2_power(2)
     assert any("bundle-base" in cv for cv in c.caveats)
+
+
+def test_load_descriptor_from_one_line_document():
+    d = load_descriptor("{name: flat, n: 2, m: 1, order: 2, dim_E: 7, betti_W: [1, 2, 1]}")
+    assert (d.name, d.n, d.dim_e, d.betti_w) == ("flat", 2, 7, [1, 2, 1])
