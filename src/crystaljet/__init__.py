@@ -12,7 +12,7 @@ from .diffpoly import DiffOperator, DiffPoly
 from .groups import FiniteMatrixGroup, close_group, enumerate_subgroups, iso_type_name, point_group
 from .jets import (PdeSystem, cartan_distribution_dimension, cartan_involutivity_test,
                    formal_integrability_check, load_system, prolong_system,
-                   prolongation_dimension_formula, symbol_report, total_derivative,
+                   prolongation_dimension_formula, symbol_report,
                    verify_polynomial_solution)
 from .pdeclass import (CrystalClassification, PdeDescriptor, SingularPdeDescriptor,
                        classify, classify_singular, component_bordism_compare,

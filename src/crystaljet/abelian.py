@@ -2,14 +2,16 @@
 abelian groups.
 
 Everything here works over arbitrary-precision integers; no floats, no
-rounding.  The Smith normal form is the single workhorse: cokernels,
-kernels and integer solvability all reduce to it.
+rounding.  Two normal forms do the work.  The Smith normal form gives the
+invariant factors of a cokernel (`group_from_relations`) and the unimodular
+U and V that `crystal.is_symmorphic` reads.  Every lattice operation runs on
+one in-place Hermite echelon (`_echelon`): lattice bases, kernels, integer
+solves, coordinates in a lattice basis and inverses of unimodular matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, prod
 
 
@@ -135,28 +137,15 @@ class IntegerMatrix:
         return self.rows == self.cols and self.determinant() in (1, -1)
 
     def inverse_unimodular(self):
-        """Inverse of a matrix with determinant +-1 (exact, integral)."""
+        """Inverse of a matrix with determinant +-1 (exact, integral): the
+        Hermite form of a unimodular A is I, so that of [A | I] is [I | A^-1]."""
         det = self.determinant()
         if det not in (1, -1):
             raise ValueError("matrix is not invertible over the integers")
         n = self.rows
-        # adjugate via rational Gauss on [A | I], exact because det = +-1
-        aug = [
-            [Fraction(x) for x in self.entries[i]]
-            + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        inv = [[int(aug[i][n + j]) for j in range(n)] for i in range(n)]
-        return IntegerMatrix(inv)
+        rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
+        _echelon(rows, n)
+        return IntegerMatrix([row[n:] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -285,111 +274,110 @@ def smith_normal_form(m: IntegerMatrix):
     return d, IntegerMatrix(u), IntegerMatrix(v)
 
 
-def rank_z(m: IntegerMatrix) -> int:
-    d, _ = _snf_diag_v(m)
-    return sum(1 for x in d if x != 0)
+# ---------------------------------------------------------------------------
+# Hermite normal form
+# ---------------------------------------------------------------------------
 
 
-def _snf_diag_v(m: IntegerMatrix):
-    """(diagonal, V) of the Smith form without tracking U; row operations
-    touch only the working matrix, which matters on tall matrices."""
-    a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+def _echelon(rows, width: int) -> list[int]:
+    """Bring `rows` to Hermite normal form on their first `width` columns by
+    unimodular row operations, in place, and return the pivot columns.
 
-    def col_op(i, j, q):
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
+    Each pivot is positive, the entries below it are zero and the entries
+    above it lie in [0, pivot); the rows after the last pivot row are zero
+    on the first `width` columns.  Columns past `width` take part in every
+    row operation, so a block [A | I] comes out as [U*A | U].
+    """
+    pivots = []
+    n = len(rows)
+    for c in range(width):
+        r = len(pivots)
+        below = [i for i in range(r, n) if rows[i][c]]
+        if not below:
+            continue
+        # Euclid down the column: every other row drops below the smallest
+        while len(below) > 1:
+            best = min(below, key=lambda i: abs(rows[i][c]))
+            prow = rows[best]
+            p = prow[c]
+            for i in below:
+                if i != best:
+                    q = rows[i][c] // p
+                    rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
+            below = [i for i in below if rows[i][c]]
+        i = below[0]
+        prow = rows[i] if rows[i][c] > 0 else [-x for x in rows[i]]
+        rows[i] = rows[r]
+        rows[r] = prow
+        p = prow[c]
+        for i in range(r):
+            q = rows[i][c] // p
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+    return pivots
 
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
 
-    def sym_quotient(x, pivot):
-        q, r = divmod(x, pivot)
-        if 2 * r > pivot:
-            q += 1
-        return q
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        best = None
-        for i in range(t, rows):
-            ai = a[i]
-            for j in range(t, cols):
-                x = ai[j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-                    if abs(x) == 1:
-                        break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            swap_cols(t, bj)
-        while True:
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            pivot = a[t][t]
-            swapped = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = sym_quotient(a[i][t], pivot)
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t] != 0:
-                        a[i], a[t] = a[t], a[i]
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = sym_quotient(a[t][j], pivot)
-                    if q:
-                        col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(j, t)
-                        swapped = True
-                        break
-            if not swapped:
-                break
-        t += 1
-    return [a[i][i] for i in range(limit)], IntegerMatrix(v)
+def _echelon_of_transpose(m: IntegerMatrix):
+    """(rows, width, rank) for the Hermite form of [m^T | I] on the m^T
+    block; the identity block of each row records how it was formed."""
+    width = m.rows
+    rows = [list(col) + [0] * m.cols for col in zip(*m.entries)]
+    for j, row in enumerate(rows):
+        row[width + j] = 1
+    return rows, width, len(_echelon(rows, width))
 
 
 def kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : m*x = 0}, as column vectors."""
-    d, v = _snf_diag_v(m)
-    rank = sum(1 for x in d if x != 0)
-    return [v.col(j) for j in range(rank, m.cols)]
+    """Basis of the integer kernel {x : m*x = 0}, as column vectors.
+
+    The rows of U*[m^T | I] whose m^T part vanishes carry rows u of the
+    unimodular U with u*m^T = 0, so they span the kernel and it is saturated.
+    """
+    rows, width, rank = _echelon_of_transpose(m)
+    return [tuple(row[width:]) for row in rows[rank:]]
+
+
+def lattice_coordinates(basis, v) -> list[int] | None:
+    """y with v = sum_k y_k * basis[k], or None when v is off the lattice.
+
+    `basis` is echelon rows with positive pivots (as `lattice_from_generators`
+    returns them); the coordinates follow by substitution along the pivots.
+    Rows longer than v are read on v's columns only.
+    """
+    v = list(v)
+    y = []
+    c = 0
+    for row in basis:
+        while not row[c]:
+            c += 1
+        q, rem = divmod(v[c], row[c])
+        if rem:
+            return None
+        if q:
+            v = [x - q * w for x, w in zip(v, row)]
+        y.append(q)
+        c += 1
+    return None if any(v) else y
 
 
 def solve_integer(m: IntegerMatrix, b) -> tuple[int, ...] | None:
-    """One integer solution x of m*x = b, or None."""
-    d, u, v = smith_normal_form(m)
-    ub = u.apply(tuple(b))
-    y = [0] * m.cols
-    for i in range(m.rows):
-        di = d[i] if i < len(d) else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            if i < m.cols:
-                y[i] = ub[i] // di
-    return v.apply(tuple(y))
+    """One integer solution x of m*x = b, or None.
+
+    With U*m^T = H in Hermite form, b = H^T*y gives x = U^T*y.
+    """
+    b = tuple(b)
+    if len(b) != m.rows:
+        raise ValueError("shape mismatch")
+    rows, width, rank = _echelon_of_transpose(m)
+    y = lattice_coordinates(rows[:rank], b)
+    if y is None:
+        return None
+    x = [0] * m.cols
+    for q, row in zip(y, rows):
+        if q:
+            x = [a + q * u for a, u in zip(x, row[width:])]
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -597,26 +585,16 @@ def tor_product(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
 
 
 # ---------------------------------------------------------------------------
-# lattice helpers on top of SNF (used by the cohomology machinery)
+# lattices in Hermite form (used by the cohomology machinery)
 # ---------------------------------------------------------------------------
 
 
 def lattice_from_generators(vectors, ambient: int) -> list[tuple[int, ...]]:
-    """Basis of the lattice spanned by `vectors` inside Z^ambient."""
-    vecs = [tuple(v) for v in vectors if any(v)]
-    if not vecs:
-        return []
-    m = IntegerMatrix(vecs)  # rows generate
-    d, u, _ = smith_normal_form(m.transpose())
-    # columns of (transpose basis): lattice spanned by columns of m^T
-    # m^T = U^-1 D V^-1; column space basis = U^-1 * (first rank columns of D)
-    rank = sum(1 for x in d if x != 0)
-    uinv = u.inverse_unimodular()
-    basis = []
-    for j in range(rank):
-        col = tuple(uinv[(i, j)] * d[j] for i in range(ambient))
-        basis.append(col)
-    return basis
+    """Basis of the lattice spanned by `vectors` inside Z^ambient: the
+    nonzero rows of their Hermite normal form."""
+    rows = [list(v) for v in vectors if any(v)]
+    rank = len(_echelon(rows, ambient))
+    return [tuple(row) for row in rows[:rank]]
 
 
 def quotient_group(sub_generators, sup_generators, ambient: int) -> FgAbelianGroup:
@@ -627,12 +605,11 @@ def quotient_group(sub_generators, sup_generators, ambient: int) -> FgAbelianGro
     sup_basis = lattice_from_generators(sup_generators, ambient)
     if not sup_basis:
         return FgAbelianGroup.trivial()
-    b = IntegerMatrix(list(zip(*sup_basis)))  # columns = basis of sup
     coords = []
     for g in sub_generators:
         if not any(g):
             continue
-        x = solve_integer(b, g)
+        x = lattice_coordinates(sup_basis, g)
         if x is None:
             raise ValueError("sub lattice not contained in sup lattice")
         coords.append(x)

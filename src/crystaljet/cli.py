@@ -664,7 +664,8 @@ def run(argv=None) -> int:
     except BrokenPipeError:
         return 1
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 1
 
 

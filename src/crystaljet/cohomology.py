@@ -2,9 +2,11 @@
 generated modules, crossed homomorphisms, and splitting classification.
 
 Everything is computed from the (normalized) inhomogeneous bar cochain
-complex with exact integer coboundary matrices, then Smith normal form;
-tuples containing the identity are dropped, which computes the same
-cohomology on much smaller matrices.  Torsion coefficients are handled by
+complex with exact integer coboundary matrices: cocycles are an integer
+kernel, and the quotient by the coboundaries is read off in a Hermite basis
+of the cocycle lattice, whose relation matrix then goes through the Smith
+normal form.  Tuples containing the identity are dropped, which computes the
+same cohomology on much smaller matrices.  Torsion coefficients are handled by
 carrying an explicit relation lattice next to each cochain group instead of
 switching to finite-field arithmetic.
 """
@@ -19,6 +21,8 @@ from .abelian import (
     IntegerMatrix,
     direct_sum,
     kernel_basis,
+    lattice_coordinates,
+    lattice_from_generators,
     quotient_group,
     tensor_product,
     tor_product,
@@ -42,7 +46,16 @@ class NotSplit(ValueError):
     pass
 
 
-COCHAIN_BOUND = 50_000
+# entries of the largest dense coboundary or derivation-constraint matrix
+# built: degree 2 with Z coefficients passes for every point group of order
+# <= 24 (12 167 x 529), O_h (103 823 x 2 209) is refused
+COCHAIN_BOUND = 10_000_000
+
+
+def _check_size(rows: int, cols: int, error):
+    """Refuse a rows x cols matrix before it is built."""
+    if rows * cols > COCHAIN_BOUND:
+        raise error(f"{rows} x {cols} matrix exceeds the bound of {COCHAIN_BOUND} entries")
 
 
 class GModule:
@@ -232,18 +245,16 @@ def _preimage_lattice(matrix: IntegerMatrix, target_relations):
 
 
 def group_cohomology(g: FiniteMatrixGroup, mod: GModule, degree: int) -> FgAbelianGroup:
-    """H^degree(G; M) from the bar cochain complex and Smith normal form."""
+    """H^degree(G; M) from the bar cochain complex, by Hermite and Smith
+    normal forms."""
     if degree > 3:
         raise DegreeTooHigh("degrees above 3 are out of contract")
     if degree < 0:
         raise ValueError("negative degree")
-    if g.order ** degree * mod.rank > COCHAIN_BOUND:
-        raise CochainBoundExceeded(
-            f"|G|^n * rank = {g.order ** degree * mod.rank} exceeds {COCHAIN_BOUND}"
-        )
     m = mod.rank
-    ntup = len(_tuples(g, degree))
+    ntup = (g.order - 1) ** degree  # normalized cochains skip the identity
     ambient = m * ntup
+    _check_size(ambient * (g.order - 1), ambient, CochainBoundExceeded)
     if ambient == 0:
         return FgAbelianGroup.trivial()
     delta_n, _, _ = _coboundary_matrix(mod, degree)
@@ -361,8 +372,7 @@ def _derivation_lattices(mod: GModule):
     m = mod.rank
     n = g.order
     ambient = m * n
-    if n * n * m > COCHAIN_BOUND:
-        raise ModuleTooLarge("derivation system too large")
+    _check_size(n * n * m, ambient, ModuleTooLarge)
     rows = []
     for a in range(n):
         for b in range(n):
@@ -437,36 +447,24 @@ def splitting_classes(crystal_group) -> list[CrossedHom]:
     cocycles, principal, ambient, _ = _derivation_lattices(mod)
     if not cocycles:
         return [CrossedHom(mod, {i: (0,) * mod.rank for i in range(g.order)})]
-    from .abelian import lattice_from_generators, smith_normal_form, solve_integer
-
     basis_vecs = lattice_from_generators(cocycles, ambient)
     if not basis_vecs:  # only the zero derivation exists
         return [CrossedHom(mod, {i: (0,) * mod.rank for i in range(g.order)})]
-    basis = IntegerMatrix(list(zip(*basis_vecs)))
+    k = len(basis_vecs)
     # coordinates of the principal lattice in the cocycle basis
     coords = []
     for p in principal:
-        x = solve_integer(basis, p)
+        x = lattice_coordinates(basis_vecs, p)
         assert x is not None, "principal derivations must be cocycles"
         coords.append(x)
-    k = basis.cols
-    # enumerate the quotient Z^k / (lattice spanned by coords)
-    a = IntegerMatrix(list(zip(*coords))) if coords else IntegerMatrix.zero(k, 1)
-    d, u, _ = smith_normal_form(a)
-    uinv = u.inverse_unimodular()
-    reps = [[0] * k]
-    for i in range(k):
-        di = d[i] if i < len(d) else 0
-        if di == 0:
-            raise NotSplit("splitting classes are not finite (unexpected)")
-        if di == 1:
-            continue
-        col = uinv.col(i)
-        reps = [
-            [x + c * y for x, y in zip(rep, col)] for rep in reps for c in range(di)
-        ]
+    # the box of the Hermite diagonal of the principal lattice L is one
+    # transversal of Z^k / L
+    herm = lattice_from_generators(coords, k)
+    if len(herm) < k:
+        raise NotSplit("splitting classes are not finite (unexpected)")
+    basis = IntegerMatrix(list(zip(*basis_vecs)))
     out = []
-    for rep in reps:
+    for rep in iproduct(*(range(row[i]) for i, row in enumerate(herm))):
         vec = basis.apply(rep)
         values = {
             a_: tuple(vec[a_ * mod.rank : (a_ + 1) * mod.rank]) for a_ in range(g.order)

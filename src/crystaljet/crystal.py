@@ -174,10 +174,6 @@ class CrystallographicGroup:
         )
 
 
-def multiply(g: CrystallographicGroup, e1: AffineElement, e2: AffineElement) -> AffineElement:
-    return g.multiply(e1, e2)
-
-
 def semidirect_product(lattice_rank: int, point: FiniteMatrixGroup,
                        name=None) -> CrystallographicGroup:
     """T x| G with zero vector system; symmorphic by construction."""

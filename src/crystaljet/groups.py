@@ -60,9 +60,6 @@ class FiniteMatrixGroup:
     def __contains__(self, m):
         return m in self._index
 
-    def multiply_idx(self, i: int, j: int) -> int:
-        return self.cayley[i][j]
-
     @property
     def cayley(self):
         if self._cayley is None:

@@ -340,10 +340,6 @@ def load_system(source, parameter_overrides=None) -> PdeSystem:
     )
 
 
-def total_derivative(p: DiffPoly, direction: int) -> DiffPoly:
-    return p.total_derivative(direction)
-
-
 def prolong_system(s: PdeSystem, r: int) -> PdeSystem:
     """All formal derivatives D_nu of every equation for |nu| <= r."""
     if r < 0:

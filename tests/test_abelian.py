@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystaljet.abelian import (
     FgAbelianGroup,
@@ -11,6 +13,7 @@ from crystaljet.abelian import (
     group_from_relations,
     hom_group,
     kernel_basis,
+    lattice_coordinates,
     lattice_from_generators,
     quotient_group,
     smith_normal_form,
@@ -232,3 +235,97 @@ def test_quotient_order_equals_determinant():
             continue
         q = quotient_group([tuple(m.row(i)) for i in range(3)], basis, 3)
         assert q.order() == det
+
+
+# ---------------------------------------------------------------------------
+# properties of the Hermite echelon kernel, against the Smith form as oracle
+# ---------------------------------------------------------------------------
+
+matrices = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+                          min_size=1, max_size=5)).map(IntegerMatrix)
+
+
+def snf_solvable(m, b):
+    """Whether m*x = b has an integer solution, read off U*m*V = D."""
+    d, u, _ = smith_normal_form(m)
+    ub = u.apply(tuple(b))
+    return all(
+        (x == 0) if i >= len(d) or d[i] == 0 else x % d[i] == 0 for i, x in enumerate(ub)
+    )
+
+
+def snf_rank(m):
+    return sum(1 for x in smith_normal_form(m)[0] if x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices)
+def test_smith_form_property(m):
+    check_snf(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices)
+def test_lattice_basis_is_hermite_and_spans_the_input(m):
+    vectors = list(m.entries)
+    basis = lattice_from_generators(vectors, m.cols)
+    assert len(basis) == snf_rank(m)
+    last = -1
+    for k, row in enumerate(basis):
+        c = next(j for j, x in enumerate(row) if x)
+        assert c > last and row[c] > 0
+        assert all(0 <= above[c] < row[c] for above in basis[:k])
+        last = c
+    # every generator is an integer combination of the basis ...
+    for v in vectors:
+        y = lattice_coordinates(basis, v)
+        assert y is not None
+        assert tuple(sum(q * row[j] for q, row in zip(y, basis)) for j in range(m.cols)) == v
+    # ... and every basis row one of the generators
+    generators = m.transpose()
+    for row in basis:
+        assert snf_solvable(generators, row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices)
+def test_kernel_basis_is_a_saturated_basis(m):
+    basis = kernel_basis(m)
+    assert len(basis) == m.cols - snf_rank(m)
+    for x in basis:
+        assert not any(m.apply(x))
+    if basis:
+        assert not group_from_relations(m.cols, IntegerMatrix(basis)).invariant_factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices, st.data())
+def test_solve_integer_solves_and_refuses(m, data):
+    y = data.draw(st.lists(st.integers(-9, 9), min_size=m.cols, max_size=m.cols))
+    b = m.apply(y)
+    x = solve_integer(m, b)
+    assert x is not None and m.apply(x) == b
+    b = tuple(data.draw(st.lists(st.integers(-20, 20), min_size=m.rows, max_size=m.rows)))
+    x = solve_integer(m, b)
+    if snf_solvable(m, b):
+        assert x is not None and m.apply(x) == b
+    else:
+        assert x is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-4, 4)),
+             max_size=12),
+    st.lists(st.booleans(), min_size=n, max_size=n))))
+def test_inverse_unimodular(case):
+    # a unimodular matrix as a product of elementary row operations and signs
+    n, ops, signs = case
+    a = [[int(i == j) * (-1 if signs[i] else 1) for j in range(n)] for i in range(n)]
+    for i, j, q in ops:
+        if i != j:
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+    a = IntegerMatrix(a)
+    assert a.inverse_unimodular() * a == IntegerMatrix.identity(n)

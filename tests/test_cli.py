@@ -190,6 +190,23 @@ def test_unknown_input_is_usage_error(capsys):
     assert code == 1
 
 
+def test_error_names_its_type_when_the_message_is_empty(capsys, monkeypatch):
+    from crystaljet import cli
+
+    def exhausted(n):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "unoriented_bordism", exhausted)
+    code, _, err = run_capture(capsys, ["bordism", "unoriented", "--n", "4"])
+    assert code == 1 and err.strip() == "error: MemoryError"
+
+
+def test_oversized_cohomology_is_refused_with_its_size(capsys):
+    code, _, err = run_capture(capsys, ["cohomology", "--group", "O_h", "--degree", "2"])
+    assert code == 1
+    assert err.startswith("error: CochainBoundExceeded: 103823 x 2209 matrix exceeds")
+
+
 def test_every_subcommand_has_help(capsys):
     for argv in (
         ["--help"],

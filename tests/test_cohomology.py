@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from crystaljet.abelian import FgAbelianGroup, IntegerMatrix
+from crystaljet.abelian import FgAbelianGroup, IntegerMatrix, group_from_relations
 from crystaljet.cohomology import (
     CochainBoundExceeded,
     DegreeTooHigh,
@@ -17,7 +18,7 @@ from crystaljet.cohomology import (
     splitting_classes,
 )
 from crystaljet.crystal import semidirect_product, wallpaper_groups
-from crystaljet.groups import close_group, point_group
+from crystaljet.groups import close_group, point_group, point_groups
 
 Z = FgAbelianGroup.free(1)
 
@@ -64,6 +65,33 @@ def test_degree_and_size_guards():
     big = point_group("O_h")
     with pytest.raises(CochainBoundExceeded):
         group_cohomology(big, GModule.trivial(big, Z), 3)
+    # delta_2 would be 103 823 x 2 209: refused before anything is built
+    start = time.perf_counter()
+    with pytest.raises(CochainBoundExceeded, match="103823 x 2209"):
+        group_cohomology(big, GModule.trivial(big, Z), 2)
+    assert time.perf_counter() - start < 1
+
+
+def test_h2_with_z_coefficients_is_the_abelianization():
+    # H^2(G; Z) = Hom(G, Q/Z) = G^ab for finite G, and
+    # G^ab = Z^G / <e_a + e_b - e_ab>
+    checked = 0
+    for name in point_groups():
+        g = point_group(name)
+        if g.order > 16:
+            continue
+        relations = []
+        for a in range(g.order):
+            for b in range(g.order):
+                row = [0] * g.order
+                row[a] += 1
+                row[b] += 1
+                row[g.cayley[a][b]] -= 1
+                relations.append(row)
+        g_ab = group_from_relations(g.order, IntegerMatrix(relations))
+        assert group_cohomology(g, GModule.trivial(g, Z), 2) == g_ab, name
+        checked += 1
+    assert checked == 27
 
 
 def test_coboundary_squared_zero():

@@ -16,7 +16,6 @@ from crystaljet.crystal import (
     appendix_c_products,
     commuting_involutions_check,
     is_symmorphic,
-    multiply,
     semidirect_product,
     spacegroup_table,
     spacegroup_table_query,
@@ -36,21 +35,21 @@ def test_multiply_translations():
     g = semidirect_product(2, close_group([ROT2]), name="p2")
     e1 = g.element(I2, [Fraction(1, 1), Fraction(2, 1)])
     e2 = g.element(I2, [3, 5])
-    prod = multiply(g, e1, e2)
+    prod = g.multiply(e1, e2)
     assert prod.point_part == I2 and prod.translation == (4, 7)
 
 
 def test_multiply_symmorphic_point_parts():
     g = semidirect_product(2, close_group([ROT2]))
     a = g.element(ROT2, [0, 0])
-    assert multiply(g, a, a).point_part == I2
+    assert g.multiply(a, a).point_part == I2
 
 
 def test_multiply_rotation_with_shift():
     # with a = rotation by pi, (a,(1,0)) * (a,(1,0)) = (1,(0,0))
     g = semidirect_product(2, close_group([ROT2]))
     e = g.element(ROT2, [1, 0])
-    prod = multiply(g, e, e)
+    prod = g.multiply(e, e)
     assert prod.point_part == I2 and prod.translation == (0, 0)
 
 
@@ -58,7 +57,7 @@ def test_multiply_rejects_foreign_elements():
     g = semidirect_product(2, close_group([ROT2]))
     rot4 = IntegerMatrix([[0, -1], [1, 0]])
     with pytest.raises(ElementNotInGroup):
-        multiply(g, AffineElement(rot4, (0, 0)), g.identity())
+        g.multiply(AffineElement(rot4, (0, 0)), g.identity())
     pg = wallpaper_groups()["pg"]
     mirror = pg.point_group.elements[1 - pg.point_group.identity_index]
     with pytest.raises(ElementNotInGroup):
