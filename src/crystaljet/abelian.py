@@ -2,16 +2,19 @@
 abelian groups.
 
 Everything here works over arbitrary-precision integers; no floats, no
-rounding.  Two normal forms do the work.  The Smith normal form gives the
-invariant factors of a cokernel (`group_from_relations`) and the unimodular
-U and V that `crystal.is_symmorphic` reads.  Every lattice operation runs on
-one in-place Hermite echelon (`_echelon`): lattice bases, kernels, integer
-solves, coordinates in a lattice basis and inverses of unimodular matrices.
+rounding.  One in-place Hermite echelon (`_echelon`) does all elimination:
+lattice bases, kernels, integer solves, coordinates in a lattice basis,
+inverses of unimodular matrices, and the Smith normal form, which
+alternates row and column echelons until the matrix is diagonal.  The
+Smith form gives the invariant factors of a cokernel
+(`group_from_relations`) and the unimodular U and V that
+`crystal.is_symmorphic` reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, prod
 
 
@@ -157,121 +160,41 @@ def smith_normal_form(m: IntegerMatrix):
     """Return (d, U, V) with U*m*V diagonal, d the diagonal, d_i | d_{i+1},
     and det U, det V in {+1, -1}.
 
-    gcd-pivot elimination; at each step the smallest-magnitude nonzero entry
-    of the remaining block is moved to the pivot, which keeps coefficient
-    growth tame at the sizes this package needs.
+    Row and column Hermite forms alternate until the matrix is diagonal
+    (Kannan-Bachem 1979; Cohen, Sec. 2.4.4): `_echelon` reduces [A | U] by
+    rows, then [A^T | V^T], which applies the column operations.  A 2x2
+    step then makes the divisor chain: with s*x + t*y = g, it sends a
+    pair (x, y) of diagonal entries with x not dividing y to (g, x*y/g).
     """
-    a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def sym_quotient(x, pivot):
-        # quotient with remainder in (-pivot/2, pivot/2]: geometric shrink
-        q, r = divmod(x, pivot)
-        if 2 * r > pivot:
-            q += 1
-        return q
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # locate smallest nonzero entry in the trailing block
-        best = None
-        for i in range(t, rows):
-            ai = a[i]
-            for j in range(t, cols):
-                x = ai[j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-                    if abs(x) == 1:
-                        break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
+    a = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(m.entries)]
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    while True:
+        _echelon(a, cols)
+        if all(not x for i, row in enumerate(a) for j, x in enumerate(row[:cols]) if i != j):
             break
-        _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        # clear row and column t; any nonzero remainder becomes the new,
-        # strictly smaller pivot and clearing restarts
-        while True:
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
-            pivot = a[t][t]
-            swapped = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = sym_quotient(a[i][t], pivot)
-                    if q:
-                        row_op(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(i, t)
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = sym_quotient(a[t][j], pivot)
-                    if q:
-                        col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(j, t)
-                        swapped = True
-                        break
-            if not swapped:
-                break
-        t += 1
-
-    # enforce the divisibility chain d_i | d_{i+1} by 2x2 recombination
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            x, y = a[i][i], a[i + 1][i + 1]
-            if x != 0 and y % x != 0:
-                col_op(i, i + 1, -1)  # block becomes [[x, 0], [y, y]]
-                while a[i + 1][i] != 0:
-                    q = a[i][i] // a[i + 1][i]
-                    row_op(i, i + 1, q)
-                    swap_rows(i, i + 1)
-                # row i is (g, c) with g = gcd(x, y) up to sign and g | c
-                if a[i][i + 1] != 0:
-                    col_op(i + 1, i, a[i][i + 1] // a[i][i])
-                for r in (i, i + 1):
-                    if a[r][r] < 0:
-                        a[r] = [-e for e in a[r]]
-                        u[r] = [-e for e in u[r]]
-                g = gcd(x, y)
-                assert a[i][i] == g and a[i + 1][i + 1] == x * y // g
-                changed = True
-
-    d = [a[i][i] for i in range(limit)]
-    return d, IntegerMatrix(u), IntegerMatrix(v)
+        at = [[row[j] for row in a] + vt[j] for j in range(cols)]
+        _echelon(at, rows)
+        vt = [row[rows:] for row in at]
+        a = [[row[i] for row in at] + a[i][cols:] for i in range(rows)]
+    d = [a[i][i] for i in range(min(rows, cols))]
+    u = [row[cols:] for row in a]
+    # after d[i] has met every later d[j], it is the gcd of d[i:]
+    for i, j in combinations(range(len(d)), 2):
+        x, y = d[i], d[j]
+        if x and y % x:
+            pair = [[x, 1, 0], [y, 0, 1]]
+            _echelon(pair, 1)
+            g, s, t = pair[0]
+            # rows i, j of U by [[s, t], [p, q]], columns i, j of V by
+            # [[1, t*p], [1, s*q]]: diag(x, y) becomes diag(g, x*y/g)
+            p, q = -y // g, x // g
+            u[i], u[j] = ([s * e + t * f for e, f in zip(u[i], u[j])],
+                          [p * e + q * f for e, f in zip(u[i], u[j])])
+            vt[i], vt[j] = ([e + f for e, f in zip(vt[i], vt[j])],
+                            [t * p * e + s * q * f for e, f in zip(vt[i], vt[j])])
+            d[i], d[j] = g, x * y // g
+    return d, IntegerMatrix(u), IntegerMatrix(zip(*vt))
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +433,11 @@ class FgAbelianGroup:
                 free += 1
             elif part.startswith("Z^"):
                 free += int(part[2:])
-            elif part.startswith("Z/"):
-                orders.append(int(part[2:]))
-            elif part.startswith("Z_"):
-                orders.append(int(part[2:]))
+            elif part.startswith(("Z/", "Z_")):
+                order = int(part[2:])
+                if order < 1:
+                    raise ValueError(f"cyclic summand {part!r} needs an order >= 1")
+                orders.append(order)
             else:
                 raise ValueError(f"cannot parse group summand {part!r}")
         return cls.from_cyclic_orders(free, orders)

@@ -107,6 +107,10 @@ def relative_bordism(betti, p: int) -> FgAbelianGroup:
     """Bordism of a space from its Z_2-Betti numbers:
     rank = sum over r+s=p of h_r * q(s)."""
     betti = list(betti)
+    if p < 0:
+        raise ValueError(f"bordism degree p = {p} is negative")
+    if any(h < 0 for h in betti):
+        raise ValueError(f"negative Betti number in {betti}")
     if p >= len(betti):
         raise BettiListTooShort(f"need Betti numbers up to degree {p}")
     rank = sum(betti[r] * nondyadic_partition_count(p - r) for r in range(p + 1))

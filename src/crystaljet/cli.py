@@ -129,7 +129,7 @@ def validate_point_group_tables() -> ValidationReport:
             report.add(mm.location, mm.published, mm.computed, mm.kind)
         # every computed subgroup satisfies Lagrange by construction; check
         report.checks_run += 1
-        for rec in enumerate_subgroups(g):
+        for rec in result.subgroups:
             if rec.order * rec.index != g.order:
                 report.add(
                     f"{name} computed {rec.triple()}", "-", "Lagrange failure",
@@ -312,7 +312,8 @@ def _cmd_bordism(args) -> int:
 def _cmd_tables(args) -> int:
     if args.which == "pointgroup":
         g = point_group(args.name)
-        recs = enumerate_subgroups(g)
+        result = validate_appendix_b(g.name) if args.verify else None
+        recs = result.subgroups if result else enumerate_subgroups(g)
         payload = {
             "name": g.name,
             "international": INTERNATIONAL[g.name],
@@ -324,7 +325,6 @@ def _cmd_tables(args) -> int:
         lines = [f"{g.name} ({INTERNATIONAL[g.name]}), order {g.order}"]
         lines += [f"  {r.iso_name:8s} order {r.order:3d} index {r.index}" for r in recs]
         if args.verify:
-            result = validate_appendix_b(g.name)
             report = ValidationReport("appendix_b", checks_run=1)
             for mm in result.mismatches:
                 report.add(mm.location, mm.published, mm.computed, mm.kind)

@@ -213,7 +213,7 @@ def _coboundary_matrix(mod: GModule, n: int):
         cbase = col_index[head] * m
         for i in range(m):
             rows[base_row + i][cbase + i] += sign
-    return IntegerMatrix(rows), len(cols_tuples), len(rows_tuples)
+    return IntegerMatrix(rows)
 
 
 def _block_relations(mod: GModule, ncopies: int):
@@ -257,12 +257,12 @@ def group_cohomology(g: FiniteMatrixGroup, mod: GModule, degree: int) -> FgAbeli
     _check_size(ambient * (g.order - 1), ambient, CochainBoundExceeded)
     if ambient == 0:
         return FgAbelianGroup.trivial()
-    delta_n, _, _ = _coboundary_matrix(mod, degree)
+    delta_n = _coboundary_matrix(mod, degree)
     rel_next = _block_relations(mod, delta_n.rows // m if m else 0)
     cocycles = _preimage_lattice(delta_n, rel_next)
     sub = list(_block_relations(mod, ntup))
     if degree > 0:
-        delta_prev, _, _ = _coboundary_matrix(mod, degree - 1)
+        delta_prev = _coboundary_matrix(mod, degree - 1)
         sub.extend(delta_prev.col(j) for j in range(delta_prev.cols))
     if not cocycles:
         return FgAbelianGroup.trivial()
@@ -272,8 +272,8 @@ def group_cohomology(g: FiniteMatrixGroup, mod: GModule, degree: int) -> FgAbeli
 def coboundary_squared_is_zero(g: FiniteMatrixGroup, mod: GModule, degree: int) -> bool:
     """delta_{n+1} o delta_n = 0 as exact integer matrices (modulo the
     coefficient relations when the module has torsion)."""
-    d1, _, _ = _coboundary_matrix(mod, degree)
-    d2, _, _ = _coboundary_matrix(mod, degree + 1)
+    d1 = _coboundary_matrix(mod, degree)
+    d2 = _coboundary_matrix(mod, degree + 1)
     comp = d2 * d1
     rels = mod.base.invariant_factors
     r = mod.base.free_rank
@@ -386,11 +386,7 @@ def _derivation_lattices(mod: GModule):
                     if act[(i, j)]:
                         row[b * m + j] -= act[(i, j)]
                 rows.append(row)
-    constraint = IntegerMatrix(rows) if rows else IntegerMatrix.zero(0, ambient)
-    rel_rows = _block_relations_rows(mod, len(rows))
-    cocycles = _preimage_lattice(constraint, rel_rows) if rows else [
-        tuple(1 if k == i else 0 for k in range(ambient)) for i in range(ambient)
-    ]
+    cocycles = _preimage_lattice(IntegerMatrix(rows), _block_relations(mod, n * n))
     principal = []
     for j in range(m):
         vec = [0] * ambient
@@ -401,24 +397,6 @@ def _derivation_lattices(mod: GModule):
         principal.append(tuple(vec))
     relations = _block_relations(mod, n)
     return cocycles, principal, ambient, relations
-
-
-def _block_relations_rows(mod: GModule, nrows: int):
-    """Relation lattice of M^k on the constraint-row side: each scalar
-    constraint lives in one copy of M, so relations are per-row torsion."""
-    # constraint rows are grouped in blocks of rank m per (a, b) pair, but
-    # rows with all zeros were dropped; rebuild per-row coordinates instead
-    facs = mod.base.invariant_factors
-    r = mod.base.free_rank
-    m = mod.rank
-    rels = []
-    for row_i in range(nrows):
-        coord = row_i % m
-        if coord >= r:
-            v = [0] * nrows
-            v[row_i] = facs[coord - r]
-            rels.append(tuple(v))
-    return rels
 
 
 def derivations(g: FiniteMatrixGroup, mod: GModule):

@@ -153,14 +153,6 @@ class DiffPoly:
         orders = [len(v[2]) for v in self.jet_variables()]
         return max(orders, default=0)
 
-    def degree_in(self, var) -> int:
-        deg = 0
-        for mono in self.terms:
-            for v, e in mono:
-                if v == var:
-                    deg = max(deg, e)
-        return deg
-
     # -- calculus -------------------------------------------------------------
     def partial(self, var) -> "DiffPoly":
         """Plain partial derivative with respect to one tagged variable."""

@@ -397,6 +397,7 @@ class TableMismatch:
 class ValidationResult:
     group_name: str
     mismatches: list
+    subgroups: list  # the computed SubgroupRecords the check compared
 
     @property
     def ok(self):
@@ -416,7 +417,8 @@ def validate_appendix_b(name: str):
     if name not in groups:
         raise UnknownPointGroup(name)
     g = groups[name]
-    computed = {rec.triple() for rec in enumerate_subgroups(g)}
+    subgroups = enumerate_subgroups(g)
+    computed = {rec.triple() for rec in subgroups}
     published = appendix_b_tables()[name]
     mismatches = []
     seen_pub = set()
@@ -454,4 +456,4 @@ def validate_appendix_b(name: str):
                     kind="MissingInPaper",
                 )
             )
-    return ValidationResult(group_name=name, mismatches=mismatches)
+    return ValidationResult(group_name=name, mismatches=mismatches, subgroups=subgroups)

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,13 @@ def test_render_and_parse():
         assert FgAbelianGroup.parse(g.render()) == g
 
 
+def test_parse_rejects_cyclic_orders_below_one():
+    assert FgAbelianGroup.parse("Z/1 x Z_2") == FgAbelianGroup.cyclic(2)
+    for text in ("Z/0", "Z/-2", "Z x Z_0"):
+        with pytest.raises(ValueError, match=text.split(" x ")[-1]):
+            FgAbelianGroup.parse(text)
+
+
 def test_kernel_and_solve():
     m = IntegerMatrix([[1, 2, 3], [2, 4, 6]])
     basis = kernel_basis(m)
@@ -248,6 +257,7 @@ matrices = st.integers(1, 5).flatmap(
 
 def snf_solvable(m, b):
     """Whether m*x = b has an integer solution, read off U*m*V = D."""
+    check_snf(m)
     d, u, _ = smith_normal_form(m)
     ub = u.apply(tuple(b))
     return all(
@@ -256,13 +266,30 @@ def snf_solvable(m, b):
 
 
 def snf_rank(m):
-    return sum(1 for x in smith_normal_form(m)[0] if x)
+    return sum(1 for x in check_snf(m) if x)
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices)
 def test_smith_form_property(m):
     check_snf(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+                          min_size=1, max_size=4)).map(IntegerMatrix))
+def test_smith_form_is_the_gcd_of_the_minors(m):
+    # d_1 ... d_k is the gcd of all k x k minors, each a Bareiss determinant:
+    # an oracle that shares no code with the Hermite echelon
+    d = smith_normal_form(m)[0]
+    for k in range(1, min(m.rows, m.cols) + 1):
+        minors = [
+            IntegerMatrix([[m[(i, j)] for j in cs] for i in rs]).determinant()
+            for rs in combinations(range(m.rows), k)
+            for cs in combinations(range(m.cols), k)
+        ]
+        assert prod(d[:k]) == gcd(*minors)
 
 
 @settings(max_examples=200, deadline=None)

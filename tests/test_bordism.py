@@ -68,6 +68,13 @@ def test_relative_bordism():
         relative_bordism([1, 0], 2)
 
 
+def test_relative_bordism_rejects_negative_input():
+    with pytest.raises(ValueError, match="p = -1"):
+        relative_bordism([1, 2, 1], -1)
+    with pytest.raises(ValueError, match="-5"):
+        relative_bordism([1, -5, 1], 1)
+
+
 def test_crystal_group_of_z2():
     g, w = crystal_group_of(FgAbelianGroup.cyclic(2))
     assert isinstance(g, CrystallographicGroup)

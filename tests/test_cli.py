@@ -141,6 +141,22 @@ def test_tables_validate(capsys):
     assert code == 0
 
 
+def test_tables_validate_enumerates_each_subgroup_lattice_once(monkeypatch):
+    from crystaljet import cli, groups
+
+    calls = []
+    original = groups.enumerate_subgroups
+
+    def counting(g):
+        calls.append(g.name)
+        return original(g)
+
+    for module in (cli, groups):
+        monkeypatch.setattr(module, "enumerate_subgroups", counting)
+    validate_all_tables()
+    assert len(calls) == len(set(calls)) == 32
+
+
 def test_tables_spacegroups(capsys):
     code, out, _ = run_capture(
         capsys, ["tables", "spacegroups", "--filter", "Triclinic", "--format", "json"]
@@ -188,6 +204,18 @@ def test_unknown_input_is_usage_error(capsys):
     assert code == 1 and "error" in err
     code, _, _ = run_capture(capsys, ["bordism", "unoriented"])  # missing --n
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["cohomology", "--group", "C_2", "--module", "Z/-2", "--degree", "2"], "'Z/-2'"),
+    (["cohomology", "--group", "C_2", "--module", "Z/0", "--degree", "2"], "'Z/0'"),
+    (["bordism", "relative", "--betti", "1,2,1", "--p", "-1"], "p = -1"),
+    (["bordism", "relative", "--betti", "1,-5,1", "--p", "1"], "[1, -5, 1]"),
+])
+def test_out_of_contract_input_fails_fast(capsys, argv, bad):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 1 and not out
+    assert err.startswith("error: ValueError: ") and bad in err
 
 
 def test_error_names_its_type_when_the_message_is_empty(capsys, monkeypatch):
