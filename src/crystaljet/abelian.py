@@ -7,8 +7,9 @@ lattice bases, kernels, integer solves, coordinates in a lattice basis,
 inverses of unimodular matrices, and the Smith normal form, which
 alternates row and column echelons until the matrix is diagonal.  The
 Smith form gives the invariant factors of a cokernel
-(`group_from_relations`) and the unimodular U and V that
-`crystal.is_symmorphic` reads.
+(`group_from_relations`), those of a list of cyclic orders (the Smith form
+of their diagonal matrix, `FgAbelianGroup.from_cyclic_orders`), and the
+unimodular U and V that `crystal.is_symmorphic` reads.
 """
 
 from __future__ import annotations
@@ -32,21 +33,26 @@ class InfiniteGroup(ValueError):
 
 
 class IntegerMatrix:
-    """Immutable rectangular matrix with python-int entries."""
+    """Immutable rectangular matrix with python-int entries.
+
+    `cols` gives the width of a matrix with no rows; otherwise it defaults
+    to the length of the first row."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries):
+    def __init__(self, entries, cols=None):
         entries = tuple(tuple(int(x) for x in row) for row in entries)
         self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        if any(len(row) != self.cols for row in entries):
+        if cols is None:
+            cols = len(entries[0]) if entries else 0
+        self.cols = cols
+        if any(len(row) != cols for row in entries):
             raise ValueError("ragged matrix")
         self.entries = entries
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
+        return cls([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n):
@@ -60,7 +66,7 @@ class IntegerMatrix:
         for i, d in enumerate(diag):
             if i < rows and i < cols:
                 m[i][i] = d
-        return cls(m)
+        return cls(m, cols)
 
     def __eq__(self, other):
         return isinstance(other, IntegerMatrix) and self.entries == other.entries
@@ -82,7 +88,7 @@ class IntegerMatrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self):
-        return IntegerMatrix(list(zip(*self.entries))) if self.rows else IntegerMatrix([])
+        return IntegerMatrix(zip(*self.entries) if self.rows else [()] * self.cols, self.rows)
 
     def __mul__(self, other):
         if isinstance(other, IntegerMatrix):
@@ -90,7 +96,8 @@ class IntegerMatrix:
                 raise ValueError("shape mismatch")
             ot = list(zip(*other.entries))
             return IntegerMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries]
+                [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries],
+                other.cols,
             )
         return NotImplemented
 
@@ -245,7 +252,9 @@ def _echelon_of_transpose(m: IntegerMatrix):
     """(rows, width, rank) for the Hermite form of [m^T | I] on the m^T
     block; the identity block of each row records how it was formed."""
     width = m.rows
-    rows = [list(col) + [0] * m.cols for col in zip(*m.entries)]
+    # with no rows, zip would drop the m.cols columns
+    columns = zip(*m.entries) if width else [()] * m.cols
+    rows = [list(col) + [0] * m.cols for col in columns]
     for j, row in enumerate(rows):
         row[width + j] = 1
     return rows, width, len(_echelon(rows, width))
@@ -308,39 +317,6 @@ def solve_integer(m: IntegerMatrix, b) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _invariant_factors(cyclic_orders) -> tuple[int, ...]:
-    """Recombine arbitrary cyclic orders (each >= 2) into a divisor chain."""
-    primary: dict[int, list[int]] = {}
-    for n in cyclic_orders:
-        for p, e in _factorize(n).items():
-            primary.setdefault(p, []).append(e)
-    depth = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(depth):
-        f = 1
-        for p, exps in primary.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                f *= p ** exps_sorted[i]
-        factors.append(f)
-    # factors currently in decreasing divisibility; canonical order is
-    # increasing (d_i | d_{i+1})
-    return tuple(sorted(factors))
-
-
 @dataclass(frozen=True)
 class FgAbelianGroup:
     """Canonical form of a finitely generated abelian group.
@@ -387,7 +363,10 @@ class FgAbelianGroup:
 
     @classmethod
     def from_cyclic_orders(cls, free_rank, orders):
-        return cls(free_rank, _invariant_factors(o for o in orders if o > 1))
+        """Z^free_rank x the product of Z/o over `orders`; orders <= 1 add
+        nothing.  The invariant factors are the Smith form of diag(orders)."""
+        d, _, _ = smith_normal_form(IntegerMatrix.diagonal([o for o in orders if o > 1]))
+        return cls(free_rank, tuple(x for x in d if x > 1))
 
     # -- basic structure ----------------------------------------------
     def is_trivial(self):
@@ -456,9 +435,8 @@ def group_from_relations(generators: int, relations: IntegerMatrix) -> FgAbelian
     if relations.rows == 0:
         return FgAbelianGroup.free(generators)
     d, _, _ = smith_normal_form(relations)
-    rank = sum(1 for x in d if x != 0)
-    torsion = [x for x in d if x not in (0, 1)]
-    return FgAbelianGroup.from_cyclic_orders(generators - rank, torsion)
+    rank = sum(1 for x in d if x)
+    return FgAbelianGroup(generators - rank, tuple(x for x in d if x > 1))
 
 
 def tensor_over_z2(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:

@@ -213,7 +213,7 @@ def _coboundary_matrix(mod: GModule, n: int):
         cbase = col_index[head] * m
         for i in range(m):
             rows[base_row + i][cbase + i] += sign
-    return IntegerMatrix(rows)
+    return IntegerMatrix(rows, m * len(cols_tuples))
 
 
 def _block_relations(mod: GModule, ncopies: int):

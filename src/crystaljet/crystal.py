@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abelian import IntegerMatrix, smith_normal_form
-from .data import load_lines
+from .data import load_blocks
 from .groups import FiniteMatrixGroup, close_group, parse_matrix
 
 
@@ -281,23 +281,14 @@ class SpaceGroupRow:
 
 @lru_cache(maxsize=1)
 def spacegroup_table() -> list[SpaceGroupRow]:
-    rows = []
-    syngony = None
-    classes: list = []
-    bravais: list = []
-    for line in load_lines("appendix_a.dat"):
-        if line.startswith("syngony "):
-            syngony = line.split(None, 1)[1]
-            classes, bravais = [], []
-        elif line.startswith("class "):
-            _, name, count = line.split()
-            classes.append((name, int(count)))
-        elif line.startswith("bravais "):
-            _, count, letter = line.split()
-            bravais.append((int(count), letter))
-        elif line == "end" and syngony is not None:
-            rows.append(SpaceGroupRow(syngony, tuple(classes), tuple(bravais)))
-            syngony = None
+    rows = [
+        SpaceGroupRow(
+            syngony,
+            tuple((name, int(count)) for kind, name, count in body if kind == "class"),
+            tuple((int(count), letter) for kind, count, letter in body if kind == "bravais"),
+        )
+        for (syngony,), body in load_blocks("appendix_a.dat", "syngony")
+    ]
     assert len(rows) == 7
     return rows
 
@@ -337,11 +328,10 @@ class WallpaperRecord:
 
 @lru_cache(maxsize=1)
 def wallpaper_table() -> list[WallpaperRecord]:
-    rows = []
-    for line in load_lines("appendix_a.dat"):
-        if line.startswith("wallpaper-row "):
-            _, name, syngony, label = line.split()
-            rows.append(WallpaperRecord(name, syngony, label))
+    rows = [
+        WallpaperRecord(name, syngony, label)
+        for (name, syngony, label), _ in load_blocks("appendix_a.dat", "wallpaper-row")
+    ]
     assert len(rows) == 17
     return rows
 
@@ -350,23 +340,14 @@ def wallpaper_table() -> list[WallpaperRecord]:
 def wallpaper_groups() -> dict[str, CrystallographicGroup]:
     """The 17 plane space groups with explicit vector systems."""
     out = {}
-    name = None
-    gens: list = []
-    for line in load_lines("wallpaper17.dat"):
-        if line.startswith("wallpaper "):
-            name = line.split()[1]
-            gens = []
-        elif line.startswith("gen "):
-            mat_text, tau_text = line[4:].split(" tau ")
-            tau = [Fraction(tok) for tok in tau_text.split(",")]
-            gens.append((parse_matrix(mat_text), tau))
-        elif line == "end":
-            if gens:
-                out[name] = CrystallographicGroup.from_generator_system(gens, name=name)
-            else:
-                trivial = close_group([IntegerMatrix.identity(2)])
-                out[name] = CrystallographicGroup(2, trivial, None, name=name)
-            name = None
+    for (name,), body in load_blocks("wallpaper17.dat", "wallpaper"):
+        gens = [(parse_matrix(mat), [Fraction(tok) for tok in tau.split(",")])
+                for _, mat, _, tau in body]
+        if gens:
+            out[name] = CrystallographicGroup.from_generator_system(gens, name=name)
+        else:
+            trivial = close_group([IntegerMatrix.identity(2)])
+            out[name] = CrystallographicGroup(2, trivial, None, name=name)
     assert len(out) == 17
     return out
 
@@ -386,18 +367,10 @@ def wallpaper_info(name: str):
 
 @lru_cache(maxsize=1)
 def appendix_d_tables() -> dict[str, list[tuple[str, int | None]]]:
-    tables: dict[str, list] = {}
-    current = None
-    for line in load_lines("appendix_d.dat"):
-        if line.startswith("table "):
-            current = line.split()[1]
-            tables[current] = []
-        elif line.startswith("row "):
-            _, sub, idx = line.split()
-            tables[current].append((sub, None if idx == "-" else int(idx)))
-        elif line == "end":
-            current = None
-    return tables
+    return {
+        name: [(sub, None if idx == "-" else int(idx)) for _, sub, idx in body]
+        for (name,), body in load_blocks("appendix_d.dat", "table")
+    }
 
 
 def wallpaper_subgroups(name: str) -> list[tuple[str, int | None]]:
@@ -420,18 +393,9 @@ class AmalgamatedProduct:
 
 @lru_cache(maxsize=1)
 def appendix_c_products() -> list[AmalgamatedProduct]:
-    out = []
-    label = None
-    gens: list = []
-    for line in load_lines("appendix_c.dat"):
-        if line.startswith("product "):
-            label = line.split(None, 1)[1]
-            gens = []
-        elif line.startswith("gen "):
-            _, token, mat = line.split(None, 2)
-            gens.append((token, parse_matrix(mat)))
-        elif line == "end":
-            out.append(AmalgamatedProduct(label, tuple(gens)))
-            label = None
+    out = [
+        AmalgamatedProduct(label, tuple((token, parse_matrix(mat)) for _, token, mat in body))
+        for (label,), body in load_blocks("appendix_c.dat", "product")
+    ]
     assert len(out) == 8
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .abelian import IntegerMatrix
-from .data import load_lines
+from .data import load_blocks
 
 
 class NotInvertible(ValueError):
@@ -280,16 +280,8 @@ def iso_type_name(g: FiniteMatrixGroup) -> str:
 # embedded datasets
 # ---------------------------------------------------------------------------
 
-INTERNATIONAL = {
-    "C_1": "1", "C_i": "-1", "C_2": "2", "C_s": "m", "C_2h": "2/m",
-    "D_2": "222", "C_2v": "mm2", "D_2h": "mmm",
-    "C_4": "4", "S_4": "-4", "C_4h": "4/m", "D_4": "422", "C_4v": "4mm",
-    "D_2d": "-42m", "D_4h": "4/mmm",
-    "C_3": "3", "S_6": "-3", "D_3": "32", "C_3v": "3m", "D_3d": "-3m",
-    "C_6": "6", "C_3h": "-6", "C_6h": "6/m", "D_6": "622", "C_6v": "6mm",
-    "D_3h": "-62m", "D_6h": "6/mmm",
-    "T": "23", "T_h": "m-3", "O": "432", "T_d": "-43m", "O_h": "m-3m",
-}
+# international symbols of the 32 point groups, from the group headers
+INTERNATIONAL = {name: intl for (name, intl), _ in load_blocks("pointgroups.dat", "group")}
 
 SCHOENFLIES = {v: k for k, v in INTERNATIONAL.items()}
 
@@ -309,20 +301,10 @@ def parse_matrix(text: str) -> IntegerMatrix:
 def point_groups() -> dict[str, FiniteMatrixGroup]:
     """The 32 crystallographic point groups, keyed by Schoenflies symbol."""
     groups = {}
-    name = None
-    gens = []
-    for line in load_lines("pointgroups.dat"):
-        if line.startswith("group "):
-            parts = line.split()
-            name = parts[1]
-            gens = []
-        elif line.startswith("gen "):
-            gens.append(parse_matrix(line[4:]))
-        elif line == "end":
-            grp = close_group(gens)
-            grp.name = name
-            groups[name] = grp
-            name = None
+    for (name, _), body in load_blocks("pointgroups.dat", "group"):
+        grp = close_group([parse_matrix(mat) for _, mat in body])
+        grp.name = name
+        groups[name] = grp
     assert len(groups) == 32
     return groups
 
@@ -367,17 +349,10 @@ def point_group(name: str) -> FiniteMatrixGroup:
 @lru_cache(maxsize=1)
 def appendix_b_tables() -> dict[str, list[tuple[str, int, int]]]:
     """The published point-group subgroup tables, exactly as printed."""
-    tables: dict[str, list[tuple[str, int, int]]] = {}
-    current = None
-    for line in load_lines("appendix_b.dat"):
-        if line.startswith("table "):
-            current = line.split()[1]
-            tables[current] = []
-        elif line.startswith("row "):
-            iso, order, index = line[4:].split()
-            tables[current].append((iso, int(order), int(index)))
-        elif line == "end":
-            current = None
+    tables = {
+        name: [(iso, int(order), int(index)) for _, iso, order, index in body]
+        for (name,), body in load_blocks("appendix_b.dat", "table")
+    }
     assert len(tables) == 32
     return tables
 

@@ -27,6 +27,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 
 from .data import load_document
@@ -286,27 +287,12 @@ class PdeSystem:
         k = self.order if order is None else order
         out = []
         for j in range(self.m):
-            for mu in _multisets(self.n, k):
+            for mu in combinations_with_replacement(range(self.n), k):
                 out.append(jet(j, mu))
         return out
 
     def render_equations(self):
         return [e.render(self.independent, self.dependent) for e in self.equations]
-
-
-def _multisets(n, k):
-    """Sorted k-multisets of {0..n-1} (monomial multi-indices)."""
-    if k == 0:
-        yield ()
-        return
-    def rec(start, left):
-        if left == 0:
-            yield ()
-            return
-        for i in range(start, n):
-            for rest in rec(i, left - 1):
-                yield (i,) + rest
-    yield from rec(0, k)
 
 
 def load_system(source, parameter_overrides=None) -> PdeSystem:
@@ -319,10 +305,7 @@ def load_system(source, parameter_overrides=None) -> PdeSystem:
     if parameter_overrides:
         params.update(parameter_overrides)
     parser = EquationParser(doc["independent"], doc["dependent"], params)
-    excl_parser = EquationParser(doc["independent"], doc["dependent"], params)
-    exclusions = [
-        excl_parser.parse_polynomial(t) for t in doc.get("exclusions", [])
-    ]
+    exclusions = [parser.parse_polynomial(t) for t in doc.get("exclusions", [])]
     equations = [
         parser.parse_polynomial(t, exclusions) for t in doc.get("equations", [])
     ]
@@ -387,8 +370,7 @@ def _needed_variables(polys):
     return out
 
 
-def _resolve_token(s: PdeSystem, token: str):
-    parser = EquationParser(s.independent, s.dependent)
+def _resolve_token(parser: EquationParser, token: str):
     poly = parser.resolve_name(token)
     (mono, _), = poly.terms.items()
     (var, _), = mono
@@ -407,11 +389,13 @@ def sample_points(s: PdeSystem, polys, count=SAMPLE_COUNT, seed=DEFAULT_SEED,
     """
     rng = random.Random(seed)
     needed = _needed_variables(list(polys) + list(s.exclusions)) | set(extra_vars)
-    pivots = []
+    parser = EquationParser(s.independent, s.dependent)
+    stages = []
     for stage in s.solve_stages:
-        pivots.extend(_resolve_token(s, tok) for _, tok in stage)
-        needed |= _needed_variables(s.equations[i] for i, _ in stage)
-    pivot_set = set(pivots)
+        eqs = [s.equations[i] for i, _ in stage]
+        stages.append((eqs, [_resolve_token(parser, tok) for _, tok in stage]))
+        needed |= _needed_variables(eqs)
+    pivot_set = {v for _, stage_pivots in stages for v in stage_pivots}
     free = sorted(v for v in needed if v not in pivot_set)
     points = []
     attempts = 0
@@ -423,9 +407,7 @@ def sample_points(s: PdeSystem, polys, count=SAMPLE_COUNT, seed=DEFAULT_SEED,
             )
         point = {v: _random_fraction(rng) for v in free}
         ok = True
-        for stage in s.solve_stages:
-            stage_pivots = [_resolve_token(s, tok) for _, tok in stage]
-            eqs = [s.equations[i] for i, _ in stage]
+        for eqs, stage_pivots in stages:
             sol = _solve_stage(eqs, stage_pivots, point)
             if sol is None:
                 ok = False
@@ -627,7 +609,7 @@ class SymbolReport:
 
 def _jets_up_to(s: PdeSystem, k: int):
     return [jet(j, mu) for j in range(s.m) for o in range(k + 1)
-            for mu in _multisets(s.n, o)]
+            for mu in combinations_with_replacement(range(s.n), o)]
 
 
 def symbol_report(s: PdeSystem, seed=DEFAULT_SEED) -> SymbolReport:

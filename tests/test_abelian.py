@@ -50,9 +50,13 @@ def test_snf_already_diagonal():
 
 def test_snf_empty_relations():
     m = IntegerMatrix.zero(0, 3)
+    assert (m.rows, m.cols) == (0, 3)
     d, u, v = smith_normal_form(m)
     assert d == []
+    assert (v.rows, v.cols) == (3, 3)
     assert group_from_relations(3, m) == FgAbelianGroup.free(3)
+    # no equations: every vector is in the kernel
+    assert kernel_basis(m) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_snf_derived_example():
@@ -250,9 +254,10 @@ def test_quotient_order_equals_determinant():
 # properties of the Hermite echelon kernel, against the Smith form as oracle
 # ---------------------------------------------------------------------------
 
-matrices = st.integers(1, 5).flatmap(
+# empty shapes included: 0 x n, n x 0 and 0 x 0
+matrices = st.integers(0, 5).flatmap(
     lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
-                          min_size=1, max_size=5)).map(IntegerMatrix)
+                          max_size=5).map(lambda rows: IntegerMatrix(rows, cols)))
 
 
 def snf_solvable(m, b):
@@ -276,9 +281,9 @@ def test_smith_form_property(m):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(
+@given(st.integers(0, 4).flatmap(
     lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
-                          min_size=1, max_size=4)).map(IntegerMatrix))
+                          max_size=4).map(lambda rows: IntegerMatrix(rows, cols))))
 def test_smith_form_is_the_gcd_of_the_minors(m):
     # d_1 ... d_k is the gcd of all k x k minors, each a Bareiss determinant:
     # an oracle that shares no code with the Hermite echelon

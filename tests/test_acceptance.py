@@ -9,6 +9,7 @@ failing silently.
 import json
 import random
 import time
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -298,8 +299,6 @@ def test_criterion_9_stretch_full_encodings():
     rng = random.Random(7)
     from fractions import Fraction
 
-    from crystaljet.jets import _multisets
-
     vars_all = set()
     for eq in rf.equations:
         vars_all |= eq.variables()
@@ -309,7 +308,7 @@ def test_criterion_9_stretch_full_encodings():
     for v in vars_all - low:
         p1[v] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         p2[v] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    cols = [jet(j, mu) for j in range(6) for mu in _multisets(4, 2)]
+    cols = [jet(j, mu) for j in range(6) for mu in combinations_with_replacement(range(4), 2)]
     for eq in rf.equations:
         for v in cols:
             partial = eq.partial(v)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -199,6 +200,28 @@ def test_cohomology_command(capsys):
     assert json.loads(out)["cohomology"] == "Z/4"
 
 
+@pytest.mark.parametrize("module, answer", [("Z", "Z^1"), ("Z^2", "Z^2")])
+def test_cohomology_of_the_trivial_group_in_degree_zero(capsys, module, answer):
+    code, out, _ = run_capture(
+        capsys, ["cohomology", "--group", "C_1", "--module", module, "--degree", "0"]
+    )
+    assert code == 0 and out.strip() == answer
+
+
+def test_cyclic_orders_of_a_large_prime_answer_fast(capsys):
+    # 2^61 - 1 is prime, so factoring it by trial division does not finish
+    p = "Z/2305843009213693951"
+    start = time.perf_counter()
+    code, out, _ = run_capture(
+        capsys, ["cohomology", "--group", "C_2", "--module", p, "--degree", "2"]
+    )
+    assert code == 0 and out.strip() == "0"
+    code, out, err = run_capture(capsys, ["bordism", "crystal-group", "--group", p])
+    assert code == 1 and not out
+    assert err.startswith("error: NotCrystalShapedGroup: ") and p in err
+    assert time.perf_counter() - start < 2
+
+
 def test_unknown_input_is_usage_error(capsys):
     code, _, err = run_capture(capsys, ["tables", "pointgroup", "X_9"])
     assert code == 1 and "error" in err
@@ -211,6 +234,11 @@ def test_unknown_input_is_usage_error(capsys):
     (["cohomology", "--group", "C_2", "--module", "Z/0", "--degree", "2"], "'Z/0'"),
     (["bordism", "relative", "--betti", "1,2,1", "--p", "-1"], "p = -1"),
     (["bordism", "relative", "--betti", "1,-5,1", "--p", "1"], "[1, -5, 1]"),
+    (["bordism", "relative", "--betti", "1,,1", "--p", "1"], "entry 2 of '1,,1' is ''"),
+    (["bordism", "relative", "--betti", "1,2,x", "--p", "1"], "entry 3 of '1,2,x' is 'x'"),
+    (["cohomology", "--group", "cyclic:0", "--degree", "1"], "'cyclic:0'"),
+    (["cohomology", "--group", "cyclic:-3", "--degree", "1"], "'cyclic:-3'"),
+    (["cohomology", "--group", "cyclic:25", "--degree", "0"], "'cyclic:25'"),
 ])
 def test_out_of_contract_input_fails_fast(capsys, argv, bad):
     code, out, err = run_capture(capsys, argv)

@@ -36,6 +36,10 @@ def test_h0_is_invariants():
     # sign action on Z: invariants are 0
     cs = point_group("C_s")
     assert group_cohomology(cs, GModule.sign(cs, Z), 0).is_trivial()
+    # the trivial group: delta_0 is 0 x rank and keeps that width
+    c1 = point_group("C_1")
+    for base in (Z, FgAbelianGroup.free(2), FgAbelianGroup.cyclic(4)):
+        assert group_cohomology(c1, GModule.trivial(c1, base), 0) == base
 
 
 def test_h2_c2_z_trivial():

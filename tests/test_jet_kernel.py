@@ -7,6 +7,7 @@ every sample point, for every Jacobian it ranks.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
@@ -71,7 +72,7 @@ def jacobian(polys, columns):
 
 def all_jets(s, k):
     return [jet(j, mu) for j in range(s.m) for o in range(k + 1)
-            for mu in jets._multisets(s.n, o)]
+            for mu in combinations_with_replacement(range(s.n), o)]
 
 
 def oracle_symbol_ranks(s, seed):
