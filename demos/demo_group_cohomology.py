@@ -1,4 +1,4 @@
-"""Group cohomology from bar cochain complexes over Z, derivations as
+"""Group cohomology from a small free ZG-resolution over Z, derivations as
 splittings, and the Kunneth rule for homology of products.
 """
 
@@ -17,7 +17,7 @@ from crystaljet.groups import close_group, point_group
 Z = FgAbelianGroup.free(1)
 
 print("Cohomology of cyclic groups with trivial integer coefficients is")
-print("2-periodic; the bar complex reproduces the closed form:")
+print("2-periodic; a free resolution reproduces the closed form:")
 for m in (2, 3, 4):
     shift = [[1 if i == (j + 1) % m else 0 for j in range(m)] for i in range(m)]
     g = close_group([IntegerMatrix(shift)])

@@ -14,6 +14,7 @@ unimodular U and V that `crystal.is_symmorphic` reads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
@@ -401,24 +402,31 @@ class FgAbelianGroup:
 
     @classmethod
     def parse(cls, text: str) -> "FgAbelianGroup":
+        """Read a rendering such as "Z^2 x Z/2 x Z_4"; an error names the
+        input and the summand it cannot read."""
         text = text.strip()
         if text == "0":
             return cls.trivial()
         free = 0
         orders = []
-        for part in text.split("x"):
+        # an x right after ^, / or _ is a bad exponent, not a separator
+        for part in re.split(r"(?<![\^/_])x", text):
             part = part.strip()
             if part == "Z":
                 free += 1
-            elif part.startswith("Z^"):
-                free += int(part[2:])
-            elif part.startswith(("Z/", "Z_")):
-                order = int(part[2:])
-                if order < 1:
-                    raise ValueError(f"cyclic summand {part!r} needs an order >= 1")
-                orders.append(order)
+                continue
+            head, number = part[:2], part[2:].strip()
+            if head not in ("Z^", "Z/", "Z_") or not number.lstrip("-").isdecimal():
+                raise ValueError(f"{text!r}: cannot parse group summand {part!r}")
+            value = int(number)
+            if head == "Z^":
+                if value < 0:
+                    raise ValueError(f"{text!r}: free summand {part!r} needs a rank >= 0")
+                free += value
+            elif value < 1:
+                raise ValueError(f"{text!r}: cyclic summand {part!r} needs an order >= 1")
             else:
-                raise ValueError(f"cannot parse group summand {part!r}")
+                orders.append(value)
         return cls.from_cyclic_orders(free, orders)
 
 

@@ -55,27 +55,61 @@ def nondyadic_partitions(n: int) -> list[tuple[int, ...]]:
     return list(rec(n, n))
 
 
-@lru_cache(maxsize=None)
-def nondyadic_partition_count(n: int) -> int:
-    return len(nondyadic_partitions(n))
+def _nondyadic_counts(limit: int) -> list[int]:
+    """q(0), ..., q(limit) by a coin-counting DP over the part sizes >= 2
+    not of the form 2^s - 1, independent of the enumeration above."""
+    counts = [1] + [0] * limit
+    for degree in range(2, limit + 1):
+        if _dyadic_minus_one(degree):
+            continue
+        for total in range(degree, limit + 1):
+            counts[total] += counts[total - degree]
+    return counts
 
 
 def thom_monomial_count(n: int) -> int:
     """Number of degree-n monomials in one polynomial generator for each
-    degree >= 2 not of the form 2^s - 1.
-
-    Independent of the explicit enumeration above: a coin-counting DP over
-    the generator degrees.
-    """
+    degree >= 2 not of the form 2^s - 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    counts = [1] + [0] * n
-    for degree in range(2, n + 1):
-        if _dyadic_minus_one(degree):
-            continue
-        for total in range(degree, n + 1):
-            counts[total] += counts[total - degree]
-    return counts[n]
+    return _nondyadic_counts(n)[n]
+
+
+class Z2RankBoundExceeded(ValueError):
+    pass
+
+
+# largest rank of a Z/2-vector space built here: (Z/2)^q(n) renders as
+# about 6 q(n) characters, and q(n) first exceeds the bound at n = 91
+Z2_RANK_BOUND = 1_000_000
+
+
+@lru_cache(maxsize=None)
+def _first_degree_over_bound() -> int:
+    """Least n0 with q(n) > Z2_RANK_BOUND for every n >= n0.  Adding a part
+    2 is injective, so q(n + 2) >= q(n), and two consecutive values over
+    the bound settle every later n."""
+    limit = 64
+    while True:
+        q = _nondyadic_counts(limit + 1)
+        for n in range(limit + 1):
+            if min(q[n], q[n + 1]) > Z2_RANK_BOUND:
+                return n
+        limit *= 2
+
+
+@lru_cache(maxsize=None)
+def nondyadic_partition_count(n: int) -> int:
+    """q(n), the number of partitions of n avoiding parts 2^s - 1, by the
+    DP; an n with q(n) over Z2_RANK_BOUND is refused, a large one before
+    anything of its size is allocated."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n >= _first_degree_over_bound() or (q := thom_monomial_count(n)) > Z2_RANK_BOUND:
+        raise Z2RankBoundExceeded(
+            f"n = {n}: q(n) exceeds the Z/2-rank bound of {Z2_RANK_BOUND}"
+        )
+    return q
 
 
 def unoriented_bordism(n: int) -> FgAbelianGroup:
@@ -113,7 +147,11 @@ def relative_bordism(betti, p: int) -> FgAbelianGroup:
         raise ValueError(f"negative Betti number in {betti}")
     if p >= len(betti):
         raise BettiListTooShort(f"need Betti numbers up to degree {p}")
-    rank = sum(betti[r] * nondyadic_partition_count(p - r) for r in range(p + 1))
+    rank = sum(h * nondyadic_partition_count(p - r) for r, h in enumerate(betti[: p + 1]) if h)
+    if rank > Z2_RANK_BOUND:
+        raise Z2RankBoundExceeded(
+            f"rank {rank} exceeds the Z/2-rank bound of {Z2_RANK_BOUND}"
+        )
     return FgAbelianGroup.z2_power(rank)
 
 

@@ -23,6 +23,7 @@ from .bordism import (
     paper_crystal_assignment,
     relative_bordism,
     unoriented_bordism,
+    Z2_RANK_BOUND,
     UnassignedInPaper,
     NotCrystalShapedGroup,
 )
@@ -618,7 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="which", required=True
     )
     p = bordism.add_parser("unoriented", parents=[common])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"degree; an n whose Z/2-rank q(n) exceeds {Z2_RANK_BOUND} is refused")
     p = bordism.add_parser("oriented", parents=[common])
     p.add_argument("--n", type=int, required=True)
     p = bordism.add_parser("relative", parents=[common])

@@ -1,14 +1,18 @@
 """Group cohomology of finite matrix groups with coefficients in finitely
 generated modules, crossed homomorphisms, and splitting classification.
 
-Everything is computed from the (normalized) inhomogeneous bar cochain
-complex with exact integer coboundary matrices: cocycles are an integer
-kernel, and the quotient by the coboundaries is read off in a Hermite basis
-of the cocycle lattice, whose relation matrix then goes through the Smith
-normal form.  Tuples containing the identity are dropped, which computes the
-same cohomology on much smaller matrices.  Torsion coefficients are handled by
-carrying an explicit relation lattice next to each cochain group instead of
-switching to finite-field arithmetic.
+Cohomology is computed on a small free ZG-resolution of Z, built with
+integer linear algebra only (Ellis, "Computing group resolutions",
+J. Symb. Comp. 38, 2004): each kernel is found as a Z-lattice, and
+ZG-generators are taken from its basis until their orbits span it.  With
+Hom_ZG(F_k, M) = M^{r_k}, the cochain matrices have r_k * rank columns
+(1, 3, 6, 10 for O_h) where the bar complex had (|G| - 1)^k * rank.
+Cocycles are an integer kernel, and the quotient by the coboundaries is
+read off in a Hermite basis of the cocycle lattice, whose relation matrix
+then goes through the Smith normal form.  Torsion coefficients are handled
+by carrying an explicit relation lattice next to each cochain group instead
+of switching to finite-field arithmetic.  Derivations are still solved on
+every group element.
 """
 
 from __future__ import annotations
@@ -46,9 +50,10 @@ class NotSplit(ValueError):
     pass
 
 
-# entries of the largest dense coboundary or derivation-constraint matrix
-# built: degree 2 with Z coefficients passes for every point group of order
-# <= 24 (12 167 x 529), O_h (103 823 x 2 209) is refused
+# entries of the largest dense matrix built: a resolution's kernel or
+# orbit-span echelon, a cochain matrix, or the derivation system.  H^3 of
+# O_h peaks at 480 x 768 (the kernel echelon of d_3); a group of order
+# 3 840 is refused at the first step (3 839 x 3 840)
 COCHAIN_BOUND = 10_000_000
 
 
@@ -132,10 +137,13 @@ class GModule:
                 raise ValueError("action matrix of wrong size")
             if not a.is_invertible_over_z():
                 raise ValueError("action matrices must be invertible over Z")
-        for i in range(g.order):
-            for j in range(g.order):
-                k = g.cayley[i][j]
-                if self.action[i] * self.action[j] != self.action[k]:
+        # rho(a s) = rho(a) rho(s) for every a and every generator s gives
+        # rho(a b) = rho(a) rho(b) by induction on a word for b, without the
+        # |G|^2 Cayley table
+        for s in g.generators:
+            act_s = self.action[g.index_of(s)]
+            for i, a in enumerate(g.elements):
+                if self.action[i] * act_s != self.action[g.index_of(a * s)]:
                     raise ValueError("action is not a homomorphism")
         # torsion must be preserved: column j with factor d_j maps into the
         # relation lattice
@@ -166,54 +174,105 @@ class GModule:
 
 
 # ---------------------------------------------------------------------------
-# bar complex
+# free resolution
 # ---------------------------------------------------------------------------
 
 
-def _tuples(g: FiniteMatrixGroup, n: int):
-    """Nondegenerate n-tuples of group element indices (identity excluded)."""
-    nonident = [i for i in range(g.order) if i != g.identity_index]
-    return list(iproduct(nonident, repeat=n))
+@dataclass
+class FreeResolution:
+    """F_len -> ... -> F_1 -> F_0 = ZG -> Z, exact and free over ZG.
 
-
-def _coboundary_matrix(mod: GModule, n: int):
-    """Matrix of delta_n : C^n -> C^{n+1} on normalized cochains.
-
-    Columns are (n-tuple, coordinate) pairs; rows likewise in degree n+1.
+    F_k has the ZG-basis e_0, ..., e_{r_k - 1} and the Z-basis h*e_i, at
+    index i*|G| + h.  ``boundaries[k][j]`` is d_{k+1}(e_j) in those
+    coordinates of F_k; d is ZG-linear, so d(h*e_j) = h*d(e_j).
     """
-    g = mod.group
-    m = mod.rank
-    cols_tuples = _tuples(g, n)
-    rows_tuples = _tuples(g, n + 1)
-    col_index = {t: k for k, t in enumerate(cols_tuples)}
-    rows = [[0] * (m * len(cols_tuples)) for _ in range(m * len(rows_tuples))]
+
+    group: FiniteMatrixGroup
+    ranks: list  # r_0 = 1, r_1, ..., r_len
+    boundaries: list
+
+
+def _orbit(g: FiniteMatrixGroup, v):
+    """The |G| translates h*v of a vector of some F_k."""
+    n = g.order
+    terms = [(idx - idx % n, idx % n, x) for idx, x in enumerate(v) if x]
+    out = []
+    for row in g.cayley:
+        w = [0] * len(v)
+        for base, h, x in terms:
+            w[base + row[h]] = x
+        out.append(w)
+    return out
+
+
+def _orbit_generators(g: FiniteMatrixGroup, kernel, ambient: int):
+    """ZG-generators of a G-stable lattice given by a Z-basis.
+
+    A basis vector, sparsest first, joins the generators when it is not yet
+    in the Z-span of the orbits chosen so far; the choice ends when the
+    Hermite basis of that span equals the lattice's, which is exactness at
+    this step.  Sparse generators keep the entries of d at +-1 on the point
+    groups and the ranks small (3, 6, 10, 15 for O_h).
+    """
+    target = lattice_from_generators(kernel, ambient)
+    span, gens = [], []
+    for v in sorted(kernel, key=lambda v: (len(v) - v.count(0), sum(map(abs, v)))):
+        if span == target:
+            break
+        if lattice_coordinates(span, v) is not None:
+            continue
+        _check_size(len(span) + g.order, ambient, CochainBoundExceeded)
+        gens.append(v)
+        span = lattice_from_generators(span + _orbit(g, v), ambient)
+    if span != target:
+        raise ArithmeticError("orbit span does not reach the kernel")
+    return gens
+
+
+def free_resolution(g: FiniteMatrixGroup, length: int) -> FreeResolution:
+    """A free ZG-resolution of Z up to F_length (Ellis, J. Symb. Comp. 38,
+    2004): each F_{k+1} is free on ZG-generators of ker d_k, chosen among
+    the vectors of a Z-basis of that kernel."""
+    n = g.order
     e = g.identity_index
-    for rk, s in enumerate(rows_tuples):
-        base_row = rk * m
-        # g_1 . f(g_2, ..., g_{n+1})
-        tail = s[1:]
-        a = mod.action[s[0]]
-        cbase = col_index[tail] * m
-        for i in range(m):
-            for j in range(m):
-                if a[(i, j)]:
-                    rows[base_row + i][cbase + j] += a[(i, j)]
-        # merged terms
-        for k in range(n):
-            merged = s[: k] + (g.cayley[s[k]][s[k + 1]],) + s[k + 2 :]
-            if e in merged:
-                continue
-            sign = -1 if (k + 1) % 2 else 1
-            cbase = col_index[merged] * m
-            for i in range(m):
-                rows[base_row + i][cbase + i] += sign
-        # last face
-        head = s[:n]
-        sign = -1 if (n + 1) % 2 else 1
-        cbase = col_index[head] * m
-        for i in range(m):
-            rows[base_row + i][cbase + i] += sign
-    return IntegerMatrix(rows, m * len(cols_tuples))
+    # ker(augmentation) has the Z-basis g - 1
+    _check_size(n - 1, n, CochainBoundExceeded)
+    kernel = [tuple(int(h == a) - int(h == e) for h in range(n)) for a in range(n) if a != e]
+    ranks, boundaries = [1], []
+    for k in range(length):
+        gens = _orbit_generators(g, kernel, ranks[k] * n)
+        ranks.append(len(gens))
+        boundaries.append(gens)
+        if k + 1 < length:
+            rows, cols = ranks[k] * n, ranks[k + 1] * n
+            _check_size(cols, rows + cols, CochainBoundExceeded)
+            columns = [w for v in gens for w in _orbit(g, v)]
+            kernel = kernel_basis(IntegerMatrix(zip(*columns) if rows else [], cols))
+    return FreeResolution(g, ranks, boundaries)
+
+
+def _cochain_matrix(res: FreeResolution, mod: GModule, k: int) -> IntegerMatrix:
+    """delta^k : Hom(F_k, M) = M^{r_k} -> M^{r_{k+1}}, f -> f o d_{k+1}.
+
+    Block (j, i) is the sum over h of c * rho(h), where c is the
+    coefficient of h*e_i in d_{k+1}(e_j).
+    """
+    n, m = res.group.order, mod.rank
+    width = res.ranks[k] * m
+    _check_size(res.ranks[k + 1] * m, width, CochainBoundExceeded)
+    rows = []
+    for image in res.boundaries[k]:
+        block = [[0] * width for _ in range(m)]
+        for idx, c in enumerate(image):
+            if c:
+                i, h = divmod(idx, n)
+                for p, arow in enumerate(mod.action[h].entries):
+                    row = block[p]
+                    for q, a in enumerate(arow):
+                        if a:
+                            row[i * m + q] += c * a
+        rows.extend(block)
+    return IntegerMatrix(rows, width)
 
 
 def _block_relations(mod: GModule, ncopies: int):
@@ -245,49 +304,46 @@ def _preimage_lattice(matrix: IntegerMatrix, target_relations):
 
 
 def group_cohomology(g: FiniteMatrixGroup, mod: GModule, degree: int) -> FgAbelianGroup:
-    """H^degree(G; M) from the bar cochain complex, by Hermite and Smith
-    normal forms."""
+    """H^degree(G; M) from a free resolution, by Hermite and Smith normal
+    forms."""
     if degree > 3:
         raise DegreeTooHigh("degrees above 3 are out of contract")
     if degree < 0:
         raise ValueError("negative degree")
+    res = free_resolution(g, degree + 1)
     m = mod.rank
-    ntup = (g.order - 1) ** degree  # normalized cochains skip the identity
-    ambient = m * ntup
-    _check_size(ambient * (g.order - 1), ambient, CochainBoundExceeded)
+    ambient = res.ranks[degree] * m
     if ambient == 0:
         return FgAbelianGroup.trivial()
-    delta_n = _coboundary_matrix(mod, degree)
-    rel_next = _block_relations(mod, delta_n.rows // m if m else 0)
-    cocycles = _preimage_lattice(delta_n, rel_next)
-    sub = list(_block_relations(mod, ntup))
-    if degree > 0:
-        delta_prev = _coboundary_matrix(mod, degree - 1)
-        sub.extend(delta_prev.col(j) for j in range(delta_prev.cols))
+    delta_n = _cochain_matrix(res, mod, degree)
+    relations = _block_relations(mod, res.ranks[degree + 1])
+    # the cocycles are the kernel of [delta_n | -relations]
+    width = ambient + len(relations)
+    _check_size(width, delta_n.rows + width, CochainBoundExceeded)
+    cocycles = _preimage_lattice(delta_n, relations)
     if not cocycles:
         return FgAbelianGroup.trivial()
+    sub = _block_relations(mod, res.ranks[degree])
+    if degree > 0:
+        delta_prev = _cochain_matrix(res, mod, degree - 1)
+        sub.extend(delta_prev.col(j) for j in range(delta_prev.cols))
     return quotient_group(sub, cocycles, ambient)
 
 
 def coboundary_squared_is_zero(g: FiniteMatrixGroup, mod: GModule, degree: int) -> bool:
-    """delta_{n+1} o delta_n = 0 as exact integer matrices (modulo the
+    """delta^{n+1} o delta^n = 0 on the resolution's cochains (modulo the
     coefficient relations when the module has torsion)."""
-    d1 = _coboundary_matrix(mod, degree)
-    d2 = _coboundary_matrix(mod, degree + 1)
-    comp = d2 * d1
+    res = free_resolution(g, degree + 2)
+    comp = _cochain_matrix(res, mod, degree + 1) * _cochain_matrix(res, mod, degree)
     rels = mod.base.invariant_factors
     r = mod.base.free_rank
     m = mod.rank
     for i in range(comp.rows):
-        for j in range(comp.cols):
-            x = comp[(i, j)]
-            coord = i % m
-            if coord < r:
-                if x != 0:
-                    return False
-            else:
-                if x % rels[coord - r] != 0:
-                    return False
+        coord = i % m
+        modulus = rels[coord - r] if coord >= r else 0
+        for x in comp.row(i):
+            if (x % modulus if modulus else x) != 0:
+                return False
     return True
 
 

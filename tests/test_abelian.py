@@ -210,6 +210,23 @@ def test_parse_rejects_cyclic_orders_below_one():
             FgAbelianGroup.parse(text)
 
 
+def test_parse_names_the_input_and_the_bad_summand():
+    for text, summand in [
+        ("Z^x", "'Z^x'"),
+        ("Z^-1", "'Z^-1'"),
+        ("Z/2 x Z^x", "'Z^x'"),
+        ("Z/2 x Q", "'Q'"),
+        ("Z/2 x", "''"),
+        ("Z/y x Z", "'Z/y'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            FgAbelianGroup.parse(text)
+        message = str(info.value)
+        assert message.startswith(repr(text)) and summand in message, text
+    assert FgAbelianGroup.parse("Z^2xZ/4") == FgAbelianGroup(2, (4,))
+    assert FgAbelianGroup.parse("Z^0 x Z_3") == FgAbelianGroup.cyclic(3)
+
+
 def test_kernel_and_solve():
     m = IntegerMatrix([[1, 2, 3], [2, 4, 6]])
     basis = kernel_basis(m)

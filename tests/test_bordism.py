@@ -5,7 +5,9 @@ from crystaljet.bordism import (
     BettiListTooShort,
     NotCrystalShapedGroup,
     UnassignedInPaper,
+    Z2_RANK_BOUND,
     UnsupportedDegree,
+    Z2RankBoundExceeded,
     crystal_group_of,
     nondyadic_partition_count,
     nondyadic_partitions,
@@ -29,8 +31,27 @@ def test_partition_count_anchors():
 
 
 def test_two_enumerations_agree():
-    for n in range(13):
-        assert nondyadic_partition_count(n) == thom_monomial_count(n), n
+    # the explicit enumeration is the oracle for the DP that counts
+    for n in range(41):
+        q = len(nondyadic_partitions(n))
+        assert nondyadic_partition_count(n) == q == thom_monomial_count(n), n
+
+
+def test_oversized_rank_is_refused_before_it_is_built():
+    # q(90) = 910 427 and q(91) = 1 011 786; q(n + 2) >= q(n) from there on
+    assert nondyadic_partition_count(90) == 910_427
+    assert unoriented_bordism(90) == FgAbelianGroup.z2_power(910_427)
+    assert thom_monomial_count(91) > Z2_RANK_BOUND
+    for n in (91, 92, 100_000, 10**18):
+        with pytest.raises(Z2RankBoundExceeded, match=f"n = {n}: .*{Z2_RANK_BOUND}"):
+            unoriented_bordism(n)
+    # relative bordism refuses a rank over the bound, however it arises
+    with pytest.raises(Z2RankBoundExceeded, match="rank 2000000 "):
+        relative_bordism([2_000_000, 0], 0)
+    with pytest.raises(Z2RankBoundExceeded, match="n = 200"):
+        relative_bordism([1] * 201, 200)
+    # a zero Betti number asks for no count
+    assert relative_bordism([0, 0, 1], 2) == FgAbelianGroup.z2_power(1)
 
 
 def test_unoriented_values():

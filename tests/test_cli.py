@@ -239,6 +239,8 @@ def test_unknown_input_is_usage_error(capsys):
     (["cohomology", "--group", "cyclic:0", "--degree", "1"], "'cyclic:0'"),
     (["cohomology", "--group", "cyclic:-3", "--degree", "1"], "'cyclic:-3'"),
     (["cohomology", "--group", "cyclic:25", "--degree", "0"], "'cyclic:25'"),
+    (["bordism", "crystal-group", "--group", "Z^x"], "'Z^x'"),
+    (["bordism", "crystal-group", "--group", "Z^-1"], "'Z^-1'"),
 ])
 def test_out_of_contract_input_fails_fast(capsys, argv, bad):
     code, out, err = run_capture(capsys, argv)
@@ -257,10 +259,20 @@ def test_error_names_its_type_when_the_message_is_empty(capsys, monkeypatch):
     assert code == 1 and err.strip() == "error: MemoryError"
 
 
-def test_oversized_cohomology_is_refused_with_its_size(capsys):
-    code, _, err = run_capture(capsys, ["cohomology", "--group", "O_h", "--degree", "2"])
-    assert code == 1
-    assert err.startswith("error: CochainBoundExceeded: 103823 x 2209 matrix exceeds")
+def test_o_h_cohomology_answers_in_degree_two(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_capture(capsys, ["cohomology", "--group", "O_h", "--degree", "2"])
+    assert code == 0 and out.strip() == "Z/2 x Z/2"
+    assert time.perf_counter() - start < 5
+
+
+def test_oversized_bordism_rank_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, ["bordism", "unoriented", "--n", "100000"])
+    assert code == 1 and not out
+    assert err.startswith("error: Z2RankBoundExceeded: n = 100000: ")
+    assert "1000000" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_every_subcommand_has_help(capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystaljet.data import data_path
 from crystaljet.diffpoly import DiffOperator, DiffPoly, jet, par, xvar
@@ -262,6 +264,42 @@ def test_load_system_from_one_line_document():
     assert s.equations == [DiffPoly.variable(jet(0, (0,)))]
     with pytest.raises(ValueError):
         load_system("no-such-system.pde")
+
+
+INDEPENDENT = ["t", "x", "y"]
+DEPENDENT = ["u", "v"]
+PARAMETERS = ["alpha", "beta"]
+
+_variables = st.one_of(
+    st.builds(xvar, st.integers(0, len(INDEPENDENT) - 1)),
+    st.builds(par, st.sampled_from(PARAMETERS)),
+    st.builds(
+        jet,
+        st.integers(0, len(DEPENDENT) - 1),
+        st.lists(st.integers(0, len(INDEPENDENT) - 1), max_size=3),
+    ),
+)
+_monomials = st.lists(st.tuples(_variables, st.integers(1, 3)), max_size=3)
+_coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@st.composite
+def diff_polys(draw):
+    poly = DiffPoly.zero()
+    for coeff, mono in draw(st.lists(st.tuples(_coefficients, _monomials), max_size=5)):
+        term = DiffPoly.constant(coeff)
+        for v, e in mono:
+            term = term * DiffPoly.variable(v) ** e
+        poly = poly + term
+    return poly
+
+
+@settings(deadline=None)
+@given(diff_polys())
+def test_render_then_parse_is_the_identity(poly):
+    text = poly.render(INDEPENDENT, DEPENDENT)
+    parser = EquationParser(INDEPENDENT, DEPENDENT, allow_free_symbols=True)
+    assert parser.parse_polynomial(text) == poly, text
 
 
 def test_parser_errors():
