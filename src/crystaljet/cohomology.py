@@ -11,8 +11,10 @@ Cocycles are an integer kernel, and the quotient by the coboundaries is
 read off in a Hermite basis of the cocycle lattice, whose relation matrix
 then goes through the Smith normal form.  Torsion coefficients are handled
 by carrying an explicit relation lattice next to each cochain group instead
-of switching to finite-field arithmetic.  Derivations are still solved on
-every group element.
+of switching to finite-field arithmetic.  Derivations are the 1-cocycles
+of the same resolution, carried to every group element along the Cayley
+table; splitting classes are a transversal of them modulo the principal
+ones.
 """
 
 from __future__ import annotations
@@ -42,16 +44,12 @@ class CochainBoundExceeded(ValueError):
     pass
 
 
-class ModuleTooLarge(ValueError):
-    pass
-
-
 class NotSplit(ValueError):
     pass
 
 
 # entries of the largest dense matrix built: a resolution's kernel or
-# orbit-span echelon, a cochain matrix, or the derivation system.  H^3 of
+# orbit-span echelon, or a cochain matrix with its relations.  H^3 of
 # O_h peaks at 480 x 768 (the kernel echelon of d_3); a group of order
 # 3 840 is refused at the first step (3 839 x 3 840)
 COCHAIN_BOUND = 10_000_000
@@ -303,6 +301,27 @@ def _preimage_lattice(matrix: IntegerMatrix, target_relations):
     return gens
 
 
+def _cocycles(res: FreeResolution, mod: GModule, degree: int):
+    """(cocycle generators, coboundary generators, relations of
+    M^{r_degree}, ambient) for the cochains Hom_ZG(F_degree, M) = M^{r_degree}
+    inside Z^ambient; the cocycles contain the relations."""
+    if mod.group.elements != res.group.elements:
+        names = [h.name or f"a group of order {h.order}" for h in (res.group, mod.group)]
+        raise ValueError(f"the module is over {names[1]}, not over {names[0]}")
+    ambient = res.ranks[degree] * mod.rank
+    delta_n = _cochain_matrix(res, mod, degree)
+    relations = _block_relations(mod, res.ranks[degree + 1])
+    # the cocycles are the kernel of [delta_n | -relations]
+    width = ambient + len(relations)
+    _check_size(width, delta_n.rows + width, CochainBoundExceeded)
+    cocycles = _preimage_lattice(delta_n, relations)
+    coboundaries = []
+    if degree > 0:
+        delta_prev = _cochain_matrix(res, mod, degree - 1)
+        coboundaries = [delta_prev.col(j) for j in range(delta_prev.cols)]
+    return cocycles, coboundaries, _block_relations(mod, res.ranks[degree]), ambient
+
+
 def group_cohomology(g: FiniteMatrixGroup, mod: GModule, degree: int) -> FgAbelianGroup:
     """H^degree(G; M) from a free resolution, by Hermite and Smith normal
     forms."""
@@ -310,24 +329,10 @@ def group_cohomology(g: FiniteMatrixGroup, mod: GModule, degree: int) -> FgAbeli
         raise DegreeTooHigh("degrees above 3 are out of contract")
     if degree < 0:
         raise ValueError("negative degree")
-    res = free_resolution(g, degree + 1)
-    m = mod.rank
-    ambient = res.ranks[degree] * m
-    if ambient == 0:
-        return FgAbelianGroup.trivial()
-    delta_n = _cochain_matrix(res, mod, degree)
-    relations = _block_relations(mod, res.ranks[degree + 1])
-    # the cocycles are the kernel of [delta_n | -relations]
-    width = ambient + len(relations)
-    _check_size(width, delta_n.rows + width, CochainBoundExceeded)
-    cocycles = _preimage_lattice(delta_n, relations)
-    if not cocycles:
-        return FgAbelianGroup.trivial()
-    sub = _block_relations(mod, res.ranks[degree])
-    if degree > 0:
-        delta_prev = _cochain_matrix(res, mod, degree - 1)
-        sub.extend(delta_prev.col(j) for j in range(delta_prev.cols))
-    return quotient_group(sub, cocycles, ambient)
+    cocycles, coboundaries, relations, ambient = _cocycles(
+        free_resolution(g, degree + 1), mod, degree
+    )
+    return quotient_group(relations + coboundaries, cocycles, ambient)
 
 
 def coboundary_squared_is_zero(g: FiniteMatrixGroup, mod: GModule, degree: int) -> bool:
@@ -421,50 +426,39 @@ class CrossedHom:
         return True
 
 
-def _derivation_lattices(mod: GModule):
-    """(cocycle lattice generators, principal generators, ambient, relations)
-    for derivations G -> M, unknowns indexed as (element, coordinate)."""
-    g = mod.group
-    m = mod.rank
-    n = g.order
-    ambient = m * n
-    _check_size(n * n * m, ambient, ModuleTooLarge)
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            ab = g.cayley[a][b]
-            act = mod.action[a]
-            for i in range(m):
-                row = [0] * ambient
-                row[ab * m + i] += 1
-                row[a * m + i] -= 1
-                for j in range(m):
-                    if act[(i, j)]:
-                        row[b * m + j] -= act[(i, j)]
-                rows.append(row)
-    cocycles = _preimage_lattice(IntegerMatrix(rows), _block_relations(mod, n * n))
-    principal = []
-    for j in range(m):
-        vec = [0] * ambient
-        for a in range(n):
-            col = mod.action[a].col(j)
-            for i in range(m):
-                vec[a * m + i] = col[i] - (1 if i == j else 0)
-        principal.append(tuple(vec))
-    relations = _block_relations(mod, n)
-    return cocycles, principal, ambient, relations
+def _derivation(res: FreeResolution, mod: GModule, cocycle) -> CrossedHom:
+    """The derivation of a 1-cocycle f in Hom_ZG(F_1, M) = M^{r_1}, on every
+    element.
+
+    d_1(e_j) = s_j - 1, where s_j is the +1 entry (F_1's generators are
+    taken from the Z-basis {a - 1} of ker(augmentation)), and the s_j
+    generate G since their orbits span that kernel.  f vanishes on im d_2 =
+    ker d_1, so it is g - 1 -> d(g) read through d_1: d(s_j) = f(e_j), and
+    d(a*s) = d(a) + rho(a)*d(s) reaches every element from d(1) = 0.
+    """
+    g, m = res.group, mod.rank
+    steps = [(v.index(1), cocycle[j * m : (j + 1) * m]) for j, v in enumerate(res.boundaries[0])]
+    values = {g.identity_index: (0,) * m}
+    frontier = [g.identity_index]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s, ds in steps:
+                b = g.cayley[a][s]
+                if b not in values:
+                    values[b] = tuple(x + y for x, y in zip(values[a], mod.action[a].apply(ds)))
+                    nxt.append(b)
+        frontier = nxt
+    return CrossedHom(mod, values)
 
 
 def derivations(g: FiniteMatrixGroup, mod: GModule):
-    """(Der, Princ, H1) for derivations G -> M."""
-    cocycles, principal, ambient, relations = _derivation_lattices(mod)
-    der = quotient_group(relations, cocycles, ambient) if cocycles else FgAbelianGroup.trivial()
+    """(Der, Princ, H1) for derivations G -> M: Der(G, M) = Hom_ZG(I_G, M)
+    is Z^1 of the free resolution, and Princ is B^1."""
+    cocycles, principal, relations, ambient = _cocycles(free_resolution(g, 2), mod, 1)
+    der = quotient_group(relations, cocycles, ambient)
     princ = quotient_group(relations, principal + relations, ambient)
-    h1 = (
-        quotient_group(principal + relations, cocycles, ambient)
-        if cocycles
-        else FgAbelianGroup.trivial()
-    )
+    h1 = quotient_group(principal + relations, cocycles, ambient)
     return der, princ, h1
 
 
@@ -478,17 +472,14 @@ def splitting_classes(crystal_group) -> list[CrossedHom]:
         raise NotSplit(f"{crystal_group.name or 'group'} does not split")
     g = crystal_group.point_group
     mod = GModule.natural(g)
-    cocycles, principal, ambient, _ = _derivation_lattices(mod)
-    if not cocycles:
-        return [CrossedHom(mod, {i: (0,) * mod.rank for i in range(g.order)})]
-    basis_vecs = lattice_from_generators(cocycles, ambient)
-    if not basis_vecs:  # only the zero derivation exists
-        return [CrossedHom(mod, {i: (0,) * mod.rank for i in range(g.order)})]
-    k = len(basis_vecs)
+    res = free_resolution(g, 2)
+    cocycles, principal, _, ambient = _cocycles(res, mod, 1)
+    basis = lattice_from_generators(cocycles, ambient)
+    k = len(basis)
     # coordinates of the principal lattice in the cocycle basis
     coords = []
     for p in principal:
-        x = lattice_coordinates(basis_vecs, p)
+        x = lattice_coordinates(basis, p)
         assert x is not None, "principal derivations must be cocycles"
         coords.append(x)
     # the box of the Hermite diagonal of the principal lattice L is one
@@ -496,12 +487,8 @@ def splitting_classes(crystal_group) -> list[CrossedHom]:
     herm = lattice_from_generators(coords, k)
     if len(herm) < k:
         raise NotSplit("splitting classes are not finite (unexpected)")
-    basis = IntegerMatrix(list(zip(*basis_vecs)))
     out = []
     for rep in iproduct(*(range(row[i]) for i, row in enumerate(herm))):
-        vec = basis.apply(rep)
-        values = {
-            a_: tuple(vec[a_ * mod.rank : (a_ + 1) * mod.rank]) for a_ in range(g.order)
-        }
-        out.append(CrossedHom(mod, values))
+        vec = [sum(c * v[i] for c, v in zip(rep, basis)) for i in range(ambient)]
+        out.append(_derivation(res, mod, vec))
     return out

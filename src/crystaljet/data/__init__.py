@@ -17,6 +17,9 @@ from importlib import resources
 
 import yaml
 
+# libyaml's parser when PyYAML was built with it; same documents, same objects
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def load_text(name: str) -> str:
     return resources.files(__package__).joinpath(name).read_text()
@@ -64,9 +67,9 @@ def load_document(source) -> dict:
         return source
     if isinstance(source, os.PathLike) or os.path.isfile(source):
         with open(source) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
     else:
-        doc = yaml.safe_load(source)
+        doc = yaml.load(source, Loader=_YAML_LOADER)
     if not isinstance(doc, dict):
         raise ValueError(f"{str(source)[:60]!r} is neither an existing file nor a YAML mapping")
     return doc

@@ -12,6 +12,7 @@ import time
 from itertools import combinations_with_replacement
 
 import pytest
+from test_resolution import bar_cohomology
 
 from crystaljet.abelian import FgAbelianGroup, IntegerMatrix, smith_normal_form
 from crystaljet.bordism import (
@@ -206,6 +207,9 @@ def test_criterion_7_cohomology_agreement():
             mod = GModule.natural(g, scale_mod=rng.choice([2, 3, 4]))
         _, _, h1 = derivations(g, mod)
         checks.append(h1 == group_cohomology(g, mod, 1))
+        # derivations and group_cohomology share their cocycle routine; the
+        # bar complex is independent of both
+        checks.append(h1 == bar_cohomology(g, mod, 1))
         done += 1
     elapsed = time.monotonic() - start
     report(7, all(checks) and elapsed < 60.0, f"{len(checks)} agreements, {elapsed:.1f}s")

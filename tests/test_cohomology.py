@@ -3,12 +3,16 @@ import time
 
 import pytest
 
-from crystaljet.abelian import FgAbelianGroup, IntegerMatrix, group_from_relations
+from test_resolution import bar_cohomology
+
+from crystaljet.abelian import FgAbelianGroup, IntegerMatrix, group_from_relations, quotient_group
 from crystaljet.cohomology import (
     CochainBoundExceeded,
     DegreeTooHigh,
     GModule,
     NotSplit,
+    _block_relations,
+    _preimage_lattice,
     coboundary_squared_is_zero,
     derivations,
     group_cohomology,
@@ -103,10 +107,21 @@ def test_degree_and_size_guards():
     huge = _signed_permutations(5)
     assert huge.order == 3840
     huge_mod = GModule.trivial(huge, Z)
-    start = time.perf_counter()
-    with pytest.raises(CochainBoundExceeded, match="3839 x 3840 matrix exceeds the bound"):
-        group_cohomology(huge, huge_mod, 2)
-    assert time.perf_counter() - start < 1
+    for compute in (lambda: group_cohomology(huge, huge_mod, 2), lambda: derivations(huge, huge_mod)):
+        start = time.perf_counter()
+        with pytest.raises(CochainBoundExceeded, match="3839 x 3840 matrix exceeds the bound"):
+            compute()
+        assert time.perf_counter() - start < 1
+
+
+def test_module_must_be_over_the_same_group():
+    c2, c4 = point_group("C_2"), point_group("C_4")
+    for g, h in ((c2, c4), (c4, c2)):
+        mod = GModule.natural(h)
+        with pytest.raises(ValueError, match=f"over {h.name}, not over {g.name}"):
+            group_cohomology(g, mod, 1)
+        with pytest.raises(ValueError, match=f"over {h.name}, not over {g.name}"):
+            derivations(g, mod)
 
 
 def test_h2_with_z_coefficients_is_the_abelianization():
@@ -199,7 +214,71 @@ def test_derivations_match_bar_h1_randomized():
             mod = GModule.natural(g, scale_mod=rng.choice([2, 3, 4]))
         _, _, h1 = derivations(g, mod)
         assert h1 == group_cohomology(g, mod, 1), (name, kind)
+        assert h1 == bar_cohomology(g, mod, 1), (name, kind)
         cases += 1
+
+
+def elementwise_derivations(g, mod):
+    """(Der, Princ, H1) from the n^2 m x n m system d(ab) = d(a) + a.d(b)
+    over every pair of elements, unknowns indexed as (element, coordinate):
+    the reference that `derivations` replaced."""
+    m, n = mod.rank, g.order
+    ambient = m * n
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            ab = g.cayley[a][b]
+            act = mod.action[a]
+            for i in range(m):
+                row = [0] * ambient
+                row[ab * m + i] += 1
+                row[a * m + i] -= 1
+                for j in range(m):
+                    row[b * m + j] -= act[(i, j)]
+                rows.append(row)
+    cocycles = _preimage_lattice(IntegerMatrix(rows), _block_relations(mod, n * n))
+    principal = []
+    for j in range(m):
+        vec = [0] * ambient
+        for a in range(n):
+            col = mod.action[a].col(j)
+            for i in range(m):
+                vec[a * m + i] = col[i] - (i == j)
+        principal.append(tuple(vec))
+    relations = _block_relations(mod, n)
+    return (
+        quotient_group(relations, cocycles, ambient),
+        quotient_group(relations, principal + relations, ambient),
+        quotient_group(principal + relations, cocycles, ambient),
+    )
+
+
+def test_derivations_match_the_elementwise_system():
+    checked = 0
+    for name in point_groups():
+        g = point_group(name)
+        if g.order > 8:
+            continue
+        modules = {
+            "Z": GModule.trivial(g, Z),
+            "sign Z/3": GModule.sign(g, FgAbelianGroup.cyclic(3)),
+            "Z/4": GModule.trivial(g, FgAbelianGroup.cyclic(4)),
+            "natural": GModule.natural(g),
+            "natural mod 2": GModule.natural(g, scale_mod=2),
+            "natural mod 4": GModule.natural(g, scale_mod=4),
+        }
+        for kind, mod in modules.items():
+            assert derivations(g, mod) == elementwise_derivations(g, mod), (name, kind)
+            checked += 1
+    assert checked == 120
+
+
+def test_derivations_of_o_h_with_torsion_coefficients_are_fast():
+    g = point_group("O_h")
+    start = time.perf_counter()
+    _, _, h1 = derivations(g, GModule.natural(g, scale_mod=4))
+    assert time.perf_counter() - start < 5
+    assert h1.render() == "Z/2 x Z/2 x Z/2"
 
 
 def test_splitting_classes_direct_product():
@@ -226,6 +305,7 @@ def test_splitting_classes_pm():
     classes = splitting_classes(pm)
     assert len(classes) == 2  # |H^1| for the mirror action on Z^2
     for cls in classes:
+        assert len(cls.values) == pm.point_group.order
         assert cls.is_derivation()
     # the class count equals the order of H^1 computed from the complex
     h1 = group_cohomology(pm.point_group, GModule.natural(pm.point_group), 1)
@@ -235,12 +315,20 @@ def test_splitting_classes_pm():
 def test_splitting_class_count_matches_h1_all_symmorphic_wallpaper():
     from crystaljet.crystal import is_symmorphic
 
+    counts = {}
     for name, g in wallpaper_groups().items():
         if not is_symmorphic(g)[0]:
             continue
         classes = splitting_classes(g)
         h1 = group_cohomology(g.point_group, GModule.natural(g.point_group), 1)
         assert len(classes) == h1.order(), name
+        for cls in classes:
+            assert len(cls.values) == g.point_group.order and cls.is_derivation(), name
+        counts[name] = len(classes)
+    assert counts == {
+        "p1": 1, "p2": 4, "pm": 2, "cm": 1, "pmm": 4, "cmm": 2, "p4": 2,
+        "p4m": 2, "p3": 3, "p3m1": 3, "p31m": 1, "p6": 1, "p6m": 1,
+    }
 
 
 def test_splitting_classes_require_split():

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import pytest
+import yaml
+
 from crystaljet.corpus import (
     MHD_DEPENDENT,
     metric_flow_system,
     mhd_system,
 )
-from crystaljet.data import data_path
+from crystaljet.data import data_path, load_document
 from crystaljet.jets import (
     cartan_distribution_dimension,
     load_system,
@@ -95,3 +98,13 @@ def test_mhd_equations_round_trip_through_parser():
     for eq in mhd.equations:
         text = eq.render(mhd.independent, mhd.dependent)
         assert parser.parse_polynomial(text) == eq
+
+
+def test_documents_parse_as_with_the_pure_python_loader():
+    names = [p.name for p in data_path(".").iterdir() if p.suffix in (".pde", ".desc")]
+    assert len(names) == 16
+    for name in names:
+        text = data_path(name).read_text()
+        assert load_document(text) == yaml.safe_load(text), name
+    with pytest.raises(yaml.YAMLError):
+        load_document("equations: [u_x, {")
