@@ -15,7 +15,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .abelian import FgAbelianGroup
+from . import jets
+from .abelian import FgAbelianGroup, IntegerMatrix
 from .bordism import (
     crystal_group_of,
     nondyadic_partition_count,
@@ -42,11 +43,15 @@ from .crystal import (
 from .data import data_path, load_lines
 from .groups import (
     INTERNATIONAL,
+    close_group,
     enumerate_subgroups,
+    parse_matrix,
     point_group,
     point_groups,
+    point_groups_2d,
     validate_appendix_b,
 )
+from .pdeclass import SingularPdeDescriptor, classify, classify_singular, load_descriptor
 
 
 def canonical_json(obj) -> str:
@@ -420,15 +425,10 @@ def _parse_group_argument(name: str):
         return point_group(name)
     except KeyError:
         pass
-    from .groups import point_groups_2d
-
     table = point_groups_2d()
     if name in table:
         return table[name]
     if name.lower().startswith("cyclic"):
-        from .abelian import IntegerMatrix
-        from .groups import close_group
-
         order = name.partition(":")[2]
         m = int(order) if order.lstrip("-").isdigit() else 0
         if not 1 <= m <= CYCLIC_ORDER_BOUND:
@@ -438,6 +438,28 @@ def _parse_group_argument(name: str):
         shift = [[1 if i == (j + 1) % m else 0 for j in range(m)] for i in range(m)]
         return close_group([IntegerMatrix(shift)])
     raise KeyError(f"unknown group {name!r} (use a point-group name or cyclic:N)")
+
+
+def _read_bindings(path: str, g) -> dict:
+    """Generator matrix -> action matrix from the lines '[[gen]] -> [[matrix]]'
+    of a bindings file; a bad line is named with its file and number."""
+    bindings = {}
+    with open(path) as lines:
+        for number, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                gen_text, arrow, act_text = line.partition("->")
+                if not arrow:
+                    raise ValueError("no '->' between a generator and its action")
+                gen = parse_matrix(gen_text)
+                if gen not in g:
+                    raise ValueError(f"{gen_text.strip()} is not in {g.name or 'the group'}")
+                bindings[gen] = parse_matrix(act_text)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number} {line!r}: {exc}") from None
+    return bindings
 
 
 def _cmd_cohomology(args) -> int:
@@ -451,16 +473,7 @@ def _cmd_cohomology(args) -> int:
         mod = GModule.natural(g)
         base = mod.base
     elif os.path.exists(args.action):
-        from .groups import parse_matrix
-
-        bindings = {}
-        for line in open(args.action):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            gen_text, act_text = line.split("->")
-            bindings[parse_matrix(gen_text)] = parse_matrix(act_text)
-        mod = GModule.from_generator_action(g, base, bindings)
+        mod = GModule.from_generator_action(g, base, _read_bindings(args.action, g))
     else:
         raise ValueError(
             f"unknown action {args.action!r} (trivial, sign, natural, or a "
@@ -482,8 +495,7 @@ def _cmd_symmorphic(args) -> int:
     names = [args.name] if args.name else [r.name for r in wallpaper_table()]
     results = []
     for name in names:
-        g = wallpaper_groups()[name]
-        ok, shift = is_symmorphic(g)
+        ok, shift = is_symmorphic(wallpaper_info(name)["group"])
         results.append(
             {
                 "name": name,
@@ -503,14 +515,6 @@ def _cmd_symmorphic(args) -> int:
 
 
 def _cmd_pde(args) -> int:
-    from . import jets
-    from .pdeclass import (
-        SingularPdeDescriptor,
-        classify,
-        classify_singular,
-        load_descriptor,
-    )
-
     seed = args.seed if args.seed is not None else jets.DEFAULT_SEED
     if args.which == "symbol":
         system = jets.load_system(_resolve_path(args.file))
@@ -573,7 +577,9 @@ def _cmd_pde(args) -> int:
         system = jets.load_system(_resolve_path(args.file))
         section = {}
         for item in args.section:
-            name, expr = item.split("=", 1)
+            name, sep, expr = item.partition("=")
+            if not sep:
+                raise jets.ParseError(f"--section {item!r} is not dependent=polynomial")
             section[name.strip()] = expr.strip()
         residuals = jets.verify_polynomial_solution(system, section)
         ok = all(r.is_zero() for r in residuals)
@@ -645,7 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True,
                    help=f"point-group name or cyclic:N with 1 <= N <= {CYCLIC_ORDER_BOUND}")
     p.add_argument("--module", default="Z", help='e.g. "Z", "Z^2", "Z/2 x Z/2"')
-    p.add_argument("--action", default="trivial", help="trivial | sign | natural")
+    p.add_argument("--action", default="trivial",
+                   help="trivial | sign | natural | a file of lines '[[gen]] -> [[matrix]]'")
     p.add_argument("--degree", type=int, required=True)
 
     p = sub.add_parser("symmorphic", parents=[common])

@@ -12,9 +12,10 @@ read off in a Hermite basis of the cocycle lattice, whose relation matrix
 then goes through the Smith normal form.  Torsion coefficients are handled
 by carrying an explicit relation lattice next to each cochain group instead
 of switching to finite-field arithmetic.  Derivations are the 1-cocycles
-of the same resolution, carried to every group element along the Cayley
-table; splitting classes are a transversal of them modulo the principal
-ones.
+of the same resolution, carried to every group element along the edges of
+``FiniteMatrixGroup.walk``; splitting classes are a transversal of them
+modulo the principal ones.  A module's action is checked on the products
+a*s with s a generator only, which suffices by induction on word length.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .abelian import (
     tensor_product,
     tor_product,
 )
+from .crystal import is_symmorphic
 from .groups import FiniteMatrixGroup
 
 
@@ -104,22 +106,14 @@ class GModule:
     @classmethod
     def from_generator_action(cls, group, base, bindings):
         """Extend an action given on generator matrices to the whole group
-        by following products from the identity; inconsistent bindings are
-        rejected by the homomorphism validation."""
+        along ``group.walk``; inconsistent bindings are rejected by the
+        homomorphism validation."""
         rank = base.free_rank + len(base.invariant_factors)
         action = {group.identity_index: IntegerMatrix.identity(rank)}
         gen_act = {group.index_of(g): a for g, a in bindings.items()}
-        frontier = [group.identity_index]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for gi, ag in gen_act.items():
-                    k = group.cayley[i][gi]
-                    candidate = action[i] * ag
-                    if k not in action:
-                        action[k] = candidate
-                        nxt.append(k)
-            frontier = nxt
+        for a, s, b in group.walk(gen_act):
+            if b not in action:
+                action[b] = action[a] * gen_act[s]
         if len(action) != group.order:
             raise ValueError("bindings do not generate the whole group")
         return cls(group, base, action)
@@ -434,21 +428,15 @@ def _derivation(res: FreeResolution, mod: GModule, cocycle) -> CrossedHom:
     taken from the Z-basis {a - 1} of ker(augmentation)), and the s_j
     generate G since their orbits span that kernel.  f vanishes on im d_2 =
     ker d_1, so it is g - 1 -> d(g) read through d_1: d(s_j) = f(e_j), and
-    d(a*s) = d(a) + rho(a)*d(s) reaches every element from d(1) = 0.
+    d(a*s) = d(a) + rho(a)*d(s) on the edges of ``g.walk`` reaches every
+    element from d(1) = 0.
     """
     g, m = res.group, mod.rank
-    steps = [(v.index(1), cocycle[j * m : (j + 1) * m]) for j, v in enumerate(res.boundaries[0])]
+    steps = {v.index(1): cocycle[j * m : (j + 1) * m] for j, v in enumerate(res.boundaries[0])}
     values = {g.identity_index: (0,) * m}
-    frontier = [g.identity_index]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s, ds in steps:
-                b = g.cayley[a][s]
-                if b not in values:
-                    values[b] = tuple(x + y for x, y in zip(values[a], mod.action[a].apply(ds)))
-                    nxt.append(b)
-        frontier = nxt
+    for a, s, b in g.walk(steps):
+        if b not in values:
+            values[b] = tuple(x + y for x, y in zip(values[a], mod.action[a].apply(steps[s])))
     return CrossedHom(mod, values)
 
 
@@ -465,8 +453,6 @@ def derivations(g: FiniteMatrixGroup, mod: GModule):
 def splitting_classes(crystal_group) -> list[CrossedHom]:
     """One crossed-homomorphism representative per lattice-conjugacy class
     of splittings of a symmorphic crystallographic group."""
-    from .crystal import is_symmorphic  # local import to avoid a cycle
-
     ok, _ = is_symmorphic(crystal_group)
     if not ok:
         raise NotSplit(f"{crystal_group.name or 'group'} does not split")

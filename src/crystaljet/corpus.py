@@ -11,6 +11,7 @@ stays exact and coefficient-generic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 from .diffpoly import DiffPoly, jet
 from .jets import PdeSystem
@@ -260,8 +261,6 @@ def metric_flow_system(kappa=Fraction(1)) -> PdeSystem:
         return DiffPoly.variable(jet(_sym_index(i, j), tuple(sorted(d))))
 
     det = DiffPoly.zero()
-    from itertools import permutations
-
     for perm in permutations(spatial):
         sign = _perm_sign(spatial, perm)
         term = DiffPoly.constant(sign)

@@ -5,7 +5,9 @@ space-group counts, wallpaper groups and amalgamated free products.
 A group is stored in cocycle normal form: a finite point group of integer
 matrices plus a vector system assigning each point-group element a rational
 translation mod Z^d.  Elements are pairs (a, u) with the product
-(a, u)(b, v) = (ab, u + a.v).
+(a, u)(b, v) = (ab, u + a.v).  A vector system is built from generator
+translations, and checked as a cocycle, on the edges a -> a*s of
+``FiniteMatrixGroup.walk``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 
 from .abelian import IntegerMatrix, smith_normal_form
 from .data import load_blocks
-from .groups import FiniteMatrixGroup, close_group, parse_matrix
+from .groups import SCHOENFLIES, FiniteMatrixGroup, close_group, parse_matrix
 
 
 class DimensionMismatch(ValueError):
@@ -118,36 +120,28 @@ class CrystallographicGroup:
         d = point.dimension
         tau = {point.identity_index: (Fraction(0),) * d}
         gen_tau = {point.index_of(g): _frac_vec(t) for g, t in gens_with_tau}
-        frontier = [point.identity_index]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for gi, tg in gen_tau.items():
-                    ab = point.cayley[a][gi]
-                    val = _mod1(_vec_add(tau[a], point.elements[a].apply(tg)))
-                    if ab not in tau:
-                        tau[ab] = val
-                        nxt.append(ab)
-                    elif tau[ab] != val:
-                        raise InvalidCocycle(
-                            f"generator translations are inconsistent at element {ab}"
-                        )
-            frontier = nxt
-        return cls(d, point, tau, name=name)
+        # check_cocycle's rule on the same edges; with tau(1) = 0 preset, a
+        # nonzero translation given to the identity fails here too
+        for a, s, b in point.walk(gen_tau):
+            val = _mod1(_vec_add(tau[a], point.elements[a].apply(gen_tau[s])))
+            if b not in tau:
+                tau[b] = val
+            elif tau[b] != val:
+                raise InvalidCocycle(f"generator translations are inconsistent at element {b}")
+        return cls(d, point, tau, name=name, check=False)
 
     # -- structural checks ------------------------------------------------
     def check_cocycle(self):
+        """tau(a*s) = tau(a) + a.tau(s) (mod Z^d) on every edge of the
+        point group's walk, with tau(1) = 0, gives the cocycle condition
+        for every pair by induction on word length."""
         tau = self.vector_system
         g = self.point_group
-        e = g.identity_index
-        if any(x != 0 for x in tau[e]):
+        if any(x != 0 for x in tau[g.identity_index]):
             raise InvalidCocycle("tau(identity) must vanish")
-        for a in range(g.order):
-            for b in range(g.order):
-                ab = g.cayley[a][b]
-                want = _mod1(_vec_add(tau[a], g.elements[a].apply(tau[b])))
-                if tau[ab] != want:
-                    raise InvalidCocycle(f"cocycle fails at pair ({a}, {b})")
+        for a, s, b in g.walk(map(g.index_of, g.generators)):
+            if tau[b] != _mod1(_vec_add(tau[a], g.elements[a].apply(tau[s]))):
+                raise InvalidCocycle(f"cocycle fails at pair ({a}, {s})")
 
     # -- element arithmetic -------------------------------------------------
     def element(self, point: IntegerMatrix, translation) -> AffineElement:
@@ -299,8 +293,6 @@ def spacegroup_table_query(filter_key: str) -> list[SpaceGroupRow]:
     ``filter_key`` is a syngony name, a point-group (geometric class) name,
     or "all".
     """
-    from .groups import SCHOENFLIES
-
     rows = spacegroup_table()
     if filter_key.lower() == "all":
         return rows

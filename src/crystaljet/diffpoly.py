@@ -14,6 +14,7 @@ identified.  Coefficients are exact Fractions throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as iproduct
 from math import factorial, prod
 
 
@@ -395,10 +396,7 @@ class DiffOperator:
 
 
 def _sub_multi_indices(nu):
-    ranges = [range(e + 1) for e in nu]
-    from itertools import product as iproduct
-
-    return list(iproduct(*ranges))
+    return list(iproduct(*(range(e + 1) for e in nu)))
 
 
 def _multinomial(nu, lam):

@@ -36,7 +36,9 @@ class FiniteMatrixGroup:
 
     ``elements[0]`` is the identity.  The Cayley table is built lazily; all
     products are looked up by matrix hash, so the group must really be
-    closed (``close_group`` guarantees it).
+    closed, and ``generators`` must generate it, since every check built on
+    ``walk(generators)`` sees only the elements it reaches (``close_group``
+    and ``close_group_from_indices`` guarantee both).
     """
 
     def __init__(self, dimension: int, generators, elements, name: str | None = None):
@@ -85,6 +87,29 @@ class FiniteMatrixGroup:
             j = self.cayley[j][i]
             n += 1
         return n
+
+    def walk(self, generators):
+        """Every edge (a, s, a*s) of the Cayley graph on the generator
+        indices, breadth first from the identity, so that a is reached
+        before any edge leaving it.
+
+        This licenses induction on word length: a rule for f(a*s) in terms
+        of f(a) and s that holds on every edge holds for every product of
+        the generators, so a map is fixed by its generator values and a
+        rule is checked on these edges alone (the orbit algorithm, Holt,
+        Eick & O'Brien, Handbook of Computational Group Theory, 2005, 4.1).
+        """
+        cay, generators = self.cayley, list(generators)
+        reached = [self.identity_index]
+        seen = set(reached)
+        for a in reached:  # grows while it is read: a breadth-first queue
+            row = cay[a]
+            for s in generators:
+                b = row[s]
+                yield a, s, b
+                if b not in seen:
+                    seen.add(b)
+                    reached.append(b)
 
     def conjugated(self, p: IntegerMatrix) -> "FiniteMatrixGroup":
         """The group p G p^-1 for unimodular p (same abstract group)."""
@@ -141,23 +166,8 @@ class SubgroupRecord:
 
 
 def _closure_indices(g: FiniteMatrixGroup, seed) -> frozenset:
-    cay = g.cayley
-    have = set(seed)
-    have.add(g.identity_index)
-    frontier = list(have)
-    members = list(have)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            row = cay[a]
-            for b in members:
-                for c in (row[b], cay[b][a]):
-                    if c not in have:
-                        have.add(c)
-                        nxt.append(c)
-        members = list(have)
-        frontier = nxt
-    return frozenset(have)
+    # in a finite group the monoid a set generates is the subgroup
+    return frozenset([g.identity_index, *(b for _, _, b in g.walk(seed))])
 
 
 def enumerate_subgroups(g: FiniteMatrixGroup) -> list[SubgroupRecord]:

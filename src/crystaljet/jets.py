@@ -793,8 +793,15 @@ def verify_polynomial_solution(s: PdeSystem, section) -> list:
     parser = EquationParser(s.independent, s.dependent, allow_free_symbols=True)
     values = {}
     for name, text in section.items():
+        item = f"{name}={text}"
+        if name not in s.dependent:
+            raise ParseError(f"section {item!r}: {name!r} is not a dependent variable"
+                             f" (the system has {', '.join(s.dependent)})")
         j = s.dependent.index(name)
-        poly = text if isinstance(text, DiffPoly) else parser.parse_polynomial(text)
+        try:
+            poly = text if isinstance(text, DiffPoly) else parser.parse_polynomial(text)
+        except ParseError as exc:
+            raise ParseError(f"section {item!r}: {exc}") from None
         if poly.jet_variables():
             raise ParseError("sections must not contain jet variables")
         values[j] = poly

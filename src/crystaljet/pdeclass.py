@@ -18,8 +18,10 @@ from .bordism import (
     crystal_group_of,
     paper_crystal_assignment,
     relative_bordism,
+    unoriented_bordism,
 )
-from .data import load_document
+from .data import data_path, load_document
+from .jets import DEFAULT_SEED, formal_integrability_check, load_system
 
 
 class HypothesisViolated(ValueError):
@@ -99,8 +101,6 @@ class UnknownExtension:
 def smooth_bordism_extension(d: PdeDescriptor, p: int) -> UnknownExtension:
     """The smooth-solution group in degree p, represented as an extension
     of the absolute bordism group with undetermined kernel."""
-    from .bordism import unoriented_bordism
-
     _check_hypotheses(d, p)
     return UnknownExtension(quotient=unoriented_bordism(p))
 
@@ -176,9 +176,6 @@ def verify_integrability_flags(d: PdeDescriptor, seed=None):
     integrability check while the flags claim integrability."""
     if not d.jets_check:
         return
-    from .data import data_path
-    from .jets import DEFAULT_SEED, formal_integrability_check, load_system
-
     for fname in d.jets_check:
         system = load_system(str(data_path(fname)))
         verdict = formal_integrability_check(

@@ -120,6 +120,18 @@ def test_pde_verify_solution(capsys):
     assert code == 0 and json.loads(out)["solution"] is False
 
 
+@pytest.mark.parametrize("item, bad", [
+    ("u", "--section 'u' is not dependent=polynomial"),
+    ("v=x", "section 'v=x': 'v' is not a dependent variable (the system has u)"),
+    ("u=a*x+", "section 'u=a*x+': "),
+])
+def test_pde_verify_solution_names_a_bad_section(capsys, item, bad):
+    code, out, err = run_capture(
+        capsys, ["pde", "verify-solution", "heat.pde", "--section", item])
+    assert code == 1 and not out
+    assert err.startswith(f"error: ParseError: {bad}")
+
+
 def test_tables_pointgroup_verify_exit_codes(capsys):
     code, _, _ = run_capture(capsys, ["tables", "pointgroup", "C_3", "--verify"])
     assert code == 2
@@ -190,6 +202,13 @@ def test_symmorphic_command(capsys):
     assert bad == {"pg", "pmg", "pgg", "p4g"}
 
 
+def test_unknown_wallpaper_group_is_named_as_in_tables(capsys):
+    for argv in (["symmorphic", "zz"], ["tables", "wallpaper", "zz"]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1 and not out
+        assert err.strip() == "error: UnknownWallpaperGroup: 'zz'"
+
+
 def test_cohomology_command(capsys):
     code, out, _ = run_capture(
         capsys,
@@ -198,6 +217,40 @@ def test_cohomology_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["cohomology"] == "Z/4"
+
+
+BINDING = "[[-1,0,0],[0,-1,0],[0,0,1]] -> [[-1]]"
+
+
+def test_cohomology_with_a_bindings_file(capsys, tmp_path):
+    path = tmp_path / "sign.txt"
+    path.write_text(f"# the rotation acts by -1\n\n{BINDING}\n")
+    answers = []
+    for degree in ("0", "1", "2"):
+        code, out, _ = run_capture(capsys, ["cohomology", "--group", "C_2", "--module", "Z",
+                                            "--action", str(path), "--degree", degree])
+        assert code == 0
+        answers.append(out.strip())
+    assert answers == ["0", "Z/2", "0"]
+    # the one rotation does not generate D_2
+    code, out, err = run_capture(capsys, ["cohomology", "--group", "D_2", "--module", "Z",
+                                          "--action", str(path), "--degree", "1"])
+    assert code == 1 and not out
+    assert err.strip() == "error: ValueError: bindings do not generate the whole group"
+
+
+@pytest.mark.parametrize("line, why", [
+    (BINDING.replace("->", ""), "no '->'"),
+    (BINDING.replace("0,0,1", "0,0,x"), "invalid literal for int()"),
+    ("[[0,-1,0],[1,0,0],[0,0,1]] -> [[-1]]", "[[0,-1,0],[1,0,0],[0,0,1]] is not in C_2"),
+])
+def test_bad_bindings_line_is_named(capsys, tmp_path, line, why):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# one good line, then a bad one\n{BINDING}\n{line}\n")
+    code, out, err = run_capture(capsys, ["cohomology", "--group", "C_2", "--module", "Z",
+                                          "--action", str(path), "--degree", "1"])
+    assert code == 1 and not out
+    assert err.startswith(f"error: ValueError: {path}, line 3 {line!r}: ") and why in err
 
 
 @pytest.mark.parametrize("module, answer", [("Z", "Z^1"), ("Z^2", "Z^2")])

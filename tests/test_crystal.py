@@ -106,6 +106,32 @@ def test_invalid_cocycle_rejected():
         CrystallographicGroup(2, point, tau)
 
 
+def test_generator_translations_must_be_consistent():
+    # the identity given a translation, alone or next to a generator, is
+    # refused although tau(identity) = 0 is where the extension starts
+    half = (Fraction(1, 2), Fraction(0))
+    mirror = IntegerMatrix([[1, 0], [0, -1]])
+    for gens in ([(I2, half)], [(I2, half), (mirror, (0, 0))]):
+        with pytest.raises(InvalidCocycle):
+            CrystallographicGroup.from_generator_system(gens)
+
+
+def test_cocycle_checked_off_the_generators():
+    # the cocycle is checked on generator edges only; a vector system wrong
+    # only on a product of generators (mx*my = -I in pmm) is still refused
+    point = wallpaper_groups()["pmm"].point_group
+    generators = {point.index_of(s) for s in point.generators}
+    zero = (Fraction(0), Fraction(0))
+    products = [i for i in range(point.order)
+                if i not in generators and i != point.identity_index]
+    assert [point.elements[i] for i in products] == [-I2]
+    for i in products:
+        tau = {j: zero for j in range(point.order)}
+        tau[i] = (Fraction(1, 2), Fraction(0))
+        with pytest.raises(InvalidCocycle):
+            CrystallographicGroup(2, point, tau)
+
+
 def test_semidirect_product_properties():
     for label, pg2 in point_groups_2d().items():
         g = semidirect_product(2, pg2, name=label)

@@ -90,12 +90,12 @@ def test_subgroups_cyclic_three_lagrange():
 
 
 def test_subgroup_closure_and_lagrange():
-    for name in ("D_4", "T", "C_6h", "D_3d"):
-        g = point_group(name)
+    for name, g in point_groups().items():
         for rec in enumerate_subgroups(g):
             assert rec.order * rec.index == g.order
-            # closed under products
+            # the identity, and closed under products
             idx = rec.element_indices
+            assert g.identity_index in idx and len(idx) == rec.order, name
             for a in idx:
                 for b in idx:
                     assert g.cayley[a][b] in idx
@@ -173,6 +173,30 @@ def test_validate_appendix_b_d6_errata():
 def test_validate_appendix_b_d3h_flagged_not_guessed():
     res = validate_appendix_b("D_3h")
     assert sum(1 for m in res.mismatches if m.kind == "LagrangeViolationInPaper") == 4
+
+
+def test_subgroup_counts_of_the_point_groups():
+    counts = {name: len(enumerate_subgroups(g)) for name, g in point_groups().items()}
+    assert sum(counts.values()) == 465
+    assert {name: counts[name] for name in ("O_h", "D_6h", "D_4h", "O", "T_d", "T_h")} == {
+        "O_h": 98, "D_6h": 54, "D_4h": 35, "O": 30, "T_d": 30, "T_h": 26}
+
+
+def test_walk_reaches_every_element_once_breadth_first():
+    g = point_group("O_h")
+    gens = [g.index_of(s) for s in g.generators]
+    edges = list(g.walk(gens))
+    assert len(edges) == g.order * len(gens)
+    assert all(g.cayley[a][s] == b for a, s, b in edges)
+    # each edge leaves an element already reached, in order of first reach
+    reached = [g.identity_index]
+    for a, _, b in edges:
+        assert a in reached
+        if b not in reached:
+            reached.append(b)
+    assert sorted(reached) == list(range(g.order))
+    assert list(dict.fromkeys(a for a, _, _ in edges)) == reached
+    assert [b for _, _, b in g.walk([])] == []
 
 
 def test_all_computed_lattices_satisfy_lagrange():
