@@ -2,9 +2,15 @@
 ranks at generic points, Cartan characters, involutivity and formal
 integrability, and Cartan distribution dimensions.
 
-Generic ranks come from one kernel.  Sample points are deterministic
-seeded rationals, rejected against the declared exclusions and placed on
-the equation locus by the solve stages; each point is then reduced modulo
+Sample points are deterministic seeded rationals, placed on the equation
+locus by the solve stages and rejected where an exclusion vanishes.  The
+points are exact, and so is every decision about them, in integers only:
+each polynomial a check reads is compiled once per call and evaluated as
+an integer multiple of its rational value, and each stage is solved by
+fraction-free (Bareiss) elimination, which gives the same rationals as
+elimination over Q.
+
+Generic ranks come from one kernel.  Each sample point is reduced modulo
 the prime p = 2^61 - 1.  Every equation is compiled once into (coefficient
 mod p, monomial) pairs, one gradient pass per point gives all its partial
 derivatives, and every Jacobian is a set of columns of that gradient,
@@ -40,7 +46,14 @@ MODULUS = 2**61 - 1  # a Mersenne prime; generic ranks are taken mod MODULUS
 
 
 class NoGenericPoint(RuntimeError):
-    pass
+    """Sampling gave up after ``attempts`` draws; ``rejections`` counts the
+    refused draws by reason (the keys of REJECTION_REASONS)."""
+
+    def __init__(self, attempts: int, rejections: dict):
+        self.attempts = attempts
+        self.rejections = dict(rejections)
+        detail = ", ".join(f"{reason}: {n}" for reason, n in self.rejections.items())
+        super().__init__(f"no generic point after {attempts} attempts (rejected by {detail})")
 
 
 class ParseError(ValueError):
@@ -224,7 +237,9 @@ class EquationParser:
             if self._next() != ("op", ")"):
                 raise ParseError("missing closing parenthesis")
             return node
-        raise ParseError(f"unexpected token {val!r}")
+        if kind is None:
+            raise ParseError("missing operand at end of input")
+        raise ParseError(f"missing operand before {val!r}")
 
     def parse_polynomial(self, text: str, exclusions=()) -> DiffPoly:
         """Parse and clear denominators against the declared exclusions: the
@@ -359,6 +374,9 @@ def prolong_system(s: PdeSystem, r: int) -> PdeSystem:
 # ---------------------------------------------------------------------------
 
 
+REJECTION_REASONS = ("singular stage", "denominator 0 mod p", "exclusion", "off locus")
+
+
 def _random_fraction(rng) -> Fraction:
     return Fraction(rng.randint(-97, 97), rng.randint(1, 97))
 
@@ -377,97 +395,195 @@ def _resolve_token(parser: EquationParser, token: str):
     return var
 
 
+class _ScaledPoly:
+    """A polynomial compiled for exact evaluation in integers.
+
+    The coefficients are scaled to integers by a positive factor.  A term
+    adds to a slot: its pivot column when ``columns`` maps the term's pivot
+    variable to one, and the constant slot len(columns) otherwise.  The
+    terms are kept in groups by slot and by the degree d of what remains of
+    the monomial; the monomials without a pivot are the polynomial's own.
+    At a rational point the variables read are put over one common
+    denominator D > 0, and every slot is its rational value times D^M,
+    where M is the largest d: an integer that is zero exactly when that
+    value is."""
+
+    __slots__ = ("reads", "degree", "groups")
+
+    def __init__(self, poly: DiffPoly, columns=None):
+        columns = columns or {}
+        scale = lcm(*(c.denominator for c in poly.terms.values()))
+        groups = {}
+        for mono, c in poly.terms.items():
+            slot = next((columns[v] for v, _ in mono if v in columns), len(columns))
+            if slot < len(columns):
+                mono = tuple((v, e) for v, e in mono if v not in columns)
+            coeffs, monos = groups.setdefault((slot, sum(e for _, e in mono)), ([], []))
+            coeffs.append(c.numerator * (scale // c.denominator))
+            monos.append(mono)
+        self.groups = [(slot, d, tuple(coeffs), tuple(monos))
+                       for (slot, d), (coeffs, monos) in groups.items()]
+        self.reads = tuple({v for *_, monos in self.groups for mono in monos for v, _ in mono})
+        self.degree = max((d for _, d, _, _ in self.groups), default=0)
+
+    def values(self, point, width=1) -> list:
+        den = lcm(*(point[v].denominator for v in self.reads))
+        num = {v: point[v].numerator * (den // point[v].denominator) for v in self.reads}
+        out = [0] * width
+        for slot, d, coeffs, monos in self.groups:
+            total = 0
+            for c, mono in zip(coeffs, monos):
+                for v, e in mono:
+                    c *= num[v] if e == 1 else num[v] ** e
+                total += c
+            out[slot] += total * den ** (self.degree - d)
+        return out
+
+    def vanishes_at(self, point) -> bool:
+        return self.values(point)[0] == 0
+
+
+def _compile_stages(s: PdeSystem):
+    """The solve stages as (pivot variables, compiled rows), one row per
+    equation with a column per pivot.  A stage that could never be solved
+    raises ValueError naming the stage and the pivot token: a repeated
+    pivot, an equation solved twice (which leaves its stage with fewer
+    equations than pivots), an equation that is not linear in its stage's
+    pivots, or one that reads the pivot of a later stage."""
+    parser = EquationParser(s.independent, s.dependent)
+    first = {}  # pivot variable -> (stage index, token)
+    for si, stage in enumerate(s.solve_stages):
+        for _, tok in stage:
+            try:
+                v = _resolve_token(parser, tok)
+            except ParseError as exc:
+                raise ValueError(f"solve stage {si}: pivot {tok!r}: {exc}") from None
+            if v in first:
+                raise ValueError(f"solve stage {si}: pivot {tok!r} is repeated"
+                                 f" (first in stage {first[v][0]})")
+            first[v] = (si, tok)
+    solved = {}  # equation index -> (stage index, token)
+    stages = []
+    for si, stage in enumerate(s.solve_stages):
+        pivots = [_resolve_token(parser, tok) for _, tok in stage]
+        columns = {v: i for i, v in enumerate(pivots)}
+        rows = []
+        for eq_idx, tok in stage:
+            if not 0 <= eq_idx < len(s.equations):
+                raise ValueError(f"solve stage {si}: pivot {tok!r} names equation {eq_idx},"
+                                 f" but the system has {len(s.equations)}")
+            if eq_idx in solved:
+                raise ValueError(
+                    f"solve stage {si}: pivot {tok!r} solves equation {eq_idx} again"
+                    f" (already solved for {solved[eq_idx][1]!r} in stage"
+                    f" {solved[eq_idx][0]}), so stage {si} has fewer equations than pivots")
+            solved[eq_idx] = (si, tok)
+            eq = s.equations[eq_idx]
+            for mono in eq.terms:
+                in_stage = [(v, e) for v, e in mono if v in columns]
+                if len(in_stage) > 1 or (in_stage and in_stage[0][1] > 1):
+                    names = ", ".join(repr(first[v][1]) for v, _ in in_stage)
+                    raise ValueError(f"solve stage {si}: equation {eq_idx} is not linear"
+                                     f" in the pivots: a term has {names}")
+                for v, _ in mono:
+                    if v in first and first[v][0] > si:
+                        raise ValueError(f"solve stage {si}: equation {eq_idx} reads"
+                                         f" {first[v][1]!r}, a pivot of the later stage"
+                                         f" {first[v][0]}")
+            rows.append(_ScaledPoly(eq, columns))
+        stages.append((pivots, rows))
+    return stages
+
+
 def sample_points(s: PdeSystem, polys, count=SAMPLE_COUNT, seed=DEFAULT_SEED,
                   extra_vars=()):
     """Deterministic generic rational points for the given polynomials.
 
-    Points satisfy every declared exclusion; when the system carries solve
-    stages the points are placed on the equation locus by solving each
-    stage's equations for its pivot variables (exactly, by rational
-    elimination).  A point with a denominator divisible by MODULUS has no
-    reduction mod p and is rejected like one that meets an exclusion.
-    """
+    Every variable that the polynomials, the exclusions or the solve stages
+    read, and every one of ``extra_vars``, gets a seeded random rational,
+    except the pivot variables of the solve stages: each stage is solved
+    exactly for its pivots, in order, so the points lie on the locus of the
+    staged equations.  A draw is rejected when a stage is singular at it,
+    when a denominator is divisible by MODULUS (the point has no reduction
+    mod p), when an exclusion vanishes there, or, for a staged system, when
+    an equation does not.  After MAX_SAMPLE_ATTEMPTS draws NoGenericPoint
+    reports how many draws each reason rejected.
+
+    Everything is compiled once per call, and every check is exact: each
+    polynomial is evaluated as an integer (see _ScaledPoly) and each stage
+    solved by fraction-free elimination (see _solve_stage).  The stages are
+    checked before the first draw."""
     rng = random.Random(seed)
+    stages = _compile_stages(s)
     needed = _needed_variables(list(polys) + list(s.exclusions)) | set(extra_vars)
-    parser = EquationParser(s.independent, s.dependent)
-    stages = []
     for stage in s.solve_stages:
-        eqs = [s.equations[i] for i, _ in stage]
-        stages.append((eqs, [_resolve_token(parser, tok) for _, tok in stage]))
-        needed |= _needed_variables(eqs)
-    pivot_set = {v for _, stage_pivots in stages for v in stage_pivots}
+        needed |= _needed_variables(s.equations[i] for i, _ in stage)
+    pivot_set = {v for pivots, _ in stages for v in pivots}
     free = sorted(v for v in needed if v not in pivot_set)
+    exclusions = [_ScaledPoly(e) for e in s.exclusions]
+    locus = [_ScaledPoly(e) for e in s.equations] if stages else []
+    rejections = dict.fromkeys(REJECTION_REASONS, 0)
     points = []
     attempts = 0
     while len(points) < count:
+        if attempts == MAX_SAMPLE_ATTEMPTS:
+            raise NoGenericPoint(attempts, rejections)
         attempts += 1
-        if attempts > MAX_SAMPLE_ATTEMPTS:
-            raise NoGenericPoint(
-                f"no generic point satisfying exclusions after {attempts} attempts"
-            )
         point = {v: _random_fraction(rng) for v in free}
-        ok = True
-        for eqs, stage_pivots in stages:
-            sol = _solve_stage(eqs, stage_pivots, point)
-            if sol is None:
-                ok = False
-                break
-            point.update(sol)
-        if not ok:
-            continue
-        if any(q.denominator % MODULUS == 0 for q in point.values()):
-            continue
-        if any(e.evaluate(point) == 0 for e in s.exclusions):
-            continue
-        if s.solve_stages and any(e.evaluate(point) != 0 for e in s.equations):
-            continue
-        points.append(point)
+        reason = _rejection(point, stages, exclusions, locus)
+        if reason is None:
+            points.append(point)
+        else:
+            rejections[reason] += 1
     return points
 
 
-def _solve_stage(eqs, pivots, point):
-    """Solve equations jointly for the pivot variables; the equations must
-    be affine-linear in the pivots once the free values are substituted."""
-    idx = {v: i for i, v in enumerate(pivots)}
+def _rejection(point, stages, exclusions, locus):
+    """Complete a draw through the solve stages, in place, and give the
+    reason it is rejected, or None when it is accepted."""
+    for pivots, rows in stages:
+        sol = _solve_stage(pivots, rows, point)
+        if sol is None:
+            return "singular stage"
+        point.update(sol)
+    if any(q.denominator % MODULUS == 0 for q in point.values()):
+        return "denominator 0 mod p"
+    if any(e.vanishes_at(point) for e in exclusions):
+        return "exclusion"
+    if any(not e.vanishes_at(point) for e in locus):
+        return "off locus"
+    return None
+
+
+def _solve_stage(pivots, rows, point):
+    """The pivot values that solve a stage at the point, or None when the
+    stage is singular there.
+
+    Each row is its equation times a positive integer, so the integer
+    system has the rational one's unique solution.  It is solved by
+    fraction-free Gauss-Jordan elimination (Bareiss 1968): every entry
+    stays a minor of the system, so each division by the previous pivot is
+    exact; an entry is a nonzero multiple of the one that elimination over
+    Q would hold, so the pivot search, and "singular", are the same; and
+    at the end every diagonal entry is the last pivot, which divides the
+    constant column into the solution."""
     k = len(pivots)
-    rows = []
-    rhs = []
-    for eq in eqs:
-        coeffs = [Fraction(0)] * k
-        const = Fraction(0)
-        for mono, c in eq.terms.items():
-            pivot_part = [(v, e) for v, e in mono if v in idx]
-            rest = [(v, e) for v, e in mono if v not in idx]
-            val = c
-            for v, e in rest:
-                val *= point[v] ** e
-            if not pivot_part:
-                const += val
-            elif len(pivot_part) == 1 and pivot_part[0][1] == 1:
-                coeffs[idx[pivot_part[0][0]]] += val
-            else:
-                raise ValueError(
-                    "solve stage is not jointly linear in its pivot variables"
-                )
-        rows.append(coeffs)
-        rhs.append(-const)
-    # exact Gaussian elimination
-    n = len(rows)
-    if n != k:
-        raise ValueError("solve stage needs as many equations as pivots")
-    aug = [rows[i] + [rhs[i]] for i in range(n)]
+    aug = [row.values(point, k + 1) for row in rows]
+    prev = 1
     for col in range(k):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, k) if aug[r][col]), None)
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return {pivots[i]: aug[i][k] for i in range(k)}
+        top = aug[col]
+        p = top[col]
+        for r, row in enumerate(aug):
+            if r != col:
+                f = row[col]
+                for j in range(col + 1, k + 1):
+                    row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+    return {v: Fraction(-aug[i][k], prev) for i, v in enumerate(pivots)}
 
 
 # ---------------------------------------------------------------------------
@@ -501,21 +617,25 @@ def _reduce_point(point):
 def _gradients(compiled, point):
     """The gradient mod p of every compiled polynomial at a reduced point,
     as a dict from each variable of the polynomial to its partial
-    derivative there."""
+    derivative there.  The product of the other factors of a monomial is
+    its prefix product times its suffix product, so a term costs time
+    linear in its number of variables."""
     out = []
     for terms in compiled:
         grad = {}
         for c, mono in terms:
-            factors = [pow(point[v], e, MODULUS) for v, e in mono]
+            factors = [point[v] if e == 1 else pow(point[v], e, MODULUS) for v, e in mono]
+            suffix = [1] * (len(factors) + 1)
+            for j in range(len(factors) - 1, 0, -1):
+                suffix[j] = suffix[j + 1] * factors[j] % MODULUS
+            prefix = c
             for i, (v, e) in enumerate(mono):
-                d = c * e
+                d = prefix * suffix[i + 1]
                 if e > 1:
-                    d = d * pow(point[v], e - 1, MODULUS) % MODULUS
-                for j, f in enumerate(factors):
-                    if j != i:
-                        d = d * f % MODULUS
-                grad[v] = (grad.get(v, 0) + d) % MODULUS
-        out.append(grad)
+                    d = d % MODULUS * e * pow(point[v], e - 1, MODULUS)
+                grad[v] = grad.get(v, 0) + d
+                prefix = prefix * factors[i] % MODULUS
+        out.append({v: d % MODULUS for v, d in grad.items()})
     return out
 
 

@@ -124,6 +124,9 @@ def test_pde_verify_solution(capsys):
     ("u", "--section 'u' is not dependent=polynomial"),
     ("v=x", "section 'v=x': 'v' is not a dependent variable (the system has u)"),
     ("u=a*x+", "section 'u=a*x+': "),
+    ("u=a*x+", "section 'u=a*x+': missing operand at end of input\n"),
+    ("u=a*(x+", "section 'u=a*(x+': missing operand at end of input\n"),
+    ("u=a*/x", "section 'u=a*/x': missing operand before '/'\n"),
 ])
 def test_pde_verify_solution_names_a_bad_section(capsys, item, bad):
     code, out, err = run_capture(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from crystaljet.data import data_path
 from crystaljet.diffpoly import DiffOperator, DiffPoly, jet, par, xvar
 from crystaljet.jets import (
+    MAX_SAMPLE_ATTEMPTS,
     EquationParser,
     NoGenericPoint,
     ParseError,
@@ -235,8 +236,11 @@ def test_exclusions_respected_in_sampling():
         equations=[DiffPoly.variable(jet(0, (0,)))],
         exclusions=[DiffPoly.zero()],
     )
-    with pytest.raises(NoGenericPoint):
+    with pytest.raises(NoGenericPoint) as info:
         sample_points(impossible, impossible.equations)
+    assert info.value.attempts == MAX_SAMPLE_ATTEMPTS
+    assert info.value.rejections["exclusion"] == MAX_SAMPLE_ATTEMPTS
+    assert f"after {MAX_SAMPLE_ATTEMPTS} attempts" in str(info.value)
 
 
 def test_parser_rationals_cleared():
@@ -310,6 +314,10 @@ def test_parser_errors():
         parser.parse_polynomial("unknown + 1")
     with pytest.raises(ParseError):
         EquationParser(["xx"], ["u"])
+    with pytest.raises(ParseError, match="^missing operand at end of input$"):
+        parser.parse_polynomial("u*x+")
+    with pytest.raises(ParseError, match=r"^missing operand before '\*'$"):
+        parser.parse_polynomial("u + *x")
 
 
 def test_verify_polynomial_solution_heat():
@@ -401,3 +409,38 @@ def test_solve_stages_from_document():
     for pt in pts:
         for eq in system.equations:
             assert eq.evaluate(pt) == 0
+
+
+def _staged(equations, stages):
+    return load_system({"independent": ["x", "y"], "dependent": ["u", "w"], "order": 1,
+                        "equations": equations, "solve_stages": stages})
+
+
+@pytest.mark.parametrize("equations, stages, message", [
+    (["u_x", "u_y"], [[[0, "u_x"], [1, "u_x"]]],
+     "solve stage 0: pivot 'u_x' is repeated (first in stage 0)"),
+    (["u_x", "u_y"], [[[0, "u_x"]], [[1, "u_x"]]],
+     "solve stage 1: pivot 'u_x' is repeated (first in stage 0)"),
+    (["u_x + u_y", "u"], [[[0, "u_x"], [0, "u_y"]]],
+     "solve stage 0: pivot 'u_y' solves equation 0 again (already solved for 'u_x' in"
+     " stage 0), so stage 0 has fewer equations than pivots"),
+    (["u_x", "u_y"], [[[0, "u_x"]], [[0, "u_y"]]],
+     "solve stage 1: pivot 'u_y' solves equation 0 again (already solved for 'u_x' in"
+     " stage 0), so stage 1 has fewer equations than pivots"),
+    (["u_x*u_y - 1", "u_x - u_y"], [[[0, "u_x"], [1, "u_y"]]],
+     "solve stage 0: equation 0 is not linear in the pivots: a term has 'u_x', 'u_y'"),
+    (["u_x^2 - 1"], [[[0, "u_x"]]],
+     "solve stage 0: equation 0 is not linear in the pivots: a term has 'u_x'"),
+    (["u_x - w_y", "w_y - 1"], [[[0, "u_x"]], [[1, "w_y"]]],
+     "solve stage 0: equation 0 reads 'w_y', a pivot of the later stage 1"),
+    (["u_x"], [[[1, "u_x"]]],
+     "solve stage 0: pivot 'u_x' names equation 1, but the system has 1"),
+    (["u_x"], [[[0, "u_q"]]],
+     "solve stage 0: pivot 'u_q': unknown direction 'q' in 'u_q'"),
+])
+def test_malformed_solve_stages_fail_before_sampling(equations, stages, message):
+    s = _staged(equations, stages)
+    # count=0 draws nothing, so the stages are checked when they are compiled
+    with pytest.raises(ValueError) as info:
+        sample_points(s, s.equations, count=0)
+    assert str(info.value) == message
