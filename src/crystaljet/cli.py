@@ -89,14 +89,21 @@ class ValidationReport:
     mismatches: list = field(default_factory=list)
 
     def add(self, location, published, computed, kind):
+        # each entry keeps the dataset it was found in, which the errata
+        # verdict reads after merging; the JSON leaves it out
         self.mismatches.append(
             {
+                "dataset": self.dataset,
                 "location": location,
                 "published": str(published),
                 "computed": str(computed),
                 "class": kind,
             }
         )
+
+    def add_table_mismatches(self, mismatches):
+        for mm in mismatches:
+            self.add(mm.location, mm.published, mm.computed, mm.kind)
 
     def merge(self, other: "ValidationReport"):
         self.checks_run += other.checks_run
@@ -106,7 +113,9 @@ class ValidationReport:
         return {
             "dataset": self.dataset,
             "checks_run": self.checks_run,
-            "mismatches": self.mismatches,
+            "mismatches": [
+                {k: v for k, v in m.items() if k != "dataset"} for m in self.mismatches
+            ],
         }
 
 
@@ -131,8 +140,7 @@ def validate_point_group_tables() -> ValidationReport:
             report.add(f"{name} order", want, g.order, "OrderMismatch")
         result = validate_appendix_b(name)
         report.checks_run += 1
-        for mm in result.mismatches:
-            report.add(mm.location, mm.published, mm.computed, mm.kind)
+        report.add_table_mismatches(result.mismatches)
         # every computed subgroup satisfies Lagrange by construction; check
         report.checks_run += 1
         for rec in result.subgroups:
@@ -225,21 +233,10 @@ def _validation_exit(report: ValidationReport, args) -> int:
         new = [
             m
             for m in report.mismatches
-            if (_errata_dataset(m), m["location"], m["class"]) not in known
+            if (m["dataset"], m["location"], m["class"]) not in known
         ]
         return 0 if not new else 2
     return 2
-
-
-def _errata_dataset(mismatch) -> str:
-    kind = mismatch["class"]
-    if kind in {"BravaisSumMismatch", "TotalMismatch"}:
-        return "appendix_a"
-    if kind in {"IndexInconsistentInPaper"}:
-        return "appendix_d"
-    if kind in {"ObstructionInPaper"}:
-        return "appendix_c"
-    return "appendix_b"
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +329,7 @@ def _cmd_tables(args) -> int:
         lines += [f"  {r.iso_name:8s} order {r.order:3d} index {r.index}" for r in recs]
         if args.verify:
             report = ValidationReport("appendix_b", checks_run=1)
-            for mm in result.mismatches:
-                report.add(mm.location, mm.published, mm.computed, mm.kind)
+            report.add_table_mismatches(result.mismatches)
             payload["validation"] = report.to_json_dict()
             lines += _report_lines(report)
             _emit(args, payload, lines)

@@ -173,17 +173,26 @@ class DiffPoly:
         return DiffPoly(out)
 
     def total_derivative(self, direction: int) -> "DiffPoly":
-        """Formal derivative D_i = d/dx_i + sum over jets y_(mu+i) d/dy_mu."""
-        result = self.partial(xvar(direction))
-        for v in sorted(self.variables()):
-            if v[0] != "jet":
-                continue
-            dv = self.partial(v)
-            if dv.is_zero():
-                continue
-            lifted = DiffPoly.variable(jet(v[1], v[2] + (direction,)))
-            result = result + lifted * dv
-        return result
+        """Formal derivative D_i = d/dx_i + sum over jets y_(mu+i) d/dy_mu,
+        in one pass over the terms: each factor v^e of a monomial gives
+        e * (monomial / v) * lift(v), where lift(x_i) = 1 and lift(y_mu) =
+        y_(mu+i)."""
+        x = xvar(direction)
+        out = {}
+        for mono, c in self.terms.items():
+            for k, (v, e) in enumerate(mono):
+                if v == x:
+                    lifted = ()
+                elif v[0] == "jet":
+                    lifted = ((jet(v[1], v[2] + (direction,)), 1),)
+                else:
+                    continue
+                rest = mono[:k] + mono[k + 1:]
+                if e > 1:
+                    rest += ((v, e - 1),)
+                m = _mono_mul(rest, lifted)  # sorts the factors again
+                out[m] = out.get(m, 0) + c * e
+        return DiffPoly._from_clean({m: c for m, c in out.items() if c})
 
     def substitute(self, assignment) -> "DiffPoly":
         """Replace variables by DiffPoly values (vars not listed are kept)."""

@@ -5,6 +5,15 @@ The 32 three-dimensional point groups (and the ten two-dimensional ones)
 are embedded as integer generator matrices in a lattice-adapted basis, so
 all arithmetic stays exact.  Published subgroup tables are carried verbatim
 in ``appendix_b.dat`` and validated, never silently corrected.
+
+Every group keeps its identity as element 0, so index 0 is the identity in
+every Cayley table and walk.  Groups are named by one rule, a lookup of the
+order and the multiset of (det, trace) pairs of the elements.  Every finite
+subgroup of GL_3(Z) or GL_2(Z) is conjugate over Q to one of the 32 or 10
+representatives (the geometric crystal classes; International Tables for
+Crystallography, Vol. A), that fingerprint is invariant under such
+conjugation, and the 42 representatives have 42 distinct fingerprints, so
+the lookup names every finite group in dimensions 2 and 3.
 """
 
 from __future__ import annotations
@@ -34,17 +43,21 @@ DEFAULT_CLOSURE_BOUND = 10_000
 class FiniteMatrixGroup:
     """A finite group of integer matrices, closed under product and inverse.
 
-    ``elements[0]`` is the identity.  The Cayley table is built lazily; all
-    products are looked up by matrix hash, so the group must really be
-    closed, and ``generators`` must generate it, since every check built on
-    ``walk(generators)`` sees only the elements it reaches (``close_group``
-    and ``close_group_from_indices`` guarantee both).
+    ``elements[0]`` is the identity (checked here), so ``identity_index`` is
+    0.  The Cayley table is built lazily; all products are looked up by
+    matrix hash, so the group must really be closed, and ``generators`` must
+    generate it, since every check built on ``walk(generators)`` sees only
+    the elements it reaches (``close_group`` guarantees both).
     """
+
+    identity_index = 0
 
     def __init__(self, dimension: int, generators, elements, name: str | None = None):
         self.dimension = dimension
         self.generators = list(generators)
         self.elements = list(elements)
+        if self.elements[:1] != [IntegerMatrix.identity(dimension)]:
+            raise ValueError("elements[0] of a FiniteMatrixGroup must be the identity")
         self.name = name
         self._index = {m: i for i, m in enumerate(self.elements)}
         self._cayley = None
@@ -70,23 +83,6 @@ class FiniteMatrixGroup:
                 [idx[a * b] for b in self.elements] for a in self.elements
             ]
         return self._cayley
-
-    @property
-    def identity_index(self) -> int:
-        return self._index[IntegerMatrix.identity(self.dimension)]
-
-    def inverse_idx(self, i: int) -> int:
-        e = self.identity_index
-        row = self.cayley[i]
-        return row.index(e)
-
-    def element_order(self, i: int) -> int:
-        e = self.identity_index
-        n, j = 1, i
-        while j != e:
-            j = self.cayley[j][i]
-            n += 1
-        return n
 
     def walk(self, generators):
         """Every edge (a, s, a*s) of the Cayley graph on the generator
@@ -175,6 +171,9 @@ def enumerate_subgroups(g: FiniteMatrixGroup) -> list[SubgroupRecord]:
 
     Seeded from cyclic subgroups and closed under pairwise joins; since
     every subgroup is generated by its cyclic subgroups this finds them all.
+    Each subgroup is named from the (det, trace) pairs of its elements, read
+    off g's elements, and records with equal triples are ordered by their
+    sorted element indices.
     """
     if g.order > DEFAULT_CLOSURE_BOUND:
         raise ClosureBoundExceeded("subgroup enumeration capped at order 10,000")
@@ -192,26 +191,18 @@ def enumerate_subgroups(g: FiniteMatrixGroup) -> list[SubgroupRecord]:
             if k not in found:
                 found.add(k)
                 frontier.append(k)
-    records = []
-    for idxset in found:
-        sub = close_group_from_indices(g, idxset)
-        records.append(
-            SubgroupRecord(
-                iso_name=iso_type_name(sub),
-                order=len(idxset),
-                index=g.order // len(idxset),
-                element_indices=idxset,
-            )
+    pairs = _det_trace(g)
+    records = [
+        SubgroupRecord(
+            iso_name=_name([pairs[i] for i in idxset]),
+            order=len(idxset),
+            index=g.order // len(idxset),
+            element_indices=idxset,
         )
-    records.sort(key=lambda r: (-r.order, r.iso_name, r.index))
+        for idxset in found
+    ]
+    records.sort(key=lambda r: (-r.order, r.iso_name, r.index, tuple(sorted(r.element_indices))))
     return records
-
-
-def close_group_from_indices(g: FiniteMatrixGroup, indices) -> FiniteMatrixGroup:
-    elems = [g.elements[i] for i in sorted(indices)]
-    ident = IntegerMatrix.identity(g.dimension)
-    elems.sort(key=lambda m: m != ident)  # identity first
-    return FiniteMatrixGroup(g.dimension, elems, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -219,71 +210,46 @@ def close_group_from_indices(g: FiniteMatrixGroup, indices) -> FiniteMatrixGroup
 # ---------------------------------------------------------------------------
 
 
-def _fingerprint(g: FiniteMatrixGroup):
-    pairs = sorted((m.determinant(), sum(m[(i, i)] for i in range(g.dimension)))
-                   for m in g.elements)
-    return (g.order, tuple(pairs))
+def _det_trace(g: FiniteMatrixGroup):
+    """The (det, trace) pair of each element of g, by element index."""
+    return [(m.determinant(), sum(m[(i, i)] for i in range(g.dimension)))
+            for m in g.elements]
+
+
+def _fingerprint(pairs):
+    return (len(pairs), tuple(sorted(pairs)))
 
 
 @lru_cache(maxsize=1)
 def _fingerprint_table():
     table = {}
     for name, grp in point_groups().items():
-        fp = _fingerprint(grp)
+        fp = _fingerprint(_det_trace(grp))
         assert fp not in table, f"fingerprint clash: {name} vs {table[fp]}"
         table[fp] = INTERNATIONAL[name]
     for name, grp in point_groups_2d().items():
-        fp = _fingerprint(grp)
+        fp = _fingerprint(_det_trace(grp))
         assert fp not in table, f"2d fingerprint clash at {name}"
         table[fp] = name
     return table
 
 
+def _name(pairs) -> str:
+    # the identity contributes (1, dimension), so only groups of dimension
+    # 2 or 3 (and of order <= 48) can hit the table
+    return _fingerprint_table().get(_fingerprint(pairs), f"order-{len(pairs)}-unclassified")
+
+
 def iso_type_name(g: FiniteMatrixGroup) -> str:
-    """Crystallographic label of a finite matrix group of order <= 48.
+    """Crystallographic label of a finite matrix group.
 
     Exact-arithmetic lookup: the multiset of (det, trace) pairs together
     with the order separates all 32 three-dimensional and all ten
     two-dimensional point-group types, and it is invariant under any
-    GL_d(Z) change of lattice basis.
+    GL_d(Z) change of lattice basis, so it names every finite group in
+    dimensions 2 and 3.  Any other group is ``order-<n>-unclassified``.
     """
-    if g.order > 48:
-        return f"order-{g.order}-unclassified"
-    if g.dimension in (2, 3):
-        fp = _fingerprint(g)
-        hit = _fingerprint_table().get(fp)
-        if hit is not None:
-            return hit
-    if g.order == 1:
-        return "1"
-    if g.order == 2:
-        other = next(i for i in range(g.order) if i != g.identity_index)
-        m = g.elements[other]
-        if m == -IntegerMatrix.identity(g.dimension):
-            return "-1"
-        return "m" if m.determinant() == -1 else "2"
-    orders = sorted(g.element_order(i) for i in range(g.order))
-    n = g.order
-    if orders[-1] == n:  # cyclic
-        return str(n)
-    if n == 4 and orders == [1, 2, 2, 2]:
-        return "222"
-    if n % 2 == 0 and orders[-1] == n // 2:
-        half = n // 2
-        # dihedral test: an order-half element r plus an involution s with
-        # s r s = r^-1
-        for i in range(n):
-            if g.element_order(i) != half:
-                continue
-            rinv = g.inverse_idx(i)
-            for j in range(n):
-                if g.element_order(j) == 2:
-                    if g.cayley[g.cayley[j][i]][j] == rinv:
-                        names = {2: "222", 3: "32", 4: "422", 6: "622"}
-                        if half in names:
-                            return names[half]
-        return f"order-{n}-unclassified"
-    return f"order-{n}-unclassified"
+    return _name(_det_trace(g))
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +340,6 @@ class TableMismatch:
     computed: str
     kind: str  # LagrangeViolationInPaper | MissingInPaper | ExtraInPaper
 
-    def key(self):
-        return (self.location, self.kind, self.published, self.computed)
-
 
 @dataclass
 class ValidationResult:
@@ -396,12 +359,8 @@ def validate_appendix_b(name: str):
     Published rows are matched as (iso, order, index) sets, ignoring
     multiplicity, because the printed tables list iso-types only.
     """
-    groups = point_groups()
-    if name in SCHOENFLIES:
-        name = SCHOENFLIES[name]
-    if name not in groups:
-        raise UnknownPointGroup(name)
-    g = groups[name]
+    g = point_group(name)
+    name = g.name
     subgroups = enumerate_subgroups(g)
     computed = {rec.triple() for rec in subgroups}
     published = appendix_b_tables()[name]

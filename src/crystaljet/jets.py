@@ -344,10 +344,7 @@ def prolong_system(s: PdeSystem, r: int) -> PdeSystem:
         raise ValueError("prolongation order must be >= 0")
     if r == 0:
         return s
-    seen = {}
-    frontier = list(s.equations)
-    for eq in frontier:
-        seen[eq] = True
+    seen = dict.fromkeys(s.equations, True)
     level = list(s.equations)
     for _ in range(r):
         nxt = []

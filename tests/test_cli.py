@@ -3,12 +3,15 @@ import time
 
 import pytest
 
+from crystaljet.abelian import FgAbelianGroup
 from crystaljet.cli import (
     canonical_json,
     load_known_errata,
     run,
     validate_all_tables,
 )
+from crystaljet.cohomology import GModule, group_cohomology
+from crystaljet.groups import enumerate_subgroups, point_group
 
 
 def run_capture(capsys, argv):
@@ -146,6 +149,23 @@ def test_tables_pointgroup_verify_exit_codes(capsys):
     assert code == 0
 
 
+def test_tables_pointgroup_lists_the_subgroup_lattice(capsys):
+    g = point_group("O_h")
+    triples = [rec.triple() for rec in enumerate_subgroups(g)]
+    assert len(triples) == 98
+    code, out, _ = run_capture(capsys, ["tables", "pointgroup", "O_h", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["name"], payload["international"], payload["order"]) == ("O_h", "m-3m", 48)
+    assert "validation" not in payload
+    assert [(r["iso"], r["order"], r["index"]) for r in payload["subgroups"]] == triples
+    code, out, _ = run_capture(capsys, ["tables", "pointgroup", "O_h"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "O_h (m-3m), order 48"
+    assert lines[1:] == [f"  {iso:8s} order {order:3d} index {index}" for iso, order, index in triples]
+
+
 def test_tables_validate(capsys):
     code, out, _ = run_capture(capsys, ["tables", "validate", "--format", "json"])
     assert code == 2
@@ -220,6 +240,35 @@ def test_cohomology_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["cohomology"] == "Z/4"
+
+
+@pytest.mark.parametrize("group, module, action, degree", [
+    ("C_2h", "Z", "sign", 1),
+    ("C_4v", "Z/4", "sign", 2),
+    ("D_2d", "Z", "natural", 1),
+    ("C_4v", "Z", "natural", 2),
+])
+def test_cohomology_sign_and_natural_actions_match_the_library(capsys, group, module, action, degree):
+    g = point_group(group)
+    if action == "sign":
+        mod = GModule.sign(g, FgAbelianGroup.parse(module))
+    else:
+        mod = GModule.natural(g)
+    want = group_cohomology(g, mod, degree).render()
+    code, out, _ = run_capture(
+        capsys,
+        ["cohomology", "--group", group, "--module", module, "--action", action,
+         "--degree", str(degree), "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out) == {"group": group, "module": mod.base.render(), "action": action,
+                               "degree": degree, "cohomology": want}
+    code, out, _ = run_capture(
+        capsys,
+        ["cohomology", "--group", group, "--module", module, "--action", action,
+         "--degree", str(degree)],
+    )
+    assert (code, out) == (0, want + "\n")
 
 
 BINDING = "[[-1,0,0],[0,-1,0],[0,0,1]] -> [[-1]]"
@@ -380,10 +429,9 @@ def test_no_floats_anywhere_in_json(capsys):
 
 
 def test_errata_file_covers_all_current_findings():
-    from crystaljet.cli import _errata_dataset
-
     known = load_known_errata()
     report = validate_all_tables()
+    assert report.mismatches
     for m in report.mismatches:
-        key = (_errata_dataset(m), m["location"], m["class"])
+        key = (m["dataset"], m["location"], m["class"])
         assert key in known, key

@@ -4,7 +4,9 @@ import pytest
 
 from crystaljet.abelian import IntegerMatrix
 from crystaljet.groups import (
+    INTERNATIONAL,
     ClosureBoundExceeded,
+    FiniteMatrixGroup,
     NotInvertible,
     close_group,
     enumerate_subgroups,
@@ -102,8 +104,6 @@ def test_subgroup_closure_and_lagrange():
 
 
 def test_iso_names_of_embedded_groups():
-    from crystaljet.groups import INTERNATIONAL
-
     for name, g in point_groups().items():
         assert iso_type_name(g) == INTERNATIONAL[name]
     for name, g in point_groups_2d().items():
@@ -203,3 +203,53 @@ def test_all_computed_lattices_satisfy_lagrange():
     for name, g in point_groups().items():
         for rec in enumerate_subgroups(g):
             assert rec.order * rec.index == g.order, name
+
+
+def _point_groups_and_conjugates():
+    """The 32 point groups, the 10 plane point groups, and one random
+    unimodular conjugate of each."""
+    rng = random.Random(5)
+    for g in [*point_groups().values(), *point_groups_2d().values()]:
+        yield g
+        yield g.conjugated(_random_unimodular(rng, g.dimension))
+
+
+def test_every_subgroup_record_is_named_from_the_fingerprint_table():
+    table_names = set(INTERNATIONAL.values()) | set(point_groups_2d())
+    records = 0
+    for g in _point_groups_and_conjugates():
+        for rec in enumerate_subgroups(g):
+            records += 1
+            assert rec.iso_name in table_names, rec
+            sub = close_group([g.elements[i] for i in sorted(rec.element_indices)])
+            assert rec.iso_name == iso_type_name(sub), rec
+    assert records == 2 * (465 + 51)
+
+
+def test_groups_outside_dimensions_two_and_three_are_unclassified():
+    assert iso_type_name(close_group([IntegerMatrix([[-1]])])) == "order-2-unclassified"
+    assert iso_type_name(close_group([-IntegerMatrix.identity(4)])) == "order-2-unclassified"
+    # x -> x^4 + 1 companion matrix: cyclic of order 8 in GL_4(Z)
+    c8 = IntegerMatrix([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    assert iso_type_name(close_group([c8])) == "order-8-unclassified"
+
+
+def test_element_zero_must_be_the_identity():
+    rot = IntegerMatrix([[0, -1], [1, 0]])
+    assert FiniteMatrixGroup(2, [I2], [I2]).identity_index == 0
+    with pytest.raises(ValueError):
+        FiniteMatrixGroup(2, [rot], [rot, I2])
+    with pytest.raises(ValueError):
+        FiniteMatrixGroup(2, [], [])
+
+
+def test_subgroup_records_are_in_a_total_order():
+    def key(rec):
+        return (-rec.order, rec.iso_name, rec.index, tuple(sorted(rec.element_indices)))
+
+    for name, g in point_groups().items():
+        keys = [key(rec) for rec in enumerate_subgroups(g)]
+        assert keys == sorted(set(keys)), name
+    recs = enumerate_subgroups(point_group("D_2"))
+    assert [(r.iso_name, sorted(r.element_indices)) for r in recs] == [
+        ("222", [0, 1, 2, 3]), ("2", [0, 1]), ("2", [0, 2]), ("2", [0, 3]), ("1", [0])]

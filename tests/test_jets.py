@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystaljet.corpus import metric_flow_system, mhd_system
 from crystaljet.data import data_path
 from crystaljet.diffpoly import DiffOperator, DiffPoly, jet, par, xvar
 from crystaljet.jets import (
@@ -304,6 +305,41 @@ def test_render_then_parse_is_the_identity(poly):
     text = poly.render(INDEPENDENT, DEPENDENT)
     parser = EquationParser(INDEPENDENT, DEPENDENT, allow_free_symbols=True)
     assert parser.parse_polynomial(text) == poly, text
+
+
+def _total_derivative_by_partials(poly, direction):
+    """D_i as one partial derivative per jet variable, summed: the formula
+    that the one-pass DiffPoly.total_derivative must agree with."""
+    return DiffPoly.sum_of([poly.partial(xvar(direction))] + [
+        DiffPoly.variable(jet(v[1], v[2] + (direction,))) * poly.partial(v)
+        for v in poly.jet_variables()
+    ])
+
+
+@settings(deadline=None)
+@given(diff_polys(), st.integers(0, len(INDEPENDENT) - 1))
+def test_total_derivative_agrees_with_the_partials(poly, direction):
+    assert poly.total_derivative(direction) == _total_derivative_by_partials(poly, direction)
+
+
+def _prolongation_systems():
+    names = sorted(p.name for p in data_path(".").iterdir() if p.suffix == ".pde")
+    assert len(names) == 7
+    yield from ((name, corpus(name)) for name in names)
+    yield "mhd", mhd_system()
+    yield "mhd boundary", mhd_system(boundary=True)
+    yield "metric flow", metric_flow_system()
+
+
+def test_first_prolongation_agrees_with_the_partials():
+    for name, s in _prolongation_systems():
+        expected = dict.fromkeys(s.equations)
+        for eq in s.equations:
+            for i in range(s.n):
+                d = _total_derivative_by_partials(eq, i)
+                if not d.is_zero():
+                    expected.setdefault(d)
+        assert prolong_system(s, 1).equations == list(expected), name
 
 
 def test_parser_errors():
