@@ -10,6 +10,9 @@ Smith form gives the invariant factors of a cokernel
 (`group_from_relations`), those of a list of cyclic orders (the Smith form
 of their diagonal matrix, `FgAbelianGroup.from_cyclic_orders`), and the
 unimodular U and V that `crystal.is_symmorphic` reads.
+
+One fraction-free elimination (`bareiss`) gives determinants here and
+solves the jet layer's sample-point stages.
 """
 
 from __future__ import annotations
@@ -119,30 +122,11 @@ class IntegerMatrix:
         return tuple(sum(a * v for a, v in zip(row, vector)) for row in self.entries)
 
     def determinant(self):
-        """Exact determinant via fraction-free (Bareiss) elimination."""
+        """Exact determinant, sign * d from `bareiss`."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        solved = bareiss([list(row) for row in self.entries], self.rows)
+        return 0 if solved is None else solved[0] * solved[1]
 
     def is_invertible_over_z(self):
         return self.rows == self.cols and self.determinant() in (1, -1)
@@ -157,6 +141,37 @@ class IntegerMatrix:
         rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
         _echelon(rows, n)
         return IntegerMatrix([row[n:] for row in rows])
+
+
+def bareiss(rows, k):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the first k
+    columns of k rows, in place; the columns after k ride along.  Every
+    entry stays an integer minor of the input, up to sign, so each division
+    by the previous pivot is exact and an entry is zero exactly where
+    elimination over Q has a zero.  None when the k x k block is singular;
+    otherwise (sign, d): d is the last pivot, the block ends as d times the
+    identity and the columns after k as d times the solution, and sign * d,
+    with the sign flipped at each row swap, is the determinant."""
+    sign, d = 1, 1
+    for col in range(k):
+        if not rows[col][col]:
+            piv = next((r for r in range(col + 1, k) if rows[r][col]), None)
+            if piv is None:
+                return None
+            rows[col], rows[piv] = rows[piv], rows[col]
+            sign = -sign
+        top = rows[col]
+        p = top[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                f = row[col]
+                for j in range(col + 1, len(row)):
+                    row[j] = (p * row[j] - f * top[j]) // d
+                row[col] = 0
+        d = p
+    for i in range(k):
+        rows[i][i] = d
+    return sign, d
 
 
 # ---------------------------------------------------------------------------

@@ -417,23 +417,31 @@ CYCLIC_ORDER_BOUND = 24
 
 
 def _parse_group_argument(name: str):
+    """A point group, plane:<name> for a plane point group (nine of the ten
+    plane names are also 3-dimensional symbols), or cyclic:N."""
     try:
         return point_group(name)
     except KeyError:
         pass
-    table = point_groups_2d()
-    if name in table:
-        return table[name]
+    plane = point_groups_2d()
+    kind, _, rest = name.partition(":")
+    if kind == "plane":
+        if rest not in plane:
+            raise KeyError(f"unknown plane point group {name!r} (plane:<name> with"
+                           f" <name> one of {', '.join(plane)})")
+        return plane[rest]
+    if name in plane:
+        raise KeyError(f"{name!r} names no 3-dimensional point group;"
+                       f" the plane point group is plane:{name}")
     if name.lower().startswith("cyclic"):
-        order = name.partition(":")[2]
-        m = int(order) if order.lstrip("-").isdigit() else 0
+        m = int(rest) if rest.lstrip("-").isdigit() else 0
         if not 1 <= m <= CYCLIC_ORDER_BOUND:
             raise ValueError(
                 f"{name!r}: cyclic:N needs 1 <= N <= {CYCLIC_ORDER_BOUND}"
             )
         shift = [[1 if i == (j + 1) % m else 0 for j in range(m)] for i in range(m)]
         return close_group([IntegerMatrix(shift)])
-    raise KeyError(f"unknown group {name!r} (use a point-group name or cyclic:N)")
+    raise KeyError(f"unknown group {name!r} (use a point-group name, plane:<name> or cyclic:N)")
 
 
 def _read_bindings(path: str, g) -> dict:
@@ -645,7 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", parents=[common])
     p.add_argument("--group", required=True,
-                   help=f"point-group name or cyclic:N with 1 <= N <= {CYCLIC_ORDER_BOUND}")
+                   help="point-group name, plane:<name> for a plane point group"
+                        f" (e.g. plane:4mm), or cyclic:N with 1 <= N <= {CYCLIC_ORDER_BOUND}")
     p.add_argument("--module", default="Z", help='e.g. "Z", "Z^2", "Z/2 x Z/2"')
     p.add_argument("--action", default="trivial",
                    help="trivial | sign | natural | a file of lines '[[gen]] -> [[matrix]]'")

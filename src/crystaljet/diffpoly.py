@@ -196,16 +196,14 @@ class DiffPoly:
 
     def substitute(self, assignment) -> "DiffPoly":
         """Replace variables by DiffPoly values (vars not listed are kept)."""
-        result = DiffPoly.zero()
+        terms = []
         for mono, c in self.terms.items():
             term = DiffPoly.constant(c)
             for v, e in mono:
-                if v in assignment:
-                    term = term * (_coerce(assignment[v]) ** e)
-                else:
-                    term = term * (DiffPoly.variable(v) ** e)
-            result = result + term
-        return result
+                value = _coerce(assignment[v]) if v in assignment else DiffPoly.variable(v)
+                term = term * value ** e
+            terms.append(term)
+        return DiffPoly.sum_of(terms)
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a point mapping every occurring variable to a
@@ -385,14 +383,14 @@ class DiffOperator:
 
     def apply(self, poly: DiffPoly) -> DiffPoly:
         """Apply to a jet-free polynomial (formal function of x)."""
-        result = DiffPoly.zero()
+        terms = []
         for mu, a in self.coeffs.items():
             d = poly
             for i, e in enumerate(mu):
                 for _ in range(e):
                     d = d.partial(xvar(i))
-            result = result + a * d
-        return result
+            terms.append(a * d)
+        return DiffPoly.sum_of(terms)
 
     def __repr__(self):
         if not self.coeffs:

@@ -7,14 +7,14 @@ locus by the solve stages and rejected where an exclusion vanishes.  The
 points are exact, and so is every decision about them, in integers only:
 each polynomial a check reads is compiled once per call and evaluated as
 an integer multiple of its rational value, and each stage is solved by
-fraction-free (Bareiss) elimination, which gives the same rationals as
-elimination over Q.
+fraction-free elimination (`abelian.bareiss`), which gives the same
+rationals as elimination over Q.
 
 Generic ranks come from one kernel.  Each sample point is reduced modulo
-the prime p = 2^61 - 1.  Every equation is compiled once into (coefficient
-mod p, monomial) pairs, one gradient pass per point gives all its partial
-derivatives, and every Jacobian is a set of columns of that gradient,
-ranked by elimination mod p.
+the prime p = 2^61 - 1.  One compiled form of a polynomial (_ScaledPoly)
+serves the exact checks and, read mod p, the gradients: one gradient pass
+per point gives all its partial derivatives, and every Jacobian is a set
+of columns of that gradient, ranked by elimination mod p.
 
 What this certifies: the rank mod p of a Jacobian at a point never exceeds
 its rank over Q there, which never exceeds the generic rank, so a nonzero
@@ -35,7 +35,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
+from operator import itemgetter
 
+from .abelian import bareiss
 from .data import load_document
 from .diffpoly import DiffPoly, jet, par, poly_div_exact, xvar
 
@@ -344,15 +346,15 @@ def prolong_system(s: PdeSystem, r: int) -> PdeSystem:
         raise ValueError("prolongation order must be >= 0")
     if r == 0:
         return s
-    seen = dict.fromkeys(s.equations, True)
+    seen = {eq: eq for eq in s.equations}
     level = list(s.equations)
     for _ in range(r):
         nxt = []
         for eq in level:
             for i in range(s.n):
                 d = eq.total_derivative(i)
-                if d not in seen and not d.is_zero():
-                    seen[d] = True
+                # one hash of d: setdefault returns d only if it is new
+                if not d.is_zero() and seen.setdefault(d, d) is d:
                     nxt.append(d)
         level = nxt
     return PdeSystem(
@@ -393,9 +395,12 @@ def _resolve_token(parser: EquationParser, token: str):
 
 
 class _ScaledPoly:
-    """A polynomial compiled for exact evaluation in integers.
+    """A polynomial compiled once for exact evaluation in integers and for
+    its gradient mod p.
 
-    The coefficients are scaled to integers by a positive factor.  A term
+    The coefficients are scaled by a positive factor to coprime integers,
+    which changes no zero test, stage solution or rank, and keeps a
+    coefficient such as p or 1/p from emptying a polynomial mod p.  A term
     adds to a slot: its pivot column when ``columns`` maps the term's pivot
     variable to one, and the constant slot len(columns) otherwise.  The
     terms are kept in groups by slot and by the degree d of what remains of
@@ -409,14 +414,16 @@ class _ScaledPoly:
 
     def __init__(self, poly: DiffPoly, columns=None):
         columns = columns or {}
+        width = len(columns)
         scale = lcm(*(c.denominator for c in poly.terms.values()))
+        content = gcd(*(c.numerator for c in poly.terms.values())) or 1
         groups = {}
         for mono, c in poly.terms.items():
-            slot = next((columns[v] for v, _ in mono if v in columns), len(columns))
-            if slot < len(columns):
+            slot = next((columns[v] for v, _ in mono if v in columns), width) if columns else 0
+            if slot < width:
                 mono = tuple((v, e) for v, e in mono if v not in columns)
-            coeffs, monos = groups.setdefault((slot, sum(e for _, e in mono)), ([], []))
-            coeffs.append(c.numerator * (scale // c.denominator))
+            coeffs, monos = groups.setdefault((slot, sum(map(itemgetter(1), mono))), ([], []))
+            coeffs.append(c.numerator // content * (scale // c.denominator))
             monos.append(mono)
         self.groups = [(slot, d, tuple(coeffs), tuple(monos))
                        for (slot, d), (coeffs, monos) in groups.items()]
@@ -557,51 +564,19 @@ def _solve_stage(pivots, rows, point):
     stage is singular there.
 
     Each row is its equation times a positive integer, so the integer
-    system has the rational one's unique solution.  It is solved by
-    fraction-free Gauss-Jordan elimination (Bareiss 1968): every entry
-    stays a minor of the system, so each division by the previous pivot is
-    exact; an entry is a nonzero multiple of the one that elimination over
-    Q would hold, so the pivot search, and "singular", are the same; and
-    at the end every diagonal entry is the last pivot, which divides the
-    constant column into the solution."""
+    system has the rational one's unique solution.  `abelian.bareiss` is
+    singular exactly where elimination over Q is, and leaves the solution
+    as minus the constant column over the diagonal."""
     k = len(pivots)
     aug = [row.values(point, k + 1) for row in rows]
-    prev = 1
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        top = aug[col]
-        p = top[col]
-        for r, row in enumerate(aug):
-            if r != col:
-                f = row[col]
-                for j in range(col + 1, k + 1):
-                    row[j] = (p * row[j] - f * top[j]) // prev
-        prev = p
-    return {v: Fraction(-aug[i][k], prev) for i, v in enumerate(pivots)}
+    if bareiss(aug, k) is None:
+        return None
+    return {v: Fraction(-aug[i][k], aug[i][i]) for i, v in enumerate(pivots)}
 
 
 # ---------------------------------------------------------------------------
 # the kernel: gradients and ranks mod p
 # ---------------------------------------------------------------------------
-
-
-def _compile(polys):
-    """Each polynomial as a list of (coefficient mod p, monomial) pairs.
-
-    The coefficients are first scaled to coprime integers.  That scales a
-    Jacobian row by a nonzero rational, which changes no rank, and a
-    nonzero polynomial stays nonzero mod p."""
-    out = []
-    for poly in polys:
-        coeffs = poly.terms.values()
-        den = lcm(*(c.denominator for c in coeffs))
-        content = gcd(*(c.numerator for c in coeffs)) or 1
-        out.append([((c.numerator // content) * (den // c.denominator) % MODULUS, mono)
-                    for mono, c in poly.terms.items()])
-    return out
 
 
 def _reduce_point(point):
@@ -612,26 +587,27 @@ def _reduce_point(point):
 
 
 def _gradients(compiled, point):
-    """The gradient mod p of every compiled polynomial at a reduced point,
-    as a dict from each variable of the polynomial to its partial
-    derivative there.  The product of the other factors of a monomial is
-    its prefix product times its suffix product, so a term costs time
-    linear in its number of variables."""
+    """The gradient mod p of every compiled polynomial (a _ScaledPoly
+    without pivot columns) at a reduced point, as a dict from each variable
+    of the polynomial to its partial derivative there.  The product of the
+    other factors of a monomial is its prefix product times its suffix
+    product, so a term costs time linear in its number of variables."""
     out = []
-    for terms in compiled:
+    for poly in compiled:
         grad = {}
-        for c, mono in terms:
-            factors = [point[v] if e == 1 else pow(point[v], e, MODULUS) for v, e in mono]
-            suffix = [1] * (len(factors) + 1)
-            for j in range(len(factors) - 1, 0, -1):
-                suffix[j] = suffix[j + 1] * factors[j] % MODULUS
-            prefix = c
-            for i, (v, e) in enumerate(mono):
-                d = prefix * suffix[i + 1]
-                if e > 1:
-                    d = d % MODULUS * e * pow(point[v], e - 1, MODULUS)
-                grad[v] = grad.get(v, 0) + d
-                prefix = prefix * factors[i] % MODULUS
+        for _, _, coeffs, monos in poly.groups:
+            for c, mono in zip(coeffs, monos):
+                factors = [point[v] if e == 1 else pow(point[v], e, MODULUS) for v, e in mono]
+                suffix = [1] * (len(factors) + 1)
+                for j in range(len(factors) - 1, 0, -1):
+                    suffix[j] = suffix[j + 1] * factors[j] % MODULUS
+                prefix = c % MODULUS
+                for i, (v, e) in enumerate(mono):
+                    d = prefix * suffix[i + 1]
+                    if e > 1:
+                        d = d % MODULUS * e * pow(point[v], e - 1, MODULUS)
+                    grad[v] = grad.get(v, 0) + d
+                    prefix = prefix * factors[i] % MODULUS
         out.append({v: d % MODULUS for v, d in grad.items()})
     return out
 
@@ -639,7 +615,7 @@ def _gradients(compiled, point):
 def _jacobians(polys, columns, points):
     """The Jacobian of the polynomials over the column variables at each
     sample point, mod p: one gradient pass per point."""
-    compiled = _compile(polys)
+    compiled = [_ScaledPoly(p) for p in polys]
     return [[[grad.get(v, 0) for v in columns]
              for grad in _gradients(compiled, _reduce_point(pt))]
             for pt in points]
@@ -882,7 +858,7 @@ def cartan_distribution_dimension(s: PdeSystem, seed=DEFAULT_SEED) -> int:
     lifted = {(v, alpha): jet(v[1], v[2] + (alpha,))
               for jets_low in low for v in jets_low for alpha in range(s.n)}
     points = sample_points(s, s.equations, seed=seed, extra_vars=set(lifted.values()))
-    compiled = _compile(s.equations)
+    compiled = [_ScaledPoly(e) for e in s.equations]
     ranks = []
     for pt in points:
         red = _reduce_point(pt)

@@ -1,9 +1,11 @@
 import random
+from copy import deepcopy
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crystaljet.abelian import (
@@ -11,6 +13,7 @@ from crystaljet.abelian import (
     InfiniteGroup,
     IntegerMatrix,
     NotZ2VectorSpace,
+    bareiss,
     direct_sum,
     group_from_relations,
     hom_group,
@@ -378,3 +381,88 @@ def test_inverse_unimodular(case):
             a[i] = [x + q * y for x, y in zip(a[i], a[j])]
     a = IntegerMatrix(a)
     assert a.inverse_unimodular() * a == IntegerMatrix.identity(n)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination against cofactors and Fraction elimination
+# ---------------------------------------------------------------------------
+
+
+def _shaped(case):
+    """Make a drawn system need a row swap (a zero first pivot) or be
+    singular (its last row a multiple of its first), or leave it."""
+    rows, kind, q = case
+    rows = [list(row) for row in rows]
+    if rows and kind == "swap":
+        rows[0][0] = 0
+    elif len(rows) > 1 and kind == "singular":
+        rows[-1] = [q * x for x in rows[0]]
+    return rows
+
+
+def systems(extra):
+    """k x (k + extra) integer matrices, k <= 5, entries in [-9, 9]."""
+    return st.integers(0, 5).flatmap(lambda k: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=k + extra, max_size=k + extra),
+                 min_size=k, max_size=k),
+        st.sampled_from(("as drawn", "swap", "singular")),
+        st.integers(-2, 2),
+    )).map(_shaped)
+
+
+def cofactor_determinant(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * cofactor_determinant([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+def fraction_solve(rows):
+    """Fraction Gauss-Jordan elimination of a k x (k + 1) system: the last
+    column of the reduced rows, or None when a column has no pivot."""
+    k = len(rows)
+    aug = [[Fraction(x) for x in row] for row in rows]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if aug[r][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(k):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[k] for row in aug]
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(0))
+@example([[0, 1], [1, 0]])  # a row swap flips the sign
+@example([[0, 2, 1], [0, 1, 3], [4, 1, 1]])  # two swaps
+@example([[1, 2], [2, 4]])  # singular
+@example([[0, 0], [1, 0]])  # a zero column
+def test_determinant_is_the_cofactor_expansion(m):
+    assert IntegerMatrix(m, len(m)).determinant() == cofactor_determinant(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(1))
+@example([[0, 1, 5], [2, 0, 3]])  # needs a swap
+@example([[1, 2, 1], [2, 4, 1]])  # singular, and inconsistent
+def test_bareiss_solves_as_fraction_elimination_does(rows):
+    k = len(rows)
+    want = fraction_solve(rows)
+    block = [row[:k] for row in rows]
+    reduced = deepcopy(rows)
+    solved = bareiss(reduced, k)
+    if want is None:
+        assert solved is None
+        assert cofactor_determinant(block) == 0
+    else:
+        sign, d = solved
+        assert sign * d == cofactor_determinant(block)
+        # the block is d times the identity; the last column d times the solution
+        assert [row[:k] for row in reduced] == [[d * (i == j) for j in range(k)]
+                                                for i in range(k)]
+        assert [Fraction(row[k], d) for row in reduced] == want

@@ -271,6 +271,29 @@ def test_cohomology_sign_and_natural_actions_match_the_library(capsys, group, mo
     assert (code, out) == (0, want + "\n")
 
 
+@pytest.mark.parametrize("group, module, answer", [
+    ("plane:4mm", "Z^2", "Z/2"),  # the p4m class of the H^2 sweep
+    ("plane:2mm", "Z^2", "Z/2 x Z/2"),  # pmm
+    ("4mm", "Z^3", "Z/2 x Z/2 x Z/2"),  # a bare name is the point group C_4v
+])
+def test_plane_point_groups_take_the_plane_prefix(capsys, group, module, answer):
+    code, out, _ = run_capture(
+        capsys,
+        ["cohomology", "--group", group, "--action", "natural", "--degree", "2",
+         "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out) == {"group": group, "module": module, "action": "natural",
+                               "degree": 2, "cohomology": answer}
+
+
+@pytest.mark.parametrize("group, hint", [("2mm", "plane:2mm"), ("plane:mm2", "2mm")])
+def test_bad_plane_point_group_names_the_plane_names(capsys, group, hint):
+    code, out, err = run_capture(capsys, ["cohomology", "--group", group, "--degree", "1"])
+    assert code == 1 and not out
+    assert err.startswith("error: KeyError: ") and hint in err
+
+
 BINDING = "[[-1,0,0],[0,-1,0],[0,0,1]] -> [[-1]]"
 
 
