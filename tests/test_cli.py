@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -458,3 +459,150 @@ def test_errata_file_covers_all_current_findings():
     for m in report.mismatches:
         key = (m["dataset"], m["location"], m["class"])
         assert key in known, key
+
+
+# sha256 of the stdout and the exit code of every `tables` command that
+# prints a subgroup lattice: a change to the enumeration must leave each of
+# these bytes as they are
+TABLES_OUTPUT_SHA256 = {
+    "validate --format text": (2, "9549f5eaba99425d652feac3382b178b1980025af023a1fe585115a920ebe1a6"),
+    "validate --format text --expect-known-errata": (0, "9549f5eaba99425d652feac3382b178b1980025af023a1fe585115a920ebe1a6"),
+    "pointgroup O_h --format text": (0, "bcc5867f66f3f13241b9f925fca7b63b08f8d073b3eb5fcfcf398200d77ba245"),
+    "pointgroup C_1 --verify --format text": (0, "a780c10f4bdc1a58e5bf15d864ba4a8c4a5fd98dbeadb47af353f3e219daca08"),
+    "pointgroup C_1 --verify --format text --expect-known-errata": (0, "a780c10f4bdc1a58e5bf15d864ba4a8c4a5fd98dbeadb47af353f3e219daca08"),
+    "pointgroup C_i --verify --format text": (0, "d64854e8d4e76af9c19754066adc78f7eb257da849d0c59407ab15b76f305659"),
+    "pointgroup C_i --verify --format text --expect-known-errata": (0, "d64854e8d4e76af9c19754066adc78f7eb257da849d0c59407ab15b76f305659"),
+    "pointgroup C_2 --verify --format text": (0, "f7bf1b9f469b2023c4233a42cf443763999d82f215ad02469739f8a56d0f396d"),
+    "pointgroup C_2 --verify --format text --expect-known-errata": (0, "f7bf1b9f469b2023c4233a42cf443763999d82f215ad02469739f8a56d0f396d"),
+    "pointgroup C_s --verify --format text": (0, "4960c1e48bfb3e8cd796302caaf5152931ac0467ab3facfb02443f5f129cc17c"),
+    "pointgroup C_s --verify --format text --expect-known-errata": (0, "4960c1e48bfb3e8cd796302caaf5152931ac0467ab3facfb02443f5f129cc17c"),
+    "pointgroup C_2h --verify --format text": (0, "5225268a1ff26aa6fce2d6e396c7cf892796697675133f9efb13d24871fe8b6f"),
+    "pointgroup C_2h --verify --format text --expect-known-errata": (0, "5225268a1ff26aa6fce2d6e396c7cf892796697675133f9efb13d24871fe8b6f"),
+    "pointgroup D_2 --verify --format text": (0, "3ba6d3cf21a7158eaa2d14370bec3ba0341a83b01f72f38a50d46c26425b9f3e"),
+    "pointgroup D_2 --verify --format text --expect-known-errata": (0, "3ba6d3cf21a7158eaa2d14370bec3ba0341a83b01f72f38a50d46c26425b9f3e"),
+    "pointgroup C_2v --verify --format text": (0, "9fafdc326907c3dd67a5c1a042d91199c601894ceccafd6bfdf8516103cd1326"),
+    "pointgroup C_2v --verify --format text --expect-known-errata": (0, "9fafdc326907c3dd67a5c1a042d91199c601894ceccafd6bfdf8516103cd1326"),
+    "pointgroup D_2h --verify --format text": (0, "dee84f39148220766ce2731b91c26b69b37b3d0e8e98b14449cecb0b8cf8470f"),
+    "pointgroup D_2h --verify --format text --expect-known-errata": (0, "dee84f39148220766ce2731b91c26b69b37b3d0e8e98b14449cecb0b8cf8470f"),
+    "pointgroup C_4 --verify --format text": (0, "213fd2d6ba52ac4872918388d52955a1ef47aa1669554448ce6dd14d723a95e9"),
+    "pointgroup C_4 --verify --format text --expect-known-errata": (0, "213fd2d6ba52ac4872918388d52955a1ef47aa1669554448ce6dd14d723a95e9"),
+    "pointgroup S_4 --verify --format text": (0, "6b690de7af0d3112507f9be3b27f5737c5d4e349471450fa6dd9a555ee5aceab"),
+    "pointgroup S_4 --verify --format text --expect-known-errata": (0, "6b690de7af0d3112507f9be3b27f5737c5d4e349471450fa6dd9a555ee5aceab"),
+    "pointgroup C_4h --verify --format text": (0, "66f13dfd0958761cf0ca2274dc3a14fb1d51aec9e84bc0efbc617101076628d2"),
+    "pointgroup C_4h --verify --format text --expect-known-errata": (0, "66f13dfd0958761cf0ca2274dc3a14fb1d51aec9e84bc0efbc617101076628d2"),
+    "pointgroup D_4 --verify --format text": (0, "2baddde37de7f6add7434cf12849d2ac229be6ea84a88e9fa0731a3f46322f99"),
+    "pointgroup D_4 --verify --format text --expect-known-errata": (0, "2baddde37de7f6add7434cf12849d2ac229be6ea84a88e9fa0731a3f46322f99"),
+    "pointgroup C_4v --verify --format text": (0, "cbff12ece0bac97114881d8383413ef008da2943ccaba959679792d43e7f495f"),
+    "pointgroup C_4v --verify --format text --expect-known-errata": (0, "cbff12ece0bac97114881d8383413ef008da2943ccaba959679792d43e7f495f"),
+    "pointgroup D_2d --verify --format text": (0, "136711d09bb2d86d2d6ec9689635058130cd6e041df39aa64bc73b7d8fafd282"),
+    "pointgroup D_2d --verify --format text --expect-known-errata": (0, "136711d09bb2d86d2d6ec9689635058130cd6e041df39aa64bc73b7d8fafd282"),
+    "pointgroup D_4h --verify --format text": (2, "51faa31d6ebc5a2034c9f1fcd6c30cacb7c27fad92c1279b61b11585d7c03f1f"),
+    "pointgroup D_4h --verify --format text --expect-known-errata": (0, "51faa31d6ebc5a2034c9f1fcd6c30cacb7c27fad92c1279b61b11585d7c03f1f"),
+    "pointgroup C_3 --verify --format text": (2, "5f38a22ae6efb0dba956cff93b77756d51b556827cdcd551b87e6729b1ca7d0e"),
+    "pointgroup C_3 --verify --format text --expect-known-errata": (0, "5f38a22ae6efb0dba956cff93b77756d51b556827cdcd551b87e6729b1ca7d0e"),
+    "pointgroup S_6 --verify --format text": (0, "d6cfeb0e83dad6d7a28cc76953699658cbcc630a9150e20880a20e7c8a0a8fce"),
+    "pointgroup S_6 --verify --format text --expect-known-errata": (0, "d6cfeb0e83dad6d7a28cc76953699658cbcc630a9150e20880a20e7c8a0a8fce"),
+    "pointgroup D_3 --verify --format text": (0, "bef87682ea49f1979d645f5f59100c195010aad68c5b423d0944d2ee72e73364"),
+    "pointgroup D_3 --verify --format text --expect-known-errata": (0, "bef87682ea49f1979d645f5f59100c195010aad68c5b423d0944d2ee72e73364"),
+    "pointgroup C_3v --verify --format text": (2, "56848caf1b93bca33e0a24bdea87db9177acb32f5be4e726733cf8f68ab376bb"),
+    "pointgroup C_3v --verify --format text --expect-known-errata": (0, "56848caf1b93bca33e0a24bdea87db9177acb32f5be4e726733cf8f68ab376bb"),
+    "pointgroup D_3d --verify --format text": (2, "987f4b05f0a71cbe8afe5db93b1eaba48a3a83b22b516dff366b59d971fe1d36"),
+    "pointgroup D_3d --verify --format text --expect-known-errata": (0, "987f4b05f0a71cbe8afe5db93b1eaba48a3a83b22b516dff366b59d971fe1d36"),
+    "pointgroup C_6 --verify --format text": (0, "ec392654146acf104e5b00021b7b711b7bffa76daedc5b3f80fb4ddbe05e4829"),
+    "pointgroup C_6 --verify --format text --expect-known-errata": (0, "ec392654146acf104e5b00021b7b711b7bffa76daedc5b3f80fb4ddbe05e4829"),
+    "pointgroup C_3h --verify --format text": (0, "87df8ea8e583c0e3ac57cf735bbcbe78482f6d4ab12d8feedeb6ade86f1ae0ad"),
+    "pointgroup C_3h --verify --format text --expect-known-errata": (0, "87df8ea8e583c0e3ac57cf735bbcbe78482f6d4ab12d8feedeb6ade86f1ae0ad"),
+    "pointgroup C_6h --verify --format text": (2, "461ff74764850781f993536c1847c6e732dacf3bb9a2b1ed8ed82989d243e685"),
+    "pointgroup C_6h --verify --format text --expect-known-errata": (0, "461ff74764850781f993536c1847c6e732dacf3bb9a2b1ed8ed82989d243e685"),
+    "pointgroup D_6 --verify --format text": (2, "cf8c97bac6dc12f18fffba51a76c3fa85016f6b269936bb5168753d1bd0f7766"),
+    "pointgroup D_6 --verify --format text --expect-known-errata": (0, "cf8c97bac6dc12f18fffba51a76c3fa85016f6b269936bb5168753d1bd0f7766"),
+    "pointgroup C_6v --verify --format text": (2, "b5383aa2ed050f9205d14fa65118256f0dbfb50106ff2c42ac654924b9a42458"),
+    "pointgroup C_6v --verify --format text --expect-known-errata": (0, "b5383aa2ed050f9205d14fa65118256f0dbfb50106ff2c42ac654924b9a42458"),
+    "pointgroup D_3h --verify --format text": (2, "4b9cf7acb78f0344f0121fb9a06afe6e2ec5a1cd94c7e9b14a279d10a7ebba09"),
+    "pointgroup D_3h --verify --format text --expect-known-errata": (0, "4b9cf7acb78f0344f0121fb9a06afe6e2ec5a1cd94c7e9b14a279d10a7ebba09"),
+    "pointgroup D_6h --verify --format text": (2, "04c1bc4ddbb5477d64bab16c9f5e6f12be74280fcb3088edc9f66cba7f196477"),
+    "pointgroup D_6h --verify --format text --expect-known-errata": (0, "04c1bc4ddbb5477d64bab16c9f5e6f12be74280fcb3088edc9f66cba7f196477"),
+    "pointgroup T --verify --format text": (0, "32eef9f39418dc0c410f0f9ca6d2497371aeecbe89464357098f038eed72b1a8"),
+    "pointgroup T --verify --format text --expect-known-errata": (0, "32eef9f39418dc0c410f0f9ca6d2497371aeecbe89464357098f038eed72b1a8"),
+    "pointgroup T_h --verify --format text": (0, "a27c0496ee8b3584d4708e708f5df427606e6c47d66dfa656637c6ed11da20b1"),
+    "pointgroup T_h --verify --format text --expect-known-errata": (0, "a27c0496ee8b3584d4708e708f5df427606e6c47d66dfa656637c6ed11da20b1"),
+    "pointgroup O --verify --format text": (0, "5ed7402588cffe8ca7ecd320aae5e49ac6706cc98119389c8eb60b03ecc7b164"),
+    "pointgroup O --verify --format text --expect-known-errata": (0, "5ed7402588cffe8ca7ecd320aae5e49ac6706cc98119389c8eb60b03ecc7b164"),
+    "pointgroup T_d --verify --format text": (0, "464d864db3fa6f324e1e8887b0a870d1c3da0f8337c271bd283587f58c7efd5e"),
+    "pointgroup T_d --verify --format text --expect-known-errata": (0, "464d864db3fa6f324e1e8887b0a870d1c3da0f8337c271bd283587f58c7efd5e"),
+    "pointgroup O_h --verify --format text": (2, "a2ae09f310de646dfd730f2ab36fcc9384b268aea660c68d4d6af1885206e448"),
+    "pointgroup O_h --verify --format text --expect-known-errata": (0, "a2ae09f310de646dfd730f2ab36fcc9384b268aea660c68d4d6af1885206e448"),
+    "validate --format json": (2, "1bca9d2596506f01cce18ab0f4adad500fe00129339f3fc9c89f867382b9c256"),
+    "validate --format json --expect-known-errata": (0, "1bca9d2596506f01cce18ab0f4adad500fe00129339f3fc9c89f867382b9c256"),
+    "pointgroup O_h --format json": (0, "8b98f58cb5d5479ac72bdad9d527f239c7d57fd023363687078a2159a1e71f98"),
+    "pointgroup C_1 --verify --format json": (0, "24ff7f1c4fd94cb367c1890bd56be8e81dd445efe145c3a35b6368e6a8a4b61e"),
+    "pointgroup C_1 --verify --format json --expect-known-errata": (0, "24ff7f1c4fd94cb367c1890bd56be8e81dd445efe145c3a35b6368e6a8a4b61e"),
+    "pointgroup C_i --verify --format json": (0, "6988f6a1304650da2345763df05e851450d23787dbb289bcc3ae800a54dba3e7"),
+    "pointgroup C_i --verify --format json --expect-known-errata": (0, "6988f6a1304650da2345763df05e851450d23787dbb289bcc3ae800a54dba3e7"),
+    "pointgroup C_2 --verify --format json": (0, "b8529a91cc2e7ee8ff97d201726424571a099677c15c54f8158f117311865c2c"),
+    "pointgroup C_2 --verify --format json --expect-known-errata": (0, "b8529a91cc2e7ee8ff97d201726424571a099677c15c54f8158f117311865c2c"),
+    "pointgroup C_s --verify --format json": (0, "59fe68d043065dbfb018d27de4cd06baf7fb77ad6175bd25417c8d247386fa4a"),
+    "pointgroup C_s --verify --format json --expect-known-errata": (0, "59fe68d043065dbfb018d27de4cd06baf7fb77ad6175bd25417c8d247386fa4a"),
+    "pointgroup C_2h --verify --format json": (0, "b06ec7a7624c89ae3d4e841a5ce687936b28dcbc1ca8f0e292e720b059974ce2"),
+    "pointgroup C_2h --verify --format json --expect-known-errata": (0, "b06ec7a7624c89ae3d4e841a5ce687936b28dcbc1ca8f0e292e720b059974ce2"),
+    "pointgroup D_2 --verify --format json": (0, "d5c77eb03032691a4279c35bec0dd24564d594065ca102392fbae8ccfc727e53"),
+    "pointgroup D_2 --verify --format json --expect-known-errata": (0, "d5c77eb03032691a4279c35bec0dd24564d594065ca102392fbae8ccfc727e53"),
+    "pointgroup C_2v --verify --format json": (0, "513c9aacb8959834107e359fb1eb715866916e623cfa84aee81311b149a0c504"),
+    "pointgroup C_2v --verify --format json --expect-known-errata": (0, "513c9aacb8959834107e359fb1eb715866916e623cfa84aee81311b149a0c504"),
+    "pointgroup D_2h --verify --format json": (0, "7ee76c296a726f967066c69ec1d218b5a5d8f3c55494d1de4bf1f205db9344b8"),
+    "pointgroup D_2h --verify --format json --expect-known-errata": (0, "7ee76c296a726f967066c69ec1d218b5a5d8f3c55494d1de4bf1f205db9344b8"),
+    "pointgroup C_4 --verify --format json": (0, "b9fef53a2535b2427e72f4dcae0738c285625a91cfa16325beeed1f2142d5633"),
+    "pointgroup C_4 --verify --format json --expect-known-errata": (0, "b9fef53a2535b2427e72f4dcae0738c285625a91cfa16325beeed1f2142d5633"),
+    "pointgroup S_4 --verify --format json": (0, "2acc6b68a57ac31918b9f38b200038500e5c9f63e36dd3fc49de90ab4fc780e4"),
+    "pointgroup S_4 --verify --format json --expect-known-errata": (0, "2acc6b68a57ac31918b9f38b200038500e5c9f63e36dd3fc49de90ab4fc780e4"),
+    "pointgroup C_4h --verify --format json": (0, "b401925e12010bf36d1e175b5c5fc0088337c310c2996c7332a0910eb1088a25"),
+    "pointgroup C_4h --verify --format json --expect-known-errata": (0, "b401925e12010bf36d1e175b5c5fc0088337c310c2996c7332a0910eb1088a25"),
+    "pointgroup D_4 --verify --format json": (0, "3277bbad393a9a32a34aaacbec1553b41fc8f5d70e5d0829e200f6a734cae13c"),
+    "pointgroup D_4 --verify --format json --expect-known-errata": (0, "3277bbad393a9a32a34aaacbec1553b41fc8f5d70e5d0829e200f6a734cae13c"),
+    "pointgroup C_4v --verify --format json": (0, "b8d0b25d918cba1c25a8a728218e2a576a2b3e02a62b7132395e8931937c8bcb"),
+    "pointgroup C_4v --verify --format json --expect-known-errata": (0, "b8d0b25d918cba1c25a8a728218e2a576a2b3e02a62b7132395e8931937c8bcb"),
+    "pointgroup D_2d --verify --format json": (0, "1fc33438bfd8688872f025d6fe5614f0f27cdb5ead17d0652588fce1eb56b168"),
+    "pointgroup D_2d --verify --format json --expect-known-errata": (0, "1fc33438bfd8688872f025d6fe5614f0f27cdb5ead17d0652588fce1eb56b168"),
+    "pointgroup D_4h --verify --format json": (2, "d664de9f8922efe2aa65cd17ff0a093b5ef29293a6c5ab0ed7ff9bb7166151d7"),
+    "pointgroup D_4h --verify --format json --expect-known-errata": (0, "d664de9f8922efe2aa65cd17ff0a093b5ef29293a6c5ab0ed7ff9bb7166151d7"),
+    "pointgroup C_3 --verify --format json": (2, "4eef7c63cc851b9dd743e606de91bfbc9181e0d339993065435c533c88e31850"),
+    "pointgroup C_3 --verify --format json --expect-known-errata": (0, "4eef7c63cc851b9dd743e606de91bfbc9181e0d339993065435c533c88e31850"),
+    "pointgroup S_6 --verify --format json": (0, "3420645198a5b76a58e3cec3055cc8f4dee4512dedd64d27827b2d24371fb953"),
+    "pointgroup S_6 --verify --format json --expect-known-errata": (0, "3420645198a5b76a58e3cec3055cc8f4dee4512dedd64d27827b2d24371fb953"),
+    "pointgroup D_3 --verify --format json": (0, "e272970c449aa56c17b85b5324e7dabaf232ac762b123b1a52005d76ec71055a"),
+    "pointgroup D_3 --verify --format json --expect-known-errata": (0, "e272970c449aa56c17b85b5324e7dabaf232ac762b123b1a52005d76ec71055a"),
+    "pointgroup C_3v --verify --format json": (2, "f48d50919d2624ad92c2a62bc888b908ea53ed45b7eaadadea69641a53468c8b"),
+    "pointgroup C_3v --verify --format json --expect-known-errata": (0, "f48d50919d2624ad92c2a62bc888b908ea53ed45b7eaadadea69641a53468c8b"),
+    "pointgroup D_3d --verify --format json": (2, "951f8d0bd165754e8988ed99693767cd798fb120643c252178003266a2cff770"),
+    "pointgroup D_3d --verify --format json --expect-known-errata": (0, "951f8d0bd165754e8988ed99693767cd798fb120643c252178003266a2cff770"),
+    "pointgroup C_6 --verify --format json": (0, "f3af2902e357536af81dcef087de4497837a163127d821eba449c1a417c6487b"),
+    "pointgroup C_6 --verify --format json --expect-known-errata": (0, "f3af2902e357536af81dcef087de4497837a163127d821eba449c1a417c6487b"),
+    "pointgroup C_3h --verify --format json": (0, "aef2bb26f913fa0993b20a9d565060e6f245990431a1365d837233c6efeb5203"),
+    "pointgroup C_3h --verify --format json --expect-known-errata": (0, "aef2bb26f913fa0993b20a9d565060e6f245990431a1365d837233c6efeb5203"),
+    "pointgroup C_6h --verify --format json": (2, "142e2b90e299c03b84956e666624956e57c917422fac194341f421ee72dc016f"),
+    "pointgroup C_6h --verify --format json --expect-known-errata": (0, "142e2b90e299c03b84956e666624956e57c917422fac194341f421ee72dc016f"),
+    "pointgroup D_6 --verify --format json": (2, "8aed1d99e74090e3f6e68720eb5c8fce1eb636c2b953018a366937bc13969ddc"),
+    "pointgroup D_6 --verify --format json --expect-known-errata": (0, "8aed1d99e74090e3f6e68720eb5c8fce1eb636c2b953018a366937bc13969ddc"),
+    "pointgroup C_6v --verify --format json": (2, "c06fe8a877d1d647616397de76cf97e36075581bacf77cb198a5baca2d3be62e"),
+    "pointgroup C_6v --verify --format json --expect-known-errata": (0, "c06fe8a877d1d647616397de76cf97e36075581bacf77cb198a5baca2d3be62e"),
+    "pointgroup D_3h --verify --format json": (2, "70e7cc14f8bdc172e0960632eccfa402b38b0600491fc04d31e699c7b7a3f5b9"),
+    "pointgroup D_3h --verify --format json --expect-known-errata": (0, "70e7cc14f8bdc172e0960632eccfa402b38b0600491fc04d31e699c7b7a3f5b9"),
+    "pointgroup D_6h --verify --format json": (2, "6d1594e4c7b529081eeb10113feca535dd45b1745a61daf71314be39aa15493b"),
+    "pointgroup D_6h --verify --format json --expect-known-errata": (0, "6d1594e4c7b529081eeb10113feca535dd45b1745a61daf71314be39aa15493b"),
+    "pointgroup T --verify --format json": (0, "74dd5c273ae70ab8de21e29e2cfe25fedaf495e3098d3932c4d16b086b7f3248"),
+    "pointgroup T --verify --format json --expect-known-errata": (0, "74dd5c273ae70ab8de21e29e2cfe25fedaf495e3098d3932c4d16b086b7f3248"),
+    "pointgroup T_h --verify --format json": (0, "b0eb955d155d7749311830fc0adeaef2414bd93c7bf13e12344ecc5c1c6dc729"),
+    "pointgroup T_h --verify --format json --expect-known-errata": (0, "b0eb955d155d7749311830fc0adeaef2414bd93c7bf13e12344ecc5c1c6dc729"),
+    "pointgroup O --verify --format json": (0, "ca13eaef57f598b8ee8ea0ce7de29885a490e0d921342b38f1e000ccd68c596a"),
+    "pointgroup O --verify --format json --expect-known-errata": (0, "ca13eaef57f598b8ee8ea0ce7de29885a490e0d921342b38f1e000ccd68c596a"),
+    "pointgroup T_d --verify --format json": (0, "684b76bdb00d1a8521cff2c21acd81a3b08c01a884d8322b0df1e2c6dea53107"),
+    "pointgroup T_d --verify --format json --expect-known-errata": (0, "684b76bdb00d1a8521cff2c21acd81a3b08c01a884d8322b0df1e2c6dea53107"),
+    "pointgroup O_h --verify --format json": (2, "a8000aaf1e1d712048258bbbbf725b04ab469d9e961ad50fcb052f4c5e5d24db"),
+    "pointgroup O_h --verify --format json --expect-known-errata": (0, "a8000aaf1e1d712048258bbbbf725b04ab469d9e961ad50fcb052f4c5e5d24db"),
+}
+
+
+@pytest.mark.parametrize("argv", list(TABLES_OUTPUT_SHA256))
+def test_tables_output_bytes_are_pinned(capsys, argv):
+    code, out, _ = run_capture(capsys, ["tables", *argv.split()])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == TABLES_OUTPUT_SHA256[argv]
