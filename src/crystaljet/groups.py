@@ -84,10 +84,27 @@ class FiniteMatrixGroup:
             ]
         return self._cayley
 
+    def reach(self, generators) -> list:
+        """The element indices reached from the identity by right
+        multiplication with the generator indices, breadth first: the
+        subgroup they generate, since in a finite group that is the monoid."""
+        cay, generators = self.cayley, list(generators)
+        reached = [self.identity_index]
+        seen = set(reached)
+        for a in reached:  # grows while it is read: a breadth-first queue
+            row = cay[a]
+            for s in generators:
+                b = row[s]
+                if b not in seen:
+                    seen.add(b)
+                    reached.append(b)
+        return reached
+
     def walk(self, generators):
         """Every edge (a, s, a*s) of the Cayley graph on the generator
-        indices, breadth first from the identity, so that a is reached
-        before any edge leaving it.
+        indices, read off ``reach``: for each reached a in breadth-first
+        order, one edge per generator, so a is reached before any edge
+        leaving it.
 
         This licenses induction on word length: a rule for f(a*s) in terms
         of f(a) and s that holds on every edge holds for every product of
@@ -96,16 +113,10 @@ class FiniteMatrixGroup:
         Eick & O'Brien, Handbook of Computational Group Theory, 2005, 4.1).
         """
         cay, generators = self.cayley, list(generators)
-        reached = [self.identity_index]
-        seen = set(reached)
-        for a in reached:  # grows while it is read: a breadth-first queue
+        for a in self.reach(generators):
             row = cay[a]
             for s in generators:
-                b = row[s]
-                yield a, s, b
-                if b not in seen:
-                    seen.add(b)
-                    reached.append(b)
+                yield a, s, row[s]
 
     def conjugated(self, p: IntegerMatrix) -> "FiniteMatrixGroup":
         """The group p G p^-1 for unimodular p (same abstract group)."""
@@ -161,35 +172,34 @@ class SubgroupRecord:
         return (self.iso_name, self.order, self.index)
 
 
-def _closure_indices(g: FiniteMatrixGroup, seed) -> frozenset:
-    # in a finite group the monoid a set generates is the subgroup
-    return frozenset([g.identity_index, *(b for _, _, b in g.walk(seed))])
-
-
 def enumerate_subgroups(g: FiniteMatrixGroup) -> list[SubgroupRecord]:
     """Every subgroup of g, one record per subgroup, descending order.
 
-    Seeded from cyclic subgroups and closed under pairwise joins; since
-    every subgroup is generated by its cyclic subgroups this finds them all.
-    Each subgroup is named from the (det, trace) pairs of its elements, read
-    off g's elements, and records with equal triples are ordered by their
-    sorted element indices.
+    Cyclic extension with carried generators (Neubüser 1960; Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005): every subgroup
+    is the join of its cyclic subgroups, so joining each subgroup h found,
+    from the cyclic subgroups on, with <x> for each x not in h finds them
+    all.  Each subgroup carries the generators that made it, so a join is
+    one ``reach`` from those few and x.  Each subgroup is named from the
+    (det, trace) pairs of its elements, read off g's elements, and records
+    with equal triples are ordered by their sorted element indices.
     """
     if g.order > DEFAULT_CLOSURE_BOUND:
         raise ClosureBoundExceeded("subgroup enumeration capped at order 10,000")
-    cyclics = set()
-    for i in range(g.order):
-        cyclics.add(_closure_indices(g, [i]))
-    found = set(cyclics)
+    cyclic = {}  # each cyclic subgroup -> the first index that generates it
+    for x in range(g.order):
+        cyclic.setdefault(frozenset(g.reach([x])), x)
+    found = {c: (x,) for c, x in cyclic.items()}  # subgroup -> its generators
     frontier = list(found)
     while frontier:
         h = frontier.pop()
-        for c in cyclics:
-            if c <= h:
+        for x in cyclic.values():
+            if x in h:
                 continue
-            k = _closure_indices(g, h | c)
+            gens = found[h] + (x,)
+            k = frozenset(g.reach(gens))
             if k not in found:
-                found.add(k)
+                found[k] = gens
                 frontier.append(k)
     pairs = _det_trace(g)
     records = [

@@ -321,6 +321,15 @@ def load_system(source, parameter_overrides=None) -> PdeSystem:
     params = dict(doc.get("parameters", {}))
     if parameter_overrides:
         params.update(parameter_overrides)
+    first_field = {}  # each name -> the field that declares it
+    for key, names in (("independent", doc["independent"]),
+                       ("dependent", doc["dependent"]), ("parameters", params)):
+        for name in names:
+            if name in first_field:
+                where = first_field[name]
+                raise ParseError(f"the {key!r} field names {name!r} twice" if where == key else
+                                 f"the {key!r} field names {name!r}, already in {where!r}")
+            first_field[name] = key
     parser = EquationParser(doc["independent"], doc["dependent"], params)
     exclusions = [parser.parse_polynomial(t) for t in doc.get("exclusions", [])]
     equations = [

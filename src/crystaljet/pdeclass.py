@@ -32,6 +32,10 @@ class DescriptorRejected(ValueError):
     pass
 
 
+class MissingDescriptorField(ValueError):
+    pass
+
+
 DEFAULT_FLAGS = {
     "formally_integrable": False,
     "completely_integrable": False,
@@ -299,7 +303,10 @@ def component_bordism_compare(s: SingularPdeDescriptor, i: int, j: int, p: int) 
 # ---------------------------------------------------------------------------
 
 
-def _descriptor_from_dict(doc: dict) -> PdeDescriptor:
+def _descriptor_from_dict(doc: dict, what: str = "descriptor") -> PdeDescriptor:
+    for key in ("n", "m", "order", "dim_E", "betti_W"):
+        if key not in doc:
+            raise MissingDescriptorField(f"{what} is missing the {key!r} field")
     return PdeDescriptor(
         name=doc.get("name", ""),
         n=int(doc["n"]),
@@ -319,14 +326,18 @@ def load_descriptor(source):
     doc = load_document(source)
     if not doc.get("singular"):
         return _descriptor_from_dict(doc)
-    components = [_descriptor_from_dict(c) for c in doc["components"]]
+    if "components" not in doc:
+        raise MissingDescriptorField("singular descriptor is missing the 'components' field")
+    components = [_descriptor_from_dict(c, f"component {k} of the singular descriptor")
+                  for k, c in enumerate(doc["components"])]
     intersections = {}
     for item in doc.get("intersections", []):
         i, j = item["pair"]
+        what = f"the descriptor of intersection {i}, {j}"
         intersections[(int(i), int(j))] = IntersectionInfo(
             nonempty=bool(item.get("nonempty", False)),
             union_connected=bool(item.get("union_connected", True)),
-            descriptor=_descriptor_from_dict(item["descriptor"]) if "descriptor" in item else None,
+            descriptor=_descriptor_from_dict(item["descriptor"], what) if "descriptor" in item else None,
         )
     return SingularPdeDescriptor(
         name=doc.get("name", ""), components=components, intersections=intersections

@@ -315,6 +315,27 @@ def test_cohomology_with_a_bindings_file(capsys, tmp_path):
     assert err.strip() == "error: ValueError: bindings do not generate the whole group"
 
 
+def test_a_system_that_declares_a_name_twice_is_refused(capsys, tmp_path):
+    path = tmp_path / "twice.pde"
+    path.write_text("independent: [x, y]\ndependent: [u, u]\norder: 1\nequations: [u_x]\n")
+    code, out, err = run_capture(capsys, ["pde", "symbol", str(path)])
+    assert code == 1 and not out
+    assert err.strip() == "error: ParseError: the 'dependent' field names 'u' twice"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", "descriptor is missing the 'n' field"),
+    ("{singular: true, components: [{n: 2, m: 1, order: 1, betti_W: [1, 0, 0]}]}",
+     "component 0 of the singular descriptor is missing the 'dim_E' field"),
+])
+def test_a_descriptor_without_a_required_field_is_refused(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.desc"
+    path.write_text(text + "\n")
+    code, out, err = run_capture(capsys, ["pde", "classify", str(path)])
+    assert code == 1 and not out
+    assert err.strip() == f"error: MissingDescriptorField: {message}"
+
+
 @pytest.mark.parametrize("line, why", [
     (BINDING.replace("->", ""), "no '->'"),
     (BINDING.replace("0,0,1", "0,0,x"), "invalid literal for int()"),

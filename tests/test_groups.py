@@ -1,6 +1,9 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystaljet.abelian import IntegerMatrix
 from crystaljet.groups import (
@@ -8,6 +11,8 @@ from crystaljet.groups import (
     ClosureBoundExceeded,
     FiniteMatrixGroup,
     NotInvertible,
+    _det_trace,
+    _name,
     close_group,
     enumerate_subgroups,
     iso_type_name,
@@ -253,3 +258,93 @@ def test_subgroup_records_are_in_a_total_order():
     recs = enumerate_subgroups(point_group("D_2"))
     assert [(r.iso_name, sorted(r.element_indices)) for r in recs] == [
         ("222", [0, 1, 2, 3]), ("2", [0, 1]), ("2", [0, 2]), ("2", [0, 3]), ("1", [0])]
+
+
+def _inline_walk(g, generators):
+    """The Cayley-graph walk as one inline loop, yielding each edge as it
+    is found: the oracle for ``walk`` over ``reach``."""
+    cay, generators = g.cayley, list(generators)
+    reached = [g.identity_index]
+    seen = set(reached)
+    for a in reached:
+        row = cay[a]
+        for s in generators:
+            b = row[s]
+            yield a, s, b
+            if b not in seen:
+                seen.add(b)
+                reached.append(b)
+
+
+def _all_elements_join(g):
+    """The (triple, element indices) lattice with every join closed from all
+    the elements of h and c: the oracle for the cyclic extension with
+    carried generators."""
+
+    def closure(seed):
+        return frozenset([g.identity_index, *(b for _, _, b in _inline_walk(g, seed))])
+
+    cyclics = {closure([i]) for i in range(g.order)}
+    found = set(cyclics)
+    frontier = list(found)
+    while frontier:
+        h = frontier.pop()
+        for c in cyclics:
+            if not c <= h:
+                k = closure(h | c)
+                if k not in found:
+                    found.add(k)
+                    frontier.append(k)
+    pairs = _det_trace(g)
+    lattice = [((_name([pairs[i] for i in k]), len(k), g.order // len(k)), k) for k in found]
+    lattice.sort(key=lambda r: (-r[0][1], r[0][0], r[0][2], tuple(sorted(r[1]))))
+    return lattice
+
+
+def _cyclic_shift(n):
+    shift = [[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)]
+    return close_group([IntegerMatrix(shift)])
+
+
+def _permutation_matrix(p):
+    return IntegerMatrix([[1 if p[j] == i else 0 for j in range(len(p))] for i in range(len(p))])
+
+
+def _symmetric_group_s4():
+    return close_group([_permutation_matrix((1, 0, 2, 3)), _permutation_matrix((1, 2, 3, 0))])
+
+
+def _lattice(g):
+    return [(rec.triple(), rec.element_indices) for rec in enumerate_subgroups(g)]
+
+
+def test_subgroup_lattice_is_the_all_elements_join():
+    for g in _point_groups_and_conjugates():
+        assert _lattice(g) == _all_elements_join(g), g
+
+
+def test_subgroup_lattice_of_groups_outside_the_crystal_classes():
+    for n in range(1, 13):
+        g = _cyclic_shift(n)
+        lattice = _lattice(g)
+        assert lattice == _all_elements_join(g), n
+        # one subgroup per divisor of n
+        assert [order for (_, order, _), _ in lattice] == [d for d in range(n, 0, -1) if n % d == 0]
+    s4 = _symmetric_group_s4()
+    assert s4.order == 24
+    assert s4.elements[0] == _permutation_matrix((0, 1, 2, 3))
+    assert {s4.index_of(_permutation_matrix(p)) for p in permutations(range(4))} == set(range(24))
+    lattice = _lattice(s4)
+    assert lattice == _all_elements_join(s4)
+    assert len(lattice) == 30
+    assert all(name == f"order-{order}-unclassified" for (name, order, _), _ in lattice)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 41), st.lists(st.integers(0, 47), max_size=4))
+def test_walk_is_the_inline_walk(which, picks):
+    g = [*point_groups().values(), *point_groups_2d().values()][which]
+    gens = [p % g.order for p in picks]
+    edges = list(g.walk(gens))
+    assert edges == list(_inline_walk(g, gens))
+    assert g.reach(gens) == list(dict.fromkeys([g.identity_index, *(b for _, _, b in edges)]))

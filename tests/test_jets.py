@@ -271,6 +271,28 @@ def test_load_system_from_one_line_document():
         load_system("no-such-system.pde")
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"dependent": ["u", "u"]}, "the 'dependent' field names 'u' twice"),
+    ({"independent": ["x", "x"]}, "the 'independent' field names 'x' twice"),
+    ({"dependent": ["u", "x"]}, "the 'dependent' field names 'x', already in 'independent'"),
+    ({"parameters": {"x": 1}}, "the 'parameters' field names 'x', already in 'independent'"),
+    ({"parameters": {"a": 1, "u": 2}}, "the 'parameters' field names 'u', already in 'dependent'"),
+])
+def test_load_system_refuses_a_name_declared_twice(fields, message):
+    doc = {"independent": ["x"], "dependent": ["u"], "order": 1, "equations": ["u_x"], **fields}
+    with pytest.raises(ParseError) as info:
+        load_system(doc)
+    assert str(info.value) == message
+
+
+def test_a_parameter_override_may_not_name_a_variable():
+    doc = {"independent": ["x"], "dependent": ["u"], "order": 1, "equations": ["u_x - a"],
+           "parameters": {"a": 1}}
+    assert load_system(doc, {"a": 2}).equations == load_system({**doc, "parameters": {"a": 2}}).equations
+    with pytest.raises(ParseError, match="^the 'parameters' field names 'u', already in 'dependent'$"):
+        load_system(doc, {"u": 1})
+
+
 INDEPENDENT = ["t", "x", "y"]
 DEPENDENT = ["u", "v"]
 PARAMETERS = ["alpha", "beta"]

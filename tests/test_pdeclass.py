@@ -6,6 +6,7 @@ from crystaljet.pdeclass import (
     DescriptorRejected,
     HypothesisViolated,
     IntersectionInfo,
+    MissingDescriptorField,
     PdeDescriptor,
     SingularPdeDescriptor,
     classify,
@@ -226,3 +227,27 @@ def test_affine_bundle_base_reported_when_different():
 def test_load_descriptor_from_one_line_document():
     d = load_descriptor("{name: flat, n: 2, m: 1, order: 2, dim_E: 7, betti_W: [1, 2, 1]}")
     assert (d.name, d.n, d.dim_e, d.betti_w) == ("flat", 2, 7, [1, 2, 1])
+
+
+FLAT = {"name": "flat", "n": 2, "m": 1, "order": 2, "dim_E": 7, "betti_W": [1, 2, 1]}
+
+
+@pytest.mark.parametrize("key", ["n", "m", "order", "dim_E", "betti_W"])
+def test_a_missing_descriptor_field_is_named(key):
+    doc = {k: v for k, v in FLAT.items() if k != key}
+    with pytest.raises(MissingDescriptorField) as info:
+        load_descriptor(doc)
+    assert str(info.value) == f"descriptor is missing the {key!r} field"
+    component = {k: v for k, v in FLAT.items() if k != key}
+    with pytest.raises(MissingDescriptorField) as info:
+        load_descriptor({"singular": True, "components": [FLAT, component]})
+    assert str(info.value) == f"component 1 of the singular descriptor is missing the {key!r} field"
+    with pytest.raises(MissingDescriptorField) as info:
+        load_descriptor({"singular": True, "components": [FLAT, FLAT],
+                         "intersections": [{"pair": [0, 1], "descriptor": component}]})
+    assert str(info.value) == f"the descriptor of intersection 0, 1 is missing the {key!r} field"
+
+
+def test_a_singular_descriptor_without_components_is_named():
+    with pytest.raises(MissingDescriptorField, match="^singular descriptor is missing the 'components' field$"):
+        load_descriptor({"singular": True})
