@@ -627,3 +627,45 @@ TABLES_OUTPUT_SHA256 = {
 def test_tables_output_bytes_are_pinned(capsys, argv):
     code, out, _ = run_capture(capsys, ["tables", *argv.split()])
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == TABLES_OUTPUT_SHA256[argv]
+
+
+# sha256 of the stdout and the exit code of `pde symbol` and `pde involutivity`
+# on every packaged .pde file; the answers are generic ranks, so the default
+# seed and --seed 7 print the same bytes
+PDE_OUTPUT_SHA256 = {
+    "symbol continuity_e1.pde --format text": (0, "a0b13e6fbac064798825e0819d0f4ef9d4a471bbae61d9fea82274b42373ebbf"),
+    "symbol continuity_e1.pde --format json": (0, "2c968f34dfddb0d31bca6ef9c5b031e1acd4533a04e4bd4e57c9087afd450dea"),
+    "symbol dalembert.pde --format text": (0, "e7d5d4a9da12122df9fb80d09350e97ac3be6d40a93bad5d7251e4d658e8d693"),
+    "symbol dalembert.pde --format json": (0, "01fdabd8cc76a3da5e913f52aa2ad06b4a3c18ace835e015490325a5f54748d9"),
+    "symbol heat.pde --format text": (0, "3317f2d17e6d1f561dfd4769a4eaa10bd554e6da9b08bf3812e2b1b66181f975"),
+    "symbol heat.pde --format json": (0, "c57985140d9ffe279b5ec716a6876711e63c75f8d7d2fba7c800034d25d867c5"),
+    "symbol pressure_e2.pde --format text": (0, "54bd87ab70a61d49ddf8f5a78fe84f9505dbadae5a61c8a44ce50d2267a67dec"),
+    "symbol pressure_e2.pde --format json": (0, "2dc365d5eb362860763aeac4353a9262dcea959edf4dc27bd00c38b700c7f823"),
+    "symbol table4_component.pde --format text": (0, "7148e8f464d50ea8ca9d9504deff88496f4440622abe8bb4e260707a251ef94b"),
+    "symbol table4_component.pde --format json": (0, "fdb21ab1c402ee7ac6e16e14236b55595b1d555cf3f919e0bcea73e26de0b4ec"),
+    "symbol tricomi.pde --format text": (0, "761b3bb11c5743e9c2e68b509326a354644b56ae69c3d5ed8b8c3ae65568f00c"),
+    "symbol tricomi.pde --format json": (0, "6396520dbbf331adbf013db50f94d3a5dc7790c7fcc9675a2d4c6c05c22561c3"),
+    "symbol uxx_uyy.pde --format text": (0, "bb4a951aaf1b3f0a12e03a56ab947155bbe3b20596ea47aaaca54c5521af14b1"),
+    "symbol uxx_uyy.pde --format json": (0, "9a5ec39ed7397d9baf69fba46e7d70b08e8bfa634907db4363186295abb5a4ee"),
+    "involutivity continuity_e1.pde --format text": (0, "4d4cd1abd42249ec8363329e83b24d434c56b710dcc3c34a7cd299051fef1b3e"),
+    "involutivity continuity_e1.pde --format json": (0, "66308c4725d41acc95221bf4f9a1ad0ff78349f107a81b6663762424cd7f0e36"),
+    "involutivity dalembert.pde --format text": (0, "88a69ad04557c0e71c44138f267d25b072437a8f151f8156bfa946d9648d9aad"),
+    "involutivity dalembert.pde --format json": (0, "18d82ade8291e242df77d7654c1d38635a9dacae534dd0a33815d177a85742c4"),
+    "involutivity heat.pde --format text": (0, "41cf00890c08e192e738a918f232eb7c22fbec721364d2c1f483bdd9ad60c96f"),
+    "involutivity heat.pde --format json": (0, "f51c506657c221d10a49f531618e4a62ff1bc6c421d0a9c7b2e17c56b2db025d"),
+    "involutivity pressure_e2.pde --format text": (0, "93a31f7077f2d2935b178d1b9e533cb26393a7e112eef658bbf286080c04ded2"),
+    "involutivity pressure_e2.pde --format json": (0, "410c82ca546a359075f2ec0f3bb8b64d87d84e442fb6f771f0ad2bb8648f271f"),
+    "involutivity table4_component.pde --format text": (0, "79da2e4648dd1eb9211c19ba53130dd5b4f798498b67ed6c1e53becdbc6ca0bf"),
+    "involutivity table4_component.pde --format json": (0, "096c854ba84a0ba6a6b8311c866e68c03d684a761a55a04d69cb8f0fc3e7630d"),
+    "involutivity tricomi.pde --format text": (0, "41cf00890c08e192e738a918f232eb7c22fbec721364d2c1f483bdd9ad60c96f"),
+    "involutivity tricomi.pde --format json": (0, "f51c506657c221d10a49f531618e4a62ff1bc6c421d0a9c7b2e17c56b2db025d"),
+    "involutivity uxx_uyy.pde --format text": (0, "604f763de63c25b7d7d590c7cf7137e5804c894e9b3825984a59686891806f73"),
+    "involutivity uxx_uyy.pde --format json": (0, "8f42c6dba7c018dfbafa9287fd31ff92bd3fb63ae2a3bb7481fdb40c6dc6a67c"),
+}
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "7"]], ids=["default-seed", "seed-7"])
+@pytest.mark.parametrize("argv", list(PDE_OUTPUT_SHA256))
+def test_pde_output_bytes_are_pinned(capsys, argv, seed):
+    code, out, _ = run_capture(capsys, ["pde", *argv.split(), *seed])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PDE_OUTPUT_SHA256[argv]
