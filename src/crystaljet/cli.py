@@ -536,20 +536,15 @@ def _cmd_pde(args) -> int:
         return 0
     if args.which == "involutivity":
         system = jets.load_system(_resolve_path(args.file))
-        rep = jets.symbol_report(system, seed=seed)
-        verdict = jets.IntegrabilityVerdict.from_report(rep)
-        ledger = jets.InvolutivityLedger.from_report(rep)
-        involutive = ledger.involutive
-        payload = verdict.as_dict()
-        payload["cartan_test"] = ledger.as_dict()
+        verdict = jets.formal_integrability_check(system, seed=seed)
         lines = [
-            f"Cartan test: dim g+1 = {ledger.dim_g_plus_1} vs sum {ledger.filtration_sum}"
-            f" -> {'involutive' if involutive else 'not involutive'}",
+            f"Cartan test: dim g+1 = {verdict.dim_g_plus_1} vs sum {verdict.filtration_sum}"
+            f" -> {'involutive' if verdict.involutive else 'not involutive'}",
             f"dim E+1 = {verdict.dim_e_plus_1} vs dim E + dim g+1 = "
             f"{verdict.dim_e + verdict.dim_g_plus_1}",
             f"verdict: {'PASS' if verdict.passed else 'FAIL'} ({verdict.caveat})",
         ]
-        _emit(args, payload, lines)
+        _emit(args, verdict.as_dict(), lines)
         return 0
     if args.which == "classify":
         desc = load_descriptor(_resolve_path(args.file))

@@ -12,9 +12,10 @@ rationals as elimination over Q.
 
 Generic ranks come from one kernel.  Each sample point is reduced modulo
 the prime p = 2^61 - 1.  One compiled form of a polynomial (_ScaledPoly)
-serves the exact checks and, read mod p, the gradients: one gradient pass
-per point gives all its partial derivatives, and every Jacobian is a set
-of columns of that gradient, ranked by elimination mod p.
+serves the exact checks and, read mod p, the gradients.  One pass
+(_generic_gradients) samples the points and gives, per point, the gradient
+of every equation; every Jacobian is a set of columns of those gradients,
+or rows built from them, ranked by elimination mod p.
 
 What this certifies: the rank mod p of a Jacobian at a point never exceeds
 its rank over Q there, which never exceeds the generic rank, so a nonzero
@@ -389,13 +390,6 @@ def _random_fraction(rng) -> Fraction:
     return Fraction(rng.randint(-97, 97), rng.randint(1, 97))
 
 
-def _needed_variables(polys):
-    out = set()
-    for p in polys:
-        out |= p.variables()
-    return out
-
-
 def _resolve_token(parser: EquationParser, token: str):
     poly = parser.resolve_name(token)
     (mono, _), = poly.terms.items()
@@ -508,15 +502,14 @@ def _compile_stages(s: PdeSystem):
     return stages
 
 
-def sample_points(s: PdeSystem, polys, count=SAMPLE_COUNT, seed=DEFAULT_SEED,
-                  extra_vars=()):
-    """Deterministic generic rational points for the given polynomials.
+def sample_points(s: PdeSystem, count=SAMPLE_COUNT, seed=DEFAULT_SEED, extra_vars=()):
+    """Deterministic generic rational points of the system.
 
-    Every variable that the polynomials, the exclusions or the solve stages
-    read, and every one of ``extra_vars``, gets a seeded random rational,
-    except the pivot variables of the solve stages: each stage is solved
-    exactly for its pivots, in order, so the points lie on the locus of the
-    staged equations.  A draw is rejected when a stage is singular at it,
+    Every variable that the equations or the exclusions read, and every one
+    of ``extra_vars``, gets a seeded random rational, except the pivot
+    variables of the solve stages: each stage is solved exactly for its
+    pivots, in order, so the points lie on the locus of the staged
+    equations.  A draw is rejected when a stage is singular at it,
     when a denominator is divisible by MODULUS (the point has no reduction
     mod p), when an exclusion vanishes there, or, for a staged system, when
     an equation does not.  After MAX_SAMPLE_ATTEMPTS draws NoGenericPoint
@@ -528,11 +521,8 @@ def sample_points(s: PdeSystem, polys, count=SAMPLE_COUNT, seed=DEFAULT_SEED,
     checked before the first draw."""
     rng = random.Random(seed)
     stages = _compile_stages(s)
-    needed = _needed_variables(list(polys) + list(s.exclusions)) | set(extra_vars)
-    for stage in s.solve_stages:
-        needed |= _needed_variables(s.equations[i] for i, _ in stage)
-    pivot_set = {v for pivots, _ in stages for v in pivots}
-    free = sorted(v for v in needed if v not in pivot_set)
+    needed = set(extra_vars).union(*(p.variables() for p in (*s.equations, *s.exclusions)))
+    free = sorted(needed.difference(*(pivots for pivots, _ in stages)))
     exclusions = [_ScaledPoly(e) for e in s.exclusions]
     locus = [_ScaledPoly(e) for e in s.equations] if stages else []
     rejections = dict.fromkeys(REJECTION_REASONS, 0)
@@ -621,13 +611,21 @@ def _gradients(compiled, point):
     return out
 
 
-def _jacobians(polys, columns, points):
-    """The Jacobian of the polynomials over the column variables at each
-    sample point, mod p: one gradient pass per point."""
-    compiled = [_ScaledPoly(p) for p in polys]
-    return [[[grad.get(v, 0) for v in columns]
-             for grad in _gradients(compiled, _reduce_point(pt))]
-            for pt in points]
+def _generic_gradients(s: PdeSystem, seed, extra_vars=()):
+    """The one generic-point pass of the jet layer: every generic rank is
+    read off it.  The equations are compiled once and sample_points is
+    called once; for each sample point in turn this yields the point mod p
+    and the gradient mod p of every equation there (see _gradients)."""
+    compiled = [_ScaledPoly(e) for e in s.equations]
+    for pt in sample_points(s, seed=seed, extra_vars=extra_vars):
+        red = _reduce_point(pt)
+        yield red, _gradients(compiled, red)
+
+
+def _jacobians(s: PdeSystem, columns, seed):
+    """The Jacobian mod p of the equations over the columns at each sample point."""
+    return [[[grad.get(v, 0) for v in columns] for grad in grads]
+            for _, grads in _generic_gradients(s, seed)]
 
 
 def rank_at_point(rows) -> int:
@@ -727,11 +725,10 @@ def symbol_report(s: PdeSystem, seed=DEFAULT_SEED) -> SymbolReport:
     top = s.top_variables(k)
     all_jets = _jets_up_to(s, k)
     col = {v: i for i, v in enumerate(all_jets)}
-    points = sample_points(s, s.equations, seed=seed)
-    jac = _jacobians(s.equations, all_jets, points)
+    jac = _jacobians(s, all_jets, seed)
     ranks = _ranks(jac, [col[v] for v in top])
     rank_top = max(ranks, default=0)
-    inconsistent = 2 * ranks.count(rank_top) <= len(points)
+    inconsistent = 2 * ranks.count(rank_top) <= len(jac)
     g_dims = []
     for i in range(s.n + 1):
         cols = [col[v] for v in top if all(d >= i for d in v[2])]
@@ -739,11 +736,10 @@ def symbol_report(s: PdeSystem, seed=DEFAULT_SEED) -> SymbolReport:
     characters = [g_dims[i - 1] - g_dims[i] for i in range(1, s.n + 1)]
     dim_e = s.jet_space_dim() - max(_ranks(jac), default=0)
     prolonged = prolong_system(s, 1)
-    ppoints = sample_points(prolonged, prolonged.equations, seed=seed)
     all_jets1 = _jets_up_to(s, k + 1)
     col1 = {v: i for i, v in enumerate(all_jets1)}
     top1 = prolonged.top_variables(k + 1)
-    jac1 = _jacobians(prolonged.equations, all_jets1, ppoints)
+    jac1 = _jacobians(prolonged, all_jets1, seed)
     dim_g1 = len(top1) - max(_ranks(jac1, [col1[v] for v in top1]), default=0)
     dim_e1 = prolonged.jet_space_dim() - max(_ranks(jac1), default=0)
     return SymbolReport(
@@ -766,45 +762,16 @@ def symbol_report(s: PdeSystem, seed=DEFAULT_SEED) -> SymbolReport:
 
 
 @dataclass
-class InvolutivityLedger:
-    involutive: bool
-    dim_g_plus_1: int
-    filtration_sum: int
-    g_dims: list
-
-    @classmethod
-    def from_report(cls, rep: SymbolReport) -> "InvolutivityLedger":
-        """Cartan's test: dim g_{q+1} = sum_{i=0}^{n-1} dim g^{(i)}."""
-        total = sum(rep.g_dims[:-1] if len(rep.g_dims) > 1 else rep.g_dims)
-        return cls(
-            involutive=(rep.dim_g_plus_1 == total),
-            dim_g_plus_1=rep.dim_g_plus_1,
-            filtration_sum=total,
-            g_dims=rep.g_dims,
-        )
-
-    def as_dict(self):
-        return {
-            "involutive": self.involutive,
-            "dim_g_plus_1": self.dim_g_plus_1,
-            "sum_g_filtration": self.filtration_sum,
-            "g_filtration": list(self.g_dims),
-        }
-
-
-def cartan_involutivity_test(s: PdeSystem, seed=DEFAULT_SEED):
-    """Cartan's test: dim g_{q+1} = sum_{i=0}^{n-1} dim g^{(i)}."""
-    ledger = InvolutivityLedger.from_report(symbol_report(s, seed=seed))
-    return ledger.involutive, ledger
-
-
-@dataclass
 class IntegrabilityVerdict:
+    """Cartan's test and the formal-integrability verdict of one SymbolReport."""
+
     passed: bool
     dim_e: int
     dim_e_plus_1: int
     dim_g_plus_1: int
     involutive: bool
+    filtration_sum: int
+    g_dims: list
     caveat: str = (
         "PASS certifies formal integrability at the dimension level; "
         "complete integrability follows for analytic systems"
@@ -812,9 +779,10 @@ class IntegrabilityVerdict:
 
     @classmethod
     def from_report(cls, rep: SymbolReport) -> "IntegrabilityVerdict":
-        """PASS iff dim E_{+1} = dim E + dim g_{+1} and the symbol is
-        involutive by Cartan's test."""
-        involutive = InvolutivityLedger.from_report(rep).involutive
+        """Cartan's test, dim g_{q+1} = sum_{i=0}^{n-1} dim g^{(i)}; PASS iff
+        it holds and dim E_{+1} = dim E + dim g_{+1}."""
+        total = sum(rep.g_dims[:-1] or rep.g_dims)
+        involutive = rep.dim_g_plus_1 == total
         surjective = rep.dim_e_plus_1 == rep.dim_e + rep.dim_g_plus_1
         return cls(
             passed=involutive and surjective,
@@ -822,6 +790,8 @@ class IntegrabilityVerdict:
             dim_e_plus_1=rep.dim_e_plus_1,
             dim_g_plus_1=rep.dim_g_plus_1,
             involutive=involutive,
+            filtration_sum=total,
+            g_dims=rep.g_dims,
         )
 
     def as_dict(self):
@@ -833,12 +803,23 @@ class IntegrabilityVerdict:
             "surjective_projection": self.dim_e_plus_1 == self.dim_e + self.dim_g_plus_1,
             "involutive_symbol": self.involutive,
             "caveat": self.caveat,
+            "cartan_test": {
+                "involutive": self.involutive,
+                "dim_g_plus_1": self.dim_g_plus_1,
+                "sum_g_filtration": self.filtration_sum,
+                "g_filtration": list(self.g_dims),
+            },
         }
 
 
+def cartan_involutivity_test(s: PdeSystem, seed=DEFAULT_SEED):
+    """Cartan's test, as (involutive, the IntegrabilityVerdict it is read from)."""
+    verdict = IntegrabilityVerdict.from_report(symbol_report(s, seed=seed))
+    return verdict.involutive, verdict
+
+
 def formal_integrability_check(s: PdeSystem, seed=DEFAULT_SEED) -> IntegrabilityVerdict:
-    """PASS iff dim E_{+1} = dim E + dim g_{+1} and the symbol is
-    involutive by Cartan's test."""
+    """The IntegrabilityVerdict of the system's SymbolReport."""
     return IntegrabilityVerdict.from_report(symbol_report(s, seed=seed))
 
 
@@ -866,13 +847,10 @@ def cartan_distribution_dimension(s: PdeSystem, seed=DEFAULT_SEED) -> int:
     low = [[v for v in eq.jet_variables() if len(v[2]) < k] for eq in s.equations]
     lifted = {(v, alpha): jet(v[1], v[2] + (alpha,))
               for jets_low in low for v in jets_low for alpha in range(s.n)}
-    points = sample_points(s, s.equations, seed=seed, extra_vars=set(lifted.values()))
-    compiled = [_ScaledPoly(e) for e in s.equations]
     ranks = []
-    for pt in points:
-        red = _reduce_point(pt)
+    for red, grads in _generic_gradients(s, seed, lifted.values()):
         rows = []
-        for grad, jets_low in zip(_gradients(compiled, red), low):
+        for grad, jets_low in zip(grads, low):
             horizontal = [
                 (grad.get(xvar(alpha), 0)
                  + sum(red[lifted[v, alpha]] * grad[v] for v in jets_low)) % MODULUS

@@ -37,7 +37,7 @@ def test_mhd_boundary_adds_energy_production_jets():
 
 def test_mhd_staged_sampling_sits_on_locus():
     mhd = mhd_system()
-    pts = sample_points(mhd, mhd.equations, count=2, seed=5)
+    pts = sample_points(mhd, count=2, seed=5)
     for pt in pts:
         for eq in mhd.equations:
             assert eq.evaluate(pt) == 0

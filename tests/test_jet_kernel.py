@@ -89,7 +89,7 @@ def oracle_symbol_ranks(s, seed):
     order and all jets; each at every sample point."""
     k = s.order
     top = s.top_variables(k)
-    points = sample_points(s, s.equations, seed=seed)
+    points = sample_points(s, seed=seed)
     out = exact_ranks(jacobian(s.equations, top), points)
     for i in range(s.n + 1):
         cols = [v for v in top if all(d >= i for d in v[2])]
@@ -97,7 +97,7 @@ def oracle_symbol_ranks(s, seed):
             out += exact_ranks(jacobian(s.equations, cols), points)
     out += exact_ranks(jacobian(s.equations, all_jets(s, k)), points)
     prolonged = prolong_system(s, 1)
-    ppoints = sample_points(prolonged, prolonged.equations, seed=seed)
+    ppoints = sample_points(prolonged, seed=seed)
     out += exact_ranks(jacobian(prolonged.equations, prolonged.top_variables(k + 1)), ppoints)
     out += exact_ranks(jacobian(prolonged.equations, all_jets(s, k + 1)), ppoints)
     return out
@@ -120,7 +120,7 @@ def oracle_contact_ranks(s, seed):
                 coeff = coeff + DiffPoly.variable(lifted) * eq.partial(v)
             row.append(coeff)
         rows.append(row + [eq.partial(v) for v in top])
-    points = sample_points(s, s.equations, seed=seed, extra_vars=lifted_vars)
+    points = sample_points(s, seed=seed, extra_vars=lifted_vars)
     return exact_ranks(rows, points)
 
 
@@ -320,7 +320,7 @@ def lifted_jets(s):
 def test_mhd_points_match_fraction_oracle(boundary, seed):
     s = mhd_system(boundary=boundary)
     extra = lifted_jets(s)
-    points = sample_points(s, s.equations, seed=seed, extra_vars=extra)
+    points = sample_points(s, seed=seed, extra_vars=extra)
     expected, _ = oracle_sample_points(s, s.equations, seed=seed, extra_vars=extra)
     assert points == expected
 
@@ -329,7 +329,7 @@ def test_mhd_points_match_fraction_oracle(boundary, seed):
 def test_pde_points_match_fraction_oracle(name):
     s = load_system(str(data_path(name)))
     for system in (s, prolong_system(s, 1)):
-        points = sample_points(system, system.equations)
+        points = sample_points(system)
         assert points == oracle_sample_points(system, system.equations)[0]
 
 
@@ -341,7 +341,7 @@ def test_staged_document_points_match_fraction_oracle():
         "equations": ["u_x - 3", "w_y - u_x*w_x"],
         "solve_stages": [[[0, "u_x"]], [[1, "w_y"]]],
     })
-    points = sample_points(s, s.equations, count=3, seed=11)
+    points = sample_points(s, count=3, seed=11)
     assert points == oracle_sample_points(s, s.equations, count=3, seed=11)[0]
 
 
@@ -363,7 +363,7 @@ def test_singular_stage_rejections_match_fraction_oracle():
     # the seed is chosen so that a draw is singular and a point needs the swap
     assert rejections["singular stage"] > 0 and len(expected) == count
     assert any(pt[xvar(1)] == 0 for pt in expected)
-    assert sample_points(s, s.equations, count=count, seed=seed) == expected
+    assert sample_points(s, count=count, seed=seed) == expected
 
 
 def test_always_singular_stage_counts_every_attempt():
@@ -371,7 +371,7 @@ def test_always_singular_stage_counts_every_attempt():
     s = load_system({"independent": ["x"], "dependent": ["u"], "order": 1,
                      "equations": ["u - x"], "solve_stages": [[[0, "u_x"]]]})
     with pytest.raises(NoGenericPoint) as info:
-        sample_points(s, s.equations)
+        sample_points(s)
     assert info.value.attempts == MAX_SAMPLE_ATTEMPTS
     assert info.value.rejections == {"singular stage": MAX_SAMPLE_ATTEMPTS,
                                      "denominator 0 mod p": 0, "exclusion": 0,

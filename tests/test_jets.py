@@ -226,7 +226,7 @@ def test_cartan_distribution_dimensions():
 
 def test_exclusions_respected_in_sampling():
     s = corpus("table4_component.pde")
-    pts = sample_points(s, s.equations)
+    pts = sample_points(s)
     for pt in pts:
         for excl in s.exclusions:
             assert excl.evaluate(pt) != 0
@@ -238,7 +238,7 @@ def test_exclusions_respected_in_sampling():
         exclusions=[DiffPoly.zero()],
     )
     with pytest.raises(NoGenericPoint) as info:
-        sample_points(impossible, impossible.equations)
+        sample_points(impossible)
     assert info.value.attempts == MAX_SAMPLE_ATTEMPTS
     assert info.value.rejections["exclusion"] == MAX_SAMPLE_ATTEMPTS
     assert f"after {MAX_SAMPLE_ATTEMPTS} attempts" in str(info.value)
@@ -463,7 +463,7 @@ def test_solve_stages_from_document():
         "solve_stages": [[[0, "u_x"]], [[1, "w_y"]]],
     }
     system = load_system(doc)
-    pts = sample_points(system, system.equations, count=3, seed=11)
+    pts = sample_points(system, count=3, seed=11)
     for pt in pts:
         for eq in system.equations:
             assert eq.evaluate(pt) == 0
@@ -500,5 +500,5 @@ def test_malformed_solve_stages_fail_before_sampling(equations, stages, message)
     s = _staged(equations, stages)
     # count=0 draws nothing, so the stages are checked when they are compiled
     with pytest.raises(ValueError) as info:
-        sample_points(s, s.equations, count=0)
+        sample_points(s, count=0)
     assert str(info.value) == message
