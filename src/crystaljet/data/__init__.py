@@ -17,8 +17,21 @@ from importlib import resources
 
 import yaml
 
-# libyaml's parser when PyYAML was built with it; same documents, same objects
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, libyaml's parser when PyYAML was built with it, that
+    refuses a mapping key given twice instead of keeping the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node, deep)
+            if key in seen:
+                raise ValueError(f"the key {key!r} is repeated on line {key_node.start_mark.line + 1}")
+            seen.add(key)
+        return mapping
 
 
 def load_text(name: str) -> str:
@@ -62,14 +75,15 @@ def data_path(name: str):
 def load_document(source) -> dict:
     """A YAML mapping from a dict, a path to an existing file, or the
     document text itself.  A string is read as a file only when that file
-    exists, so a one-line flow document parses as text."""
+    exists, so a one-line flow document parses as text.  A mapping key
+    given twice raises ValueError."""
     if isinstance(source, dict):
         return source
     if isinstance(source, os.PathLike) or os.path.isfile(source):
         with open(source) as fh:
-            doc = yaml.load(fh, Loader=_YAML_LOADER)
+            doc = yaml.load(fh, Loader=_YamlLoader)
     else:
-        doc = yaml.load(source, Loader=_YAML_LOADER)
+        doc = yaml.load(source, Loader=_YamlLoader)
     if not isinstance(doc, dict):
         raise ValueError(f"{str(source)[:60]!r} is neither an existing file nor a YAML mapping")
     return doc

@@ -46,6 +46,7 @@ DEFAULT_SEED = 12345
 SAMPLE_COUNT = 5
 MAX_SAMPLE_ATTEMPTS = 200
 MODULUS = 2**61 - 1  # a Mersenne prime; generic ranks are taken mod MODULUS
+MAX_NESTING = 100  # parentheses and prefix minus signs; well under the recursion limit
 
 
 class NoGenericPoint(RuntimeError):
@@ -178,6 +179,7 @@ class EquationParser:
     def parse(self, text: str) -> _RationalExpr:
         self._tokens = _tokenize(text)
         self._pos = 0
+        self._depth = 0
         expr = self._expr()
         if self._pos != len(self._tokens):
             raise ParseError(f"trailing input in {text!r}")
@@ -190,6 +192,15 @@ class EquationParser:
         tok = self._peek()
         self._pos += 1
         return tok
+
+    def _nested(self, parse):
+        """parse() one level deeper: inside a parenthesis or a prefix minus."""
+        if self._depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than MAX_NESTING = {MAX_NESTING} levels")
+        self._depth += 1
+        node = parse()
+        self._depth -= 1
+        return node
 
     def _expr(self):
         sign = 1
@@ -219,7 +230,7 @@ class EquationParser:
         kind, val = self._peek()
         if (kind, val) == ("op", "-"):
             self._next()
-            return -self._factor()
+            return -self._nested(self._factor)
         node = self._atom()
         if self._peek() == ("op", "^"):
             self._next()
@@ -236,7 +247,7 @@ class EquationParser:
         if kind == "name":
             return _RationalExpr(self.resolve_name(val))
         if (kind, val) == ("op", "("):
-            node = self._expr()
+            node = self._nested(self._expr)
             if self._next() != ("op", ")"):
                 raise ParseError("missing closing parenthesis")
             return node
@@ -313,40 +324,63 @@ class PdeSystem:
         return [e.render(self.independent, self.dependent) for e in self.equations]
 
 
+def _list_field(doc, key, entry_ok, entry_kind) -> list:
+    """The list field ``key`` of a system document, empty when absent; a
+    value that is not a list, or an entry that fails ``entry_ok``, raises
+    ParseError naming the field."""
+    value = doc.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"the {key!r} field must be a list, not {type(value).__name__}")
+    for i, item in enumerate(value):
+        if not entry_ok(item):
+            raise ParseError(f"entry {i} of the {key!r} field must be {entry_kind}, not {item!r:.40}")
+    return list(value)
+
+
 def load_system(source, parameter_overrides=None) -> PdeSystem:
-    """Load a PDE system from a YAML document (path, text, or dict)."""
+    """Load a PDE system from a YAML document (path, text, or dict).  A
+    missing or malformed field raises ParseError naming the field."""
     doc = load_document(source)
     for key in ("independent", "dependent", "order", "equations"):
         if key not in doc:
             raise ParseError(f"system document is missing the {key!r} field")
+    independent, dependent, equations, exclusions = (
+        _list_field(doc, key, lambda t: isinstance(t, str), "a string")
+        for key in ("independent", "dependent", "equations", "exclusions"))
+    order = doc["order"]
+    if type(order) is not int or order < 0:
+        raise ParseError(f"the 'order' field must be a nonnegative integer, not {order!r:.40}")
+    if not isinstance(doc.get("parameters", {}), dict):
+        raise ParseError("the 'parameters' field must be a mapping from names to numbers")
     params = dict(doc.get("parameters", {}))
     if parameter_overrides:
         params.update(parameter_overrides)
+    stages = _list_field(doc, "solve_stages", lambda st: isinstance(st, (list, tuple)), "a list")
+    for si, stage in enumerate(stages):
+        for pair in stage:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and type(pair[0]) is int and isinstance(pair[1], str)):
+                raise ParseError(f"solve stage {si} of the 'solve_stages' field: {pair!r:.40}"
+                                 " is not an [equation index, pivot] pair")
     first_field = {}  # each name -> the field that declares it
-    for key, names in (("independent", doc["independent"]),
-                       ("dependent", doc["dependent"]), ("parameters", params)):
+    for key, names in (("independent", independent), ("dependent", dependent),
+                       ("parameters", params)):
         for name in names:
             if name in first_field:
                 where = first_field[name]
                 raise ParseError(f"the {key!r} field names {name!r} twice" if where == key else
                                  f"the {key!r} field names {name!r}, already in {where!r}")
             first_field[name] = key
-    parser = EquationParser(doc["independent"], doc["dependent"], params)
-    exclusions = [parser.parse_polynomial(t) for t in doc.get("exclusions", [])]
-    equations = [
-        parser.parse_polynomial(t, exclusions) for t in doc.get("equations", [])
-    ]
-    stages = []
-    for stage in doc.get("solve_stages", []):
-        stages.append([(int(i), tok) for i, tok in stage])
+    parser = EquationParser(independent, dependent, params)
+    exclusions = [parser.parse_polynomial(t) for t in exclusions]
     return PdeSystem(
-        independent=list(doc["independent"]),
-        dependent=list(doc["dependent"]),
-        order=int(doc["order"]),
-        equations=equations,
+        independent=independent,
+        dependent=dependent,
+        order=order,
+        equations=[parser.parse_polynomial(t, exclusions) for t in equations],
         exclusions=exclusions,
         name=doc.get("name", ""),
-        solve_stages=stages,
+        solve_stages=[[tuple(pair) for pair in stage] for stage in stages],
     )
 
 

@@ -323,6 +323,36 @@ def test_a_system_that_declares_a_name_twice_is_refused(capsys, tmp_path):
     assert err.strip() == "error: ParseError: the 'dependent' field names 'u' twice"
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("twice.pde", "independent: [x]\ndependent: [u]\norder: 1\nparameters: {a: 1, a: 2}\n"
+     "equations: [u_x - a]\n", "ValueError: the key 'a' is repeated on line 4"),
+    ("twice.pde", "independent: [x]\ndependent: [u]\norder: 1\norder: 2\nequations: [u_x]\n",
+     "ValueError: the key 'order' is repeated on line 4"),
+    ("twice.desc", "name: flat\nn: 2\nm: 1\nn: 3\norder: 2\ndim_E: 7\nbetti_W: [1, 2, 1]\n",
+     "ValueError: the key 'n' is repeated on line 4"),
+    ("bad.pde", "independent: [x]\ndependent: [u]\norder: 1\nequations: [3]\n",
+     "ParseError: entry 0 of the 'equations' field must be a string, not 3"),
+    ("bad.pde", "independent: [x]\ndependent: [u]\norder: 1\nequations: u_x\n",
+     "ParseError: the 'equations' field must be a list, not str"),
+    ("bad.pde", "independent: [x]\ndependent: [u]\norder: one\nequations: [u_x]\n",
+     "ParseError: the 'order' field must be a nonnegative integer, not 'one'"),
+    ("bad.pde", "independent: [x]\ndependent: [u]\norder: 1\nequations: [u_x]\n"
+     "solve_stages: [[u_x]]\n",
+     "ParseError: solve stage 0 of the 'solve_stages' field: 'u_x' is not an"
+     " [equation index, pivot] pair"),
+    ("deep.pde", "independent: [x]\ndependent: [u]\norder: 1\nequations: ['"
+     + "(" * 3000 + "u_x" + ")" * 3000 + "']\n",
+     "ParseError: expression nested deeper than MAX_NESTING = 100 levels"),
+])
+def test_a_malformed_document_is_refused_with_its_field_named(capsys, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    command = "classify" if name.endswith(".desc") else "symbol"
+    code, out, err = run_capture(capsys, ["pde", command, str(path)])
+    assert code == 1 and not out
+    assert err.strip() == f"error: {message}"
+
+
 @pytest.mark.parametrize("text, message", [
     ("{}", "descriptor is missing the 'n' field"),
     ("{singular: true, components: [{n: 2, m: 1, order: 1, betti_W: [1, 0, 0]}]}",

@@ -9,6 +9,7 @@ from crystaljet.corpus import metric_flow_system, mhd_system
 from crystaljet.data import data_path
 from crystaljet.diffpoly import DiffOperator, DiffPoly, jet, par, xvar
 from crystaljet.jets import (
+    MAX_NESTING,
     MAX_SAMPLE_ATTEMPTS,
     EquationParser,
     NoGenericPoint,
@@ -283,6 +284,49 @@ def test_load_system_refuses_a_name_declared_twice(fields, message):
     with pytest.raises(ParseError) as info:
         load_system(doc)
     assert str(info.value) == message
+
+
+def test_load_system_refuses_a_repeated_key():
+    with pytest.raises(ValueError, match="^the key 'a' is repeated on line 4$"):
+        load_system("independent: [x]\ndependent: [u]\norder: 1\n"
+                    "parameters: {a: 1, a: 2}\nequations: [u_x - a]\n")
+    with pytest.raises(ValueError, match="^the key 'order' is repeated on line 4$"):
+        load_system("independent: [x]\ndependent: [u]\norder: 1\norder: 2\nequations: [u_x]\n")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"equations": [3]}, "entry 0 of the 'equations' field must be a string, not 3"),
+    ({"equations": "u_x"}, "the 'equations' field must be a list, not str"),
+    ({"exclusions": ["u", None]}, "entry 1 of the 'exclusions' field must be a string, not None"),
+    ({"independent": [1]}, "entry 0 of the 'independent' field must be a string, not 1"),
+    ({"order": "one"}, "the 'order' field must be a nonnegative integer, not 'one'"),
+    ({"order": -1}, "the 'order' field must be a nonnegative integer, not -1"),
+    ({"order": True}, "the 'order' field must be a nonnegative integer, not True"),
+    ({"parameters": ["a"]}, "the 'parameters' field must be a mapping from names to numbers"),
+    ({"solve_stages": [["u_x"]]},
+     "solve stage 0 of the 'solve_stages' field: 'u_x' is not an [equation index, pivot] pair"),
+    ({"solve_stages": [[[0, "u_x"]], [["0", "u_x"]]]},
+     "solve stage 1 of the 'solve_stages' field: ['0', 'u_x'] is not an [equation index, pivot] pair"),
+    ({"solve_stages": [0]}, "entry 0 of the 'solve_stages' field must be a list, not 0"),
+])
+def test_load_system_names_a_malformed_field(fields, message):
+    doc = {"independent": ["x"], "dependent": ["u"], "order": 1, "equations": ["u_x"], **fields}
+    with pytest.raises(ParseError) as info:
+        load_system(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("nested", [
+    lambda d: "(" * d + "u_x" + ")" * d,
+    lambda d: "u*" + "-" * d + "u_x",
+    lambda d: "-(" * d + "u" + ")" * d,
+], ids=["parentheses", "prefix-minus", "both"])
+def test_nesting_is_bounded(nested):
+    parser = EquationParser(["x"], ["u"])
+    parser.parse_polynomial(nested(MAX_NESTING))
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError, match=f"^expression nested deeper than MAX_NESTING = {MAX_NESTING} levels$"):
+            parser.parse_polynomial(nested(depth))
 
 
 def test_a_parameter_override_may_not_name_a_variable():

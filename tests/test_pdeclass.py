@@ -251,3 +251,8 @@ def test_a_missing_descriptor_field_is_named(key):
 def test_a_singular_descriptor_without_components_is_named():
     with pytest.raises(MissingDescriptorField, match="^singular descriptor is missing the 'components' field$"):
         load_descriptor({"singular": True})
+
+
+def test_load_descriptor_refuses_a_repeated_key():
+    with pytest.raises(ValueError, match="^the key 'n' is repeated on line 2$"):
+        load_descriptor("{name: flat, n: 2, m: 1, order: 2, dim_E: 7,\n n: 3, betti_W: [1, 2, 1]}")
