@@ -193,12 +193,12 @@ class EquationParser:
         self._pos += 1
         return tok
 
-    def _nested(self, parse):
-        """parse() one level deeper: inside a parenthesis or a prefix minus."""
+    def _nested(self, rule):
+        """rule() one level deeper: inside a parenthesis or a prefix minus."""
         if self._depth == MAX_NESTING:
             raise ParseError(f"expression nested deeper than MAX_NESTING = {MAX_NESTING} levels")
         self._depth += 1
-        node = parse()
+        node = rule()
         self._depth -= 1
         return node
 
@@ -350,11 +350,16 @@ def load_system(source, parameter_overrides=None) -> PdeSystem:
     order = doc["order"]
     if type(order) is not int or order < 0:
         raise ParseError(f"the 'order' field must be a nonnegative integer, not {order!r:.40}")
-    if not isinstance(doc.get("parameters", {}), dict):
+    params = doc.get("parameters", {})
+    if not isinstance(params, dict):
         raise ParseError("the 'parameters' field must be a mapping from names to numbers")
-    params = dict(doc.get("parameters", {}))
-    if parameter_overrides:
-        params.update(parameter_overrides)
+    params = {**params, **(parameter_overrides or {})}
+    for name, value in params.items():
+        try:
+            Fraction(value)
+        except (TypeError, ValueError):
+            raise ParseError(f"the 'parameters' field gives {name!r} the value {value!r:.40},"
+                             " not a number") from None
     stages = _list_field(doc, "solve_stages", lambda st: isinstance(st, (list, tuple)), "a list")
     for si, stage in enumerate(stages):
         for pair in stage:

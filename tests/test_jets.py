@@ -303,6 +303,8 @@ def test_load_system_refuses_a_repeated_key():
     ({"order": -1}, "the 'order' field must be a nonnegative integer, not -1"),
     ({"order": True}, "the 'order' field must be a nonnegative integer, not True"),
     ({"parameters": ["a"]}, "the 'parameters' field must be a mapping from names to numbers"),
+    ({"parameters": {"a": "x"}}, "the 'parameters' field gives 'a' the value 'x', not a number"),
+    ({"parameters": {"a": [1]}}, "the 'parameters' field gives 'a' the value [1], not a number"),
     ({"solve_stages": [["u_x"]]},
      "solve stage 0 of the 'solve_stages' field: 'u_x' is not an [equation index, pivot] pair"),
     ({"solve_stages": [[[0, "u_x"]], [["0", "u_x"]]]},
