@@ -108,3 +108,29 @@ def test_documents_parse_as_with_the_pure_python_loader():
         assert load_document(text) == yaml.safe_load(text), name
     with pytest.raises(yaml.YAMLError):
         load_document("equations: [u_x, {")
+
+
+# the large systems are the only ones with four nonempty g^(i) below g^(0);
+# recorded before symbol_report ranked every column set in one elimination
+LARGE_SYMBOL_REPORTS = {
+    "metric_flow": (metric_flow_system, 6, 6, 88, [54, 30, 12, 3, 0], [24, 18, 9, 3], 99, 184,
+                    94, 60),
+    "mhd": (mhd_system, 16, 15, 227, [145, 87, 40, 12, 0], [58, 47, 28, 12], 273, 490,
+            244, 160),
+    "mhd_boundary": (lambda: mhd_system(boundary=True), 16, 25, 212, [135, 81, 37, 11, 0],
+                     [54, 44, 26, 11], 253, 455, 244, 160),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_SYMBOL_REPORTS)
+def test_large_symbol_reports_are_pinned(name):
+    build, m, rank, dim_e, g_dims, characters, dim_g1, dim_e1, ambient, top = (
+        LARGE_SYMBOL_REPORTS[name])
+    rep = symbol_report(build())
+    assert rep.to_json_dict() == {
+        "system": name, "n": 4, "m": m, "order": 2, "ambient_jet_dim": ambient,
+        "ambient_top_vars": top, "generic_rank": rank, "dim_E": dim_e, "dim_g": g_dims[0],
+        "g_filtration": g_dims, "characters": characters, "dim_g_plus_1": dim_g1,
+        "dim_E_plus_1": dim_e1, "inconsistent_rank": False,
+    }
+    assert rep.rank_samples == [rank] * 5
