@@ -113,12 +113,13 @@ class DiffPoly:
             raise ValueError("negative powers are not polynomial")
         result = DiffPoly.constant(1)
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base  # only while a higher bit needs it
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -14,8 +14,10 @@ Generic ranks come from one kernel.  Each sample point is reduced modulo
 the prime p = 2^61 - 1.  One compiled form of a polynomial (_ScaledPoly)
 serves the exact checks and, read mod p, the gradients.  One pass
 (_generic_gradients) samples the points and gives, per point, the gradient
-of every equation; every Jacobian is a set of columns of those gradients,
-or rows built from them, ranked by elimination mod p.
+of every equation; every Jacobian is read from those gradients, or built
+from them row by row.  Its columns are put in one order in which every
+column set a report needs is a prefix, and one elimination mod p per point
+(rank_at_point) gives the rank of each prefix.
 
 What this certifies: the rank mod p of a Jacobian at a point never exceeds
 its rank over Q there, which never exceeds the generic rank, so a nonzero
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -661,22 +664,21 @@ def _generic_gradients(s: PdeSystem, seed, extra_vars=()):
         yield red, _gradients(compiled, red)
 
 
-def _jacobians(s: PdeSystem, columns, seed):
-    """The Jacobian mod p of the equations over the columns at each sample point."""
-    return [[[grad.get(v, 0) for v in columns] for grad in grads]
-            for _, grads in _generic_gradients(s, seed)]
-
-
-def rank_at_point(rows) -> int:
-    """Rank mod p of a Jacobian evaluated at one sample point, given as a
-    list of rows of residues in [0, p).  A nonzero r x r minor mod p is a
-    nonzero minor over Q, so the result is a lower bound on the rank of the
-    rational matrix."""
+def rank_at_point(rows, prefixes=()) -> list:
+    """Ranks mod p of a Jacobian evaluated at one sample point, given as a
+    list of rows of residues in [0, p): the rank of the first c columns for
+    each c in ``prefixes``, then the rank of the whole matrix.  The columns
+    are eliminated in order, so the rank of a prefix is the number of pivot
+    columns in it.  A nonzero r x r minor mod p is a nonzero minor over Q,
+    so each result is a lower bound on the rank of the rational matrix."""
     m = [list(row) for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
-    rank = 0
+    pivots = []  # the pivot columns, in increasing order
     for col in range(n_cols):
+        rank = len(pivots)
+        if rank == n_rows:
+            break
         piv = next((r for r in range(rank, n_rows) if m[r][col]), None)
         if piv is None:
             continue
@@ -687,17 +689,15 @@ def rank_at_point(rows) -> int:
             f = m[r][col]
             if f:
                 m[r] = [(x - f * y) % MODULUS for x, y in zip(m[r], pivot_row)]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+        pivots.append(col)
+    return [bisect_left(pivots, c) for c in prefixes] + [len(pivots)]
 
 
-def _ranks(matrices, cols=None):
-    """rank_at_point of each matrix, or of the given columns of each."""
-    if cols is not None:
-        matrices = [[[row[c] for c in cols] for row in m] for m in matrices]
-    return [rank_at_point(m) for m in matrices]
+def _generic_ranks(s: PdeSystem, columns, prefixes, seed):
+    """rank_at_point of the Jacobian mod p of the equations over the columns,
+    with the given prefixes, at each sample point."""
+    return [rank_at_point([[grad.get(v, 0) for v in columns] for grad in grads], prefixes)
+            for _, grads in _generic_gradients(s, seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -755,32 +755,32 @@ def symbol_report(s: PdeSystem, seed=DEFAULT_SEED) -> SymbolReport:
     """Symbol dimensions, Cartan characters and first-prolongation data at
     deterministic generic points.
 
-    One Jacobian over all jet variables is evaluated per sample point; the
-    top-order, g^(i) and full Jacobians are column sets of it.  The first
-    prolongation gets its own Jacobian at its own (unstaged) points."""
+    The top-order jets are ordered by their smallest direction, largest
+    first, so that g^(n), ..., g^(1), g^(0) = top and all jets are
+    prefixes of one column order, and one Jacobian per sample point is
+    ranked once for all of them.  The first prolongation gets its own
+    Jacobian at its own (unstaged) points, over its top order and then
+    every lower jet."""
     if not s.equations:
         raise ValueError("system has no equations")
     k = s.order
-    top = s.top_variables(k)
-    all_jets = _jets_up_to(s, k)
-    col = {v: i for i, v in enumerate(all_jets)}
-    jac = _jacobians(s, all_jets, seed)
-    ranks = _ranks(jac, [col[v] for v in top])
-    rank_top = max(ranks, default=0)
-    inconsistent = 2 * ranks.count(rank_top) <= len(jac)
-    g_dims = []
-    for i in range(s.n + 1):
-        cols = [col[v] for v in top if all(d >= i for d in v[2])]
-        g_dims.append(len(cols) - max(_ranks(jac, cols), default=0) if cols else 0)
+    # a top jet is in g^(i) for every i up to its smallest direction
+    top = sorted(s.top_variables(k), key=lambda v: min(v[2], default=s.n), reverse=True)
+    sizes = [sum(min(v[2], default=s.n) >= i for v in top) for i in range(s.n, -1, -1)]
+    samples = _generic_ranks(s, top + _jets_up_to(s, k - 1), sizes, seed)
+    best = [max(r) for r in zip(*samples)]  # over the points: g^(n), ..., g^(0), all jets
+    ranks = [r[-2] for r in samples]
+    rank_top = best[-2]
+    inconsistent = 2 * ranks.count(rank_top) <= len(ranks)
+    g_dims = [size - r for size, r in zip(sizes, best)][::-1]
     characters = [g_dims[i - 1] - g_dims[i] for i in range(1, s.n + 1)]
-    dim_e = s.jet_space_dim() - max(_ranks(jac), default=0)
+    dim_e = s.jet_space_dim() - best[-1]
     prolonged = prolong_system(s, 1)
-    all_jets1 = _jets_up_to(s, k + 1)
-    col1 = {v: i for i, v in enumerate(all_jets1)}
     top1 = prolonged.top_variables(k + 1)
-    jac1 = _jacobians(prolonged, all_jets1, seed)
-    dim_g1 = len(top1) - max(_ranks(jac1, [col1[v] for v in top1]), default=0)
-    dim_e1 = prolonged.jet_space_dim() - max(_ranks(jac1), default=0)
+    rank_top1, rank_all1 = (max(r) for r in zip(
+        *_generic_ranks(prolonged, top1 + _jets_up_to(s, k), [len(top1)], seed)))
+    dim_g1 = len(top1) - rank_top1
+    dim_e1 = prolonged.jet_space_dim() - rank_all1
     return SymbolReport(
         system=s.name,
         n=s.n,
@@ -896,8 +896,8 @@ def cartan_distribution_dimension(s: PdeSystem, seed=DEFAULT_SEED) -> int:
                 for alpha in range(s.n)
             ]
             rows.append(horizontal + [grad.get(v, 0) for v in top])
-        ranks.append(rank_at_point(rows))
-    return s.n + len(top) - max(ranks, default=0)
+        ranks.append(rank_at_point(rows)[0])
+    return s.n + len(top) - max(ranks)
 
 
 def verify_polynomial_solution(s: PdeSystem, section) -> list:

@@ -303,41 +303,78 @@ def component_bordism_compare(s: SingularPdeDescriptor, i: int, j: int, p: int) 
 # ---------------------------------------------------------------------------
 
 
-def _descriptor_from_dict(doc: dict, what: str = "descriptor") -> PdeDescriptor:
-    for key in ("n", "m", "order", "dim_E", "betti_W"):
-        if key not in doc:
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, ok, kind: str, what: str, default=_REQUIRED):
+    """doc[key], which ``ok`` must accept, or ``default`` when the key is
+    absent.  A missing required field raises MissingDescriptorField and a
+    malformed one ValueError, naming the field and ``what`` it belongs to."""
+    if key not in doc:
+        if default is _REQUIRED:
             raise MissingDescriptorField(f"{what} is missing the {key!r} field")
+        return default
+    value = doc[key]
+    if not ok(value):
+        raise ValueError(f"{what}: the {key!r} field must be {kind}, not {value!r:.40}")
+    return value
+
+
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
+def _is_bool(x) -> bool:
+    return type(x) is bool
+
+
+def _is_mapping(x) -> bool:
+    return isinstance(x, dict)
+
+
+def _list_of(ok):
+    return lambda value: isinstance(value, list) and all(map(ok, value))
+
+
+def _descriptor_from_dict(doc: dict, what: str = "descriptor") -> PdeDescriptor:
+    n, m, order, dim_e = (_field(doc, key, _is_int, "an integer", what)
+                          for key in ("n", "m", "order", "dim_E"))
+    ints = _list_of(_is_int)
     return PdeDescriptor(
-        name=doc.get("name", ""),
-        n=int(doc["n"]),
-        m=int(doc["m"]),
-        order=int(doc["order"]),
-        dim_e=int(doc["dim_E"]),
-        betti_w=[int(x) for x in doc["betti_W"]],
-        betti_m=[int(x) for x in doc["betti_M"]] if "betti_M" in doc else None,
-        flags=dict(doc.get("flags", {})),
-        jets_check=list(doc.get("jets_check", [])),
+        name=doc.get("name", ""), n=n, m=m, order=order, dim_e=dim_e,
+        betti_w=_field(doc, "betti_W", ints, "a list of integers", what),
+        betti_m=_field(doc, "betti_M", ints, "a list of integers", what, None),
+        flags=_field(doc, "flags", lambda f: _is_mapping(f) and all(map(_is_bool, f.values())),
+                     "a mapping to true or false", what, {}),
+        jets_check=_field(doc, "jets_check", _list_of(lambda f: isinstance(f, str)),
+                          "a list of file names", what, []),
     )
 
 
 def load_descriptor(source):
     """Load a descriptor (plain or singular) from a YAML document (path,
-    text, or dict)."""
+    text, or dict).  A missing or malformed field raises ValueError naming
+    the field, and the component or intersection it belongs to."""
     doc = load_document(source)
-    if not doc.get("singular"):
+    if not _field(doc, "singular", _is_bool, "true or false", "descriptor", False):
         return _descriptor_from_dict(doc)
-    if "components" not in doc:
-        raise MissingDescriptorField("singular descriptor is missing the 'components' field")
-    components = [_descriptor_from_dict(c, f"component {k} of the singular descriptor")
-                  for k, c in enumerate(doc["components"])]
+    what = "singular descriptor"
+    mappings = _list_of(_is_mapping)
+    components = [_descriptor_from_dict(c, f"component {k} of the {what}") for k, c in
+                  enumerate(_field(doc, "components", mappings, "a list of mappings", what))]
     intersections = {}
-    for item in doc.get("intersections", []):
-        i, j = item["pair"]
-        what = f"the descriptor of intersection {i}, {j}"
-        intersections[(int(i), int(j))] = IntersectionInfo(
-            nonempty=bool(item.get("nonempty", False)),
-            union_connected=bool(item.get("union_connected", True)),
-            descriptor=_descriptor_from_dict(item["descriptor"], what) if "descriptor" in item else None,
+    items = _field(doc, "intersections", mappings, "a list of mappings", what, [])
+    for k, item in enumerate(items):
+        where = f"intersection {k} of the {what}"
+        i, j = _field(item, "pair", lambda p: _list_of(_is_int)(p) and len(p) == 2
+                      and all(0 <= c < len(components) for c in p),
+                      f"two component indices below {len(components)}", where)
+        descriptor = _field(item, "descriptor", _is_mapping, "a mapping", where, None)
+        intersections[(i, j)] = IntersectionInfo(
+            nonempty=_field(item, "nonempty", _is_bool, "true or false", where, False),
+            union_connected=_field(item, "union_connected", _is_bool, "true or false", where, True),
+            descriptor=None if descriptor is None else _descriptor_from_dict(
+                descriptor, f"the descriptor of intersection {i}, {j}"),
         )
     return SingularPdeDescriptor(
         name=doc.get("name", ""), components=components, intersections=intersections

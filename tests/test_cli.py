@@ -366,6 +366,48 @@ def test_a_descriptor_without_a_required_field_is_refused(capsys, tmp_path, text
     assert err.strip() == f"error: MissingDescriptorField: {message}"
 
 
+DESC = "n: {n}, m: 1, order: 2, dim_E: {dim_e}, betti_W: {betti}"
+COMPONENT = "{" + DESC.format(n=2, dim_e=7, betti="[1, 0, 0]") + "}"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("classify", "{" + DESC.format(n="one", dim_e=7, betti="[1, 2, 1]") + "}",
+     "ValueError: descriptor: the 'n' field must be an integer, not 'one'"),
+    ("classify", "{" + DESC.format(n=2, dim_e="true", betti="[1, 2, 1]") + "}",
+     "ValueError: descriptor: the 'dim_E' field must be an integer, not True"),
+    ("classify", "{" + DESC.format(n=2, dim_e=7, betti="[1, 2.5, 1]") + "}",
+     "ValueError: descriptor: the 'betti_W' field must be a list of integers, not [1, 2.5, 1]"),
+    ("classify", "{" + DESC.format(n=2, dim_e=7, betti="[1, 2, 1]") + ", flags: 5}",
+     "ValueError: descriptor: the 'flags' field must be a mapping to true or false, not 5"),
+    ("singular-classify", "{singular: true, components: [" + COMPONENT + ", {"
+     + DESC.format(n=2, dim_e=7, betti=3) + "}]}",
+     "ValueError: component 1 of the singular descriptor: the 'betti_W' field must be a list"
+     " of integers, not 3"),
+    ("singular-classify", "{singular: true, components: 5}",
+     "ValueError: singular descriptor: the 'components' field must be a list of mappings, not 5"),
+    ("singular-classify", "{singular: true, components: [" + COMPONENT + ", " + COMPONENT
+     + "], intersections: [{nonempty: true}]}",
+     "MissingDescriptorField: intersection 0 of the singular descriptor is missing the 'pair'"
+     " field"),
+    ("singular-classify", "{singular: true, components: [" + COMPONENT + ", " + COMPONENT
+     + "], intersections: [{pair: [0]}]}",
+     "ValueError: intersection 0 of the singular descriptor: the 'pair' field must be two"
+     " component indices below 2, not [0]"),
+    ("singular-classify", "{singular: true, components: [" + COMPONENT + ", " + COMPONENT
+     + "], intersections: [{pair: [0, 1], nonempty: 'no'}]}",
+     "ValueError: intersection 0 of the singular descriptor: the 'nonempty' field must be true"
+     " or false, not 'no'"),
+    ("singular-classify", "{singular: 'yes', components: [" + COMPONENT + "]}",
+     "ValueError: descriptor: the 'singular' field must be true or false, not 'yes'"),
+])
+def test_a_malformed_descriptor_field_is_named(capsys, tmp_path, command, text, message):
+    path = tmp_path / "bad.desc"
+    path.write_text(text + "\n")
+    code, out, err = run_capture(capsys, ["pde", command, str(path)])
+    assert code == 1 and not out
+    assert err.strip() == f"error: {message}"
+
+
 @pytest.mark.parametrize("line, why", [
     (BINDING.replace("->", ""), "no '->'"),
     (BINDING.replace("0,0,1", "0,0,x"), "invalid literal for int()"),

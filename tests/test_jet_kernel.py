@@ -84,23 +84,21 @@ def all_jets(s, k):
 
 
 def oracle_symbol_ranks(s, seed):
-    """Exact ranks, in the order symbol_report ranks its Jacobians: the top
-    order, each nonempty g^(i), all jets, then the first prolongation's top
-    order and all jets; each at every sample point."""
+    """Exact ranks, one list per rank_at_point call of symbol_report: at
+    each sample point, g^(n), ..., g^(1), the top order and all jets, each
+    column set ranked on its own; then, at each point of the first
+    prolongation, its top order and all jets."""
     k = s.order
     top = s.top_variables(k)
+    column_sets = [[v for v in top if all(d >= i for d in v[2])] for i in range(s.n, 0, -1)]
+    column_sets += [top, all_jets(s, k)]
     points = sample_points(s, seed=seed)
-    out = exact_ranks(jacobian(s.equations, top), points)
-    for i in range(s.n + 1):
-        cols = [v for v in top if all(d >= i for d in v[2])]
-        if cols:
-            out += exact_ranks(jacobian(s.equations, cols), points)
-    out += exact_ranks(jacobian(s.equations, all_jets(s, k)), points)
+    per_set = [exact_ranks(jacobian(s.equations, cols), points) for cols in column_sets]
     prolonged = prolong_system(s, 1)
     ppoints = sample_points(prolonged, seed=seed)
-    out += exact_ranks(jacobian(prolonged.equations, prolonged.top_variables(k + 1)), ppoints)
-    out += exact_ranks(jacobian(prolonged.equations, all_jets(s, k + 1)), ppoints)
-    return out
+    per_set1 = [exact_ranks(jacobian(prolonged.equations, cols), ppoints)
+                for cols in (prolonged.top_variables(k + 1), all_jets(s, k + 1))]
+    return [list(r) for r in zip(*per_set)] + [list(r) for r in zip(*per_set1)]
 
 
 def oracle_contact_ranks(s, seed):
@@ -128,8 +126,8 @@ def oracle_contact_ranks(s, seed):
 def recorded_ranks(monkeypatch):
     ranks = []
 
-    def recording(rows):
-        r = rank_at_point(rows)
+    def recording(rows, prefixes=()):
+        r = rank_at_point(rows, prefixes)
         ranks.append(r)
         return r
 
@@ -143,8 +141,9 @@ def test_symbol_report_ranks_match_exact_oracle(name, seed, recorded_ranks):
     s = load_system(str(data_path(name)))
     rep = symbol_report(s, seed=seed)
     expected = oracle_symbol_ranks(s, seed)
+    assert len(recorded_ranks) == 2 * jets.SAMPLE_COUNT
     assert recorded_ranks == expected
-    assert rep.rank_samples == expected[:jets.SAMPLE_COUNT]
+    assert rep.rank_samples == [r[-2] for r in expected[:jets.SAMPLE_COUNT]]
     best = max(rep.rank_samples)
     assert rep.inconsistent_rank == (2 * rep.rank_samples.count(best) <= jets.SAMPLE_COUNT)
 
@@ -162,7 +161,7 @@ def test_contact_ranks_match_exact_oracle(name, seed, recorded_ranks):
     s = load_system(LOWER_ORDER if name == "lower-order" else str(data_path(name)))
     dim = cartan_distribution_dimension(s, seed=seed)
     expected = oracle_contact_ranks(s, seed)
-    assert recorded_ranks == expected
+    assert recorded_ranks == [[r] for r in expected]
     assert dim == s.n + len(s.top_variables()) - max(expected)
 
 
@@ -220,12 +219,16 @@ def test_gradient_is_reduced_partial_derivative(p, pt):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6).flatmap(
-    lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
-                          max_size=6)))
-def test_rank_mod_p_is_exact_rank_for_small_entries(matrix):
+    lambda cols: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), max_size=6),
+        st.lists(st.integers(0, cols), max_size=4).map(sorted))))
+def test_rank_mod_p_is_exact_rank_for_small_entries(matrix_and_cuts):
     # every minor is below 6! * 9^6 < p, so no nonzero minor vanishes mod p
+    matrix, cuts = matrix_and_cuts
     reduced = [[x % MODULUS for x in row] for row in matrix]
-    assert rank_at_point(reduced) == exact_rank([[Fraction(x) for x in row] for row in matrix])
+    exact = [[Fraction(x) for x in row] for row in matrix]
+    assert rank_at_point(reduced, cuts) == (
+        [exact_rank([row[:c] for row in exact]) for c in cuts] + [exact_rank(exact)])
 
 
 # ---------------------------------------------------------------------------

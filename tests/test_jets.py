@@ -487,6 +487,29 @@ def test_operator_apply():
     assert val == 6 * x + x ** 4
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 13])
+def test_power_forms_no_product_above_its_degree(k, monkeypatch):
+    # squaring the base past the top bit of k would form a product of degree
+    # 2^bit_length(k), up to twice the degree of the power
+    p = EquationParser(["x"], ["u"]).parse_polynomial("u + u_x + x + 1")
+    degrees = []
+    mul = DiffPoly.__mul__
+
+    def recording(a, b):
+        out = mul(a, b)
+        degrees.append(max(sum(e for _, e in mono) for mono in out.terms))
+        return out
+
+    monkeypatch.setattr(DiffPoly, "__mul__", recording)
+    power = p ** k
+    monkeypatch.undo()
+    assert max(degrees, default=0) <= k
+    expected = DiffPoly.constant(1)
+    for _ in range(k):
+        expected = expected * p
+    assert power == expected
+
+
 def test_render_parse_round_trip():
     rng = random.Random(77)
     parser = EquationParser(["x", "y"], ["u", "w"])
