@@ -220,7 +220,8 @@ def is_symmorphic(g: CrystallographicGroup):
 
 
 def translation_fix_check(f: AffineElement, x: AffineElement) -> bool:
-    """Product comparison f.x == x.f, asserted equivalent to b(v) = v."""
+    """Product comparison f.x == x.f, checked equivalent to b(v) = v (a
+    RuntimeError otherwise)."""
     b = f.point_part
     if any(t != 0 for t in f.translation):
         raise ValueError("f must be a pure point operation (b, 0)")
@@ -229,7 +230,8 @@ def translation_fix_check(f: AffineElement, x: AffineElement) -> bool:
     v = x.translation
     commutes = (f * x) == (x * f)
     fixes = tuple(b.apply(v)) == tuple(v)
-    assert commutes == fixes, "commutation must be equivalent to b(v) = v"
+    if commutes != fixes:
+        raise RuntimeError("commutation must be equivalent to b(v) = v")
     return commutes
 
 

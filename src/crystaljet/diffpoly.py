@@ -196,13 +196,28 @@ class DiffPoly:
         return DiffPoly._from_clean({m: c for m, c in out.items() if c})
 
     def substitute(self, assignment) -> "DiffPoly":
-        """Replace variables by DiffPoly values (vars not listed are kept)."""
+        """Replace variables by DiffPoly values (vars not listed are kept).
+        Each term is its coefficient times one product of powers: kept
+        variables and one-term values go straight into its exponents, and
+        only the values with other than one term are multiplied in."""
         terms = []
         for mono, c in self.terms.items():
-            term = DiffPoly.constant(c)
+            powers, sums = {}, []
             for v, e in mono:
-                value = _coerce(assignment[v]) if v in assignment else DiffPoly.variable(v)
-                term = term * value ** e
+                if v not in assignment:
+                    powers[v] = powers.get(v, 0) + e
+                    continue
+                value = _coerce(assignment[v])
+                if len(value.terms) == 1:
+                    (m, vc), = value.terms.items()
+                    c *= vc ** e
+                    for w, f in m:
+                        powers[w] = powers.get(w, 0) + f * e
+                else:
+                    sums.append(value ** e)
+            term = DiffPoly._from_clean({tuple(sorted(powers.items())): c})
+            for factor in sums:
+                term = term * factor
             terms.append(term)
         return DiffPoly.sum_of(terms)
 

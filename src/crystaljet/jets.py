@@ -71,28 +71,35 @@ class ParseError(ValueError):
 # parsing
 # ---------------------------------------------------------------------------
 
+# every position is the start of a match: the last alternative takes any
+# character that starts no token, so one finditer pass covers the text
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*(?:_[A-Za-z0-9]+)?)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
+    r"|(?P<op>\*\*|[-+*/^()])|(?P<bad>[\s\S]))"
 )
 
 
 def _tokenize(text: str):
-    pos = 0
+    """(kind, value) pairs in one pass; text that starts no token raises
+    ParseError quoting it from where the last token ended."""
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        val = m[kind]
+        if kind == "num":
+            val = int(val)
+        elif kind == "bad":
+            pos = m.start()
             raise ParseError(f"cannot tokenize {text[pos:pos+20]!r}")
-        pos = m.end()
-        if m.group("num"):
-            out.append(("num", int(m.group("num"))))
-        elif m.group("name"):
-            out.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            out.append(("op", "^" if op == "**" else op))
+        elif val == "**":
+            val = "^"
+        out.append((kind, val))
     return out
+
+
+_TIMES = ("op", "*")
+_CARET = ("op", "^")
+_ATOMS = ("num", "name")
 
 
 def _times(a, b):
@@ -149,6 +156,7 @@ class EquationParser:
         self.dependent = list(dependent)
         self.parameters = {k: Fraction(v) for k, v in (parameters or {}).items()}
         self.allow_free = allow_free_symbols
+        self._names = {}  # name -> what lookup() resolved it to
         for name in self.independent:
             if len(name) != 1:
                 raise ParseError(
@@ -156,7 +164,12 @@ class EquationParser:
                     "(jet suffixes are letter sequences)"
                 )
 
-    def resolve_name(self, name: str) -> DiffPoly:
+    def lookup(self, name: str):
+        """The variable tag that ``name`` stands for, or the Fraction value
+        of a parameter.  Each name is resolved once per parser."""
+        found = self._names.get(name)
+        if found is not None:
+            return found
         if "_" in name:
             base, suffix = name.split("_", 1)
             if base not in self.dependent:
@@ -167,16 +180,19 @@ class EquationParser:
                 if ch not in self.independent:
                     raise ParseError(f"unknown direction {ch!r} in {name!r}")
                 mu.append(self.independent.index(ch))
-            return DiffPoly.variable(jet(j, mu))
-        if name in self.independent:
-            return DiffPoly.variable(xvar(self.independent.index(name)))
-        if name in self.dependent:
-            return DiffPoly.variable(jet(self.dependent.index(name), ()))
-        if name in self.parameters:
-            return DiffPoly.constant(self.parameters[name])
-        if self.allow_free:
-            return DiffPoly.variable(par(name))
-        raise ParseError(f"unknown symbol {name!r}")
+            found = jet(j, mu)
+        elif name in self.independent:
+            found = xvar(self.independent.index(name))
+        elif name in self.dependent:
+            found = jet(self.dependent.index(name), ())
+        elif name in self.parameters:
+            found = self.parameters[name]
+        elif self.allow_free:
+            found = par(name)
+        else:
+            raise ParseError(f"unknown symbol {name!r}")
+        self._names[name] = found
+        return found
 
     # precedence-climbing parser over the token list
     def parse(self, text: str) -> _RationalExpr:
@@ -206,28 +222,55 @@ class EquationParser:
         return node
 
     def _expr(self):
-        sign = 1
         kind, val = self._peek()
-        if (kind, val) == ("op", "-"):
+        negative = (kind, val) == ("op", "-")
+        if negative or (kind, val) == ("op", "+"):
             self._next()
-            sign = -1
-        elif (kind, val) == ("op", "+"):
-            self._next()
-        node = self._term()
-        terms = [-node if sign < 0 else node]
+        terms = [self._term(negative)]
         while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
             _, op = self._next()
-            rhs = self._term()
-            terms.append(rhs if op == "+" else -rhs)
+            terms.append(self._term(op == "-"))
         return _RationalExpr.sum_of(terms)
 
-    def _term(self):
-        node = self._factor()
+    def _term(self, negative=False):
+        """A product, negated if ``negative``.  A leading run of *-joined
+        literal atoms (a number or a name, each perhaps raised to a literal
+        power) is read straight into one coefficient and one exponent dict,
+        and becomes a DiffPoly once; from the first factor that is not such
+        an atom on, the product goes on as a _RationalExpr."""
+        tokens, end = self._tokens, len(self._tokens)
+        start = done = pos = self._pos  # done: just past the last atom read
+        coeff, powers = -1 if negative else 1, {}
+        while pos < end:
+            kind, val = tokens[pos]
+            if kind not in _ATOMS:
+                break
+            k, after = 1, pos + 1
+            if after < end and tokens[after] == _CARET:
+                if after + 1 == end or tokens[after + 1][0] != "num":
+                    break
+                k, after = tokens[after + 1][1], after + 2
+            value = val if kind == "num" else self.lookup(val)
+            if type(value) is tuple:
+                if k:
+                    powers[value] = powers.get(value, 0) + k
+            else:
+                coeff *= value if k == 1 else value ** k
+            done = after
+            if done == end or tokens[done] != _TIMES:
+                break
+            pos = done + 1
+        self._pos = done
+        if done == start:
+            node = self._factor()
+        else:
+            node = _RationalExpr(DiffPoly._from_clean(
+                {tuple(sorted(powers.items())): Fraction(coeff)} if coeff else {}))
         while self._peek() in (("op", "*"), ("op", "/")):
             _, op = self._next()
             rhs = self._factor()
             node = node * rhs if op == "*" else node / rhs
-        return node
+        return -node if negative and done == start else node
 
     def _factor(self):
         kind, val = self._peek()
@@ -248,7 +291,9 @@ class EquationParser:
         if kind == "num":
             return _RationalExpr(DiffPoly.constant(val))
         if kind == "name":
-            return _RationalExpr(self.resolve_name(val))
+            found = self.lookup(val)
+            return _RationalExpr(DiffPoly.variable(found) if type(found) is tuple
+                                 else DiffPoly.constant(found))
         if (kind, val) == ("op", "("):
             node = self._nested(self._expr)
             if self._next() != ("op", ")"):
@@ -432,13 +477,6 @@ def _random_fraction(rng) -> Fraction:
     return Fraction(rng.randint(-97, 97), rng.randint(1, 97))
 
 
-def _resolve_token(parser: EquationParser, token: str):
-    poly = parser.resolve_name(token)
-    (mono, _), = poly.terms.items()
-    (var, _), = mono
-    return var
-
-
 class _ScaledPoly:
     """A polynomial compiled once for exact evaluation in integers and for
     its gradient mod p.
@@ -504,7 +542,7 @@ def _compile_stages(s: PdeSystem):
     for si, stage in enumerate(s.solve_stages):
         for _, tok in stage:
             try:
-                v = _resolve_token(parser, tok)
+                v = parser.lookup(tok)
             except ParseError as exc:
                 raise ValueError(f"solve stage {si}: pivot {tok!r}: {exc}") from None
             if v in first:
@@ -514,7 +552,7 @@ def _compile_stages(s: PdeSystem):
     solved = {}  # equation index -> (stage index, token)
     stages = []
     for si, stage in enumerate(s.solve_stages):
-        pivots = [_resolve_token(parser, tok) for _, tok in stage]
+        pivots = [parser.lookup(tok) for _, tok in stage]
         columns = {v: i for i, v in enumerate(pivots)}
         rows = []
         for eq_idx, tok in stage:

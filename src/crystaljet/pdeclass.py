@@ -138,16 +138,15 @@ class CrystalClassification:
 
 
 def _check_hypotheses(d: PdeDescriptor, p: int):
+    named = f"{d.name}: " if d.name else ""
     if not d.flags["formally_integrable"]:
-        raise HypothesisViolated(f"{d.name}: formal integrability not established")
+        raise HypothesisViolated(f"{named}formal integrability not established")
     if not d.flags["completely_integrable"]:
-        raise HypothesisViolated(f"{d.name}: complete integrability not established")
+        raise HypothesisViolated(f"{named}complete integrability not established")
     if d.dim_e < 2 * d.n + 1:
-        raise HypothesisViolated(
-            f"{d.name}: dim E = {d.dim_e} < 2n+1 = {2 * d.n + 1}"
-        )
+        raise HypothesisViolated(f"{named}dim E = {d.dim_e} < 2n+1 = {2 * d.n + 1}")
     if p >= d.n:
-        raise HypothesisViolated(f"{d.name}: bordism degree {p} must be < n = {d.n}")
+        raise HypothesisViolated(f"{named}bordism degree {p} must be < n = {d.n}")
 
 
 def weak_bordism(d: PdeDescriptor, p: int) -> FgAbelianGroup:
@@ -255,7 +254,8 @@ def classify_singular(s: SingularPdeDescriptor, check_corpus=True) -> SingularCl
         try:
             parts.append(classify(comp, check_corpus=check_corpus))
         except Exception as exc:
-            raise type(exc)(f"component {i} ({comp.name}): {exc}") from exc
+            named = f" ({comp.name})" if comp.name else ""
+            raise type(exc)(f"component {i}{named}: {exc}") from exc
     verdicts = {c.verdict for c in parts}
     if verdicts <= {"ZeroCrystal"}:
         verdict = "ZeroCrystalSingular"
@@ -336,6 +336,19 @@ def _list_of(ok):
     return lambda value: isinstance(value, list) and all(map(ok, value))
 
 
+def _flags(doc: dict, what: str) -> dict:
+    """The 'flags' field: a mapping from names in DEFAULT_FLAGS to true or
+    false.  Any other name raises ValueError naming it, so a misspelt flag
+    is not dropped silently."""
+    flags = _field(doc, "flags", lambda f: _is_mapping(f) and all(map(_is_bool, f.values())),
+                   "a mapping to true or false", what, {})
+    for key in flags:
+        if key not in DEFAULT_FLAGS:
+            raise ValueError(f"{what}: the 'flags' field names {key!r}, which is not a flag"
+                             f" (the flags are {', '.join(DEFAULT_FLAGS)})")
+    return flags
+
+
 def _descriptor_from_dict(doc: dict, what: str = "descriptor") -> PdeDescriptor:
     n, m, order, dim_e = (_field(doc, key, _is_int, "an integer", what)
                           for key in ("n", "m", "order", "dim_E"))
@@ -344,8 +357,7 @@ def _descriptor_from_dict(doc: dict, what: str = "descriptor") -> PdeDescriptor:
         name=doc.get("name", ""), n=n, m=m, order=order, dim_e=dim_e,
         betti_w=_field(doc, "betti_W", ints, "a list of integers", what),
         betti_m=_field(doc, "betti_M", ints, "a list of integers", what, None),
-        flags=_field(doc, "flags", lambda f: _is_mapping(f) and all(map(_is_bool, f.values())),
-                     "a mapping to true or false", what, {}),
+        flags=_flags(doc, what),
         jets_check=_field(doc, "jets_check", _list_of(lambda f: isinstance(f, str)),
                           "a list of file names", what, []),
     )

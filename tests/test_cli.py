@@ -408,6 +408,36 @@ def test_a_malformed_descriptor_field_is_named(capsys, tmp_path, command, text, 
     assert err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("classify", "{" + DESC.format(n=2, dim_e=7, betti="[1, 2, 1]")
+     + ", flags: {formaly_integrable: true, completely_integrable: true}}",
+     "ValueError: descriptor: the 'flags' field names 'formaly_integrable', which is not a flag"),
+    ("singular-classify", "{singular: true, components: [" + COMPONENT + ", {"
+     + DESC.format(n=2, dim_e=7, betti="[1, 0, 0]") + ", flags: {zero_crystal: true}}]}",
+     "ValueError: component 1 of the singular descriptor: the 'flags' field names"
+     " 'zero_crystal', which is not a flag"),
+])
+def test_a_misspelt_flag_is_refused_by_name(capsys, tmp_path, command, text, message):
+    path = tmp_path / "bad.desc"
+    path.write_text(text + "\n")
+    code, out, err = run_capture(capsys, ["pde", command, str(path)])
+    assert code == 1 and not out
+    assert err.startswith(f"error: {message} (the flags are formally_integrable, ")
+
+
+def test_an_unnamed_descriptor_names_the_violated_hypothesis_alone(capsys, tmp_path):
+    path = tmp_path / "unnamed.desc"
+    path.write_text("{" + DESC.format(n=2, dim_e=7, betti="[1, 2, 1]") + "}\n")
+    code, out, err = run_capture(capsys, ["pde", "classify", str(path)])
+    assert code == 1 and not out
+    assert err.strip() == "error: HypothesisViolated: formal integrability not established"
+    path.write_text("{singular: true, components: [" + COMPONENT + "]}\n")
+    code, out, err = run_capture(capsys, ["pde", "singular-classify", str(path)])
+    assert code == 1 and not out
+    assert err.strip() == ("error: HypothesisViolated: component 0: formal integrability"
+                           " not established")
+
+
 @pytest.mark.parametrize("line, why", [
     (BINDING.replace("->", ""), "no '->'"),
     (BINDING.replace("0,0,1", "0,0,x"), "invalid literal for int()"),

@@ -216,6 +216,16 @@ def test_translation_fix_check():
     )
 
 
+def test_translation_fix_check_raises_when_the_equivalence_fails(monkeypatch):
+    # the equivalence is a theorem, so break b(v) to see the check fire; it
+    # must be a raise, which python -O keeps, not an assert
+    mirror = AffineElement(IntegerMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]]), (0, 0, 0))
+    v = AffineElement(IntegerMatrix.identity(3), (3, 0, 0))
+    monkeypatch.setattr(IntegerMatrix, "apply", lambda self, w: [c + 1 for c in w])
+    with pytest.raises(RuntimeError, match="^commutation must be equivalent to b\\(v\\) = v$"):
+        translation_fix_check(mirror, v)
+
+
 def test_three_dimensional_screw_group():
     # two-fold screw axis: rotation about y with a half shift along it
     rot = IntegerMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])

@@ -280,7 +280,7 @@ def oracle_sample_points(s, polys, count=jets.SAMPLE_COUNT, seed=jets.DEFAULT_SE
     stages = []
     for stage in s.solve_stages:
         eqs = [s.equations[i] for i, _ in stage]
-        stages.append((eqs, [jets._resolve_token(parser, tok) for _, tok in stage]))
+        stages.append((eqs, [parser.lookup(tok) for _, tok in stage]))
         for eq in eqs:
             needed |= eq.variables()
     pivot_set = {v for _, pivots in stages for v in pivots}

@@ -1,12 +1,15 @@
+import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystaljet import jets
 from crystaljet.corpus import metric_flow_system, mhd_system
-from crystaljet.data import data_path
+from crystaljet.data import data_path, load_document
 from crystaljet.diffpoly import DiffOperator, DiffPoly, jet, par, xvar
 from crystaljet.jets import (
     MAX_NESTING,
@@ -424,6 +427,220 @@ def test_parser_errors():
         parser.parse_polynomial("u + *x")
 
 
+# ---------------------------------------------------------------------------
+# the parser against its factor-by-factor oracle
+# ---------------------------------------------------------------------------
+
+_ORACLE_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*(?:_[A-Za-z0-9]+)?)"
+    r"|(?P<op>\*\*|[-+*/^()]))"
+)
+
+
+def _tokenize_by_matches(text):
+    """One anchored regex match per token: the tokenizer the one-pass
+    jets._tokenize must agree with, tokens and errors alike."""
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _ORACLE_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            raise ParseError(f"cannot tokenize {text[pos:pos+20]!r}")
+        pos = m.end()
+        if m.group("num"):
+            out.append(("num", int(m.group("num"))))
+        elif m.group("name"):
+            out.append(("name", m.group("name")))
+        else:
+            op = m.group("op")
+            out.append(("op", "^" if op == "**" else op))
+    return out
+
+
+class OracleParser(EquationParser):
+    """Every factor a one-term polynomial, multiplied in one at a time, and
+    every negated term negated after it is built: the parser that reads
+    each flat product straight into one monomial must agree with this."""
+
+    def parse(self, text):
+        self._tokens = _tokenize_by_matches(text)
+        self._pos = 0
+        self._depth = 0
+        expr = self._expr()
+        if self._pos != len(self._tokens):
+            raise ParseError(f"trailing input in {text!r}")
+        return expr
+
+    def _expr(self):
+        sign = 1
+        kind, val = self._peek()
+        if (kind, val) == ("op", "-"):
+            self._next()
+            sign = -1
+        elif (kind, val) == ("op", "+"):
+            self._next()
+        node = self._term()
+        terms = [-node if sign < 0 else node]
+        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
+            _, op = self._next()
+            rhs = self._term()
+            terms.append(rhs if op == "+" else -rhs)
+        return type(node).sum_of(terms)
+
+    def _term(self):
+        node = self._factor()
+        while self._peek() in (("op", "*"), ("op", "/")):
+            _, op = self._next()
+            rhs = self._factor()
+            node = node * rhs if op == "*" else node / rhs
+        return node
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _same_parse(parser, oracle, text, exclusions=()):
+    """Both parsers give equal numerators and denominators, and equal
+    cleared polynomials, or the same ParseError."""
+    expr, expected = _outcome(parser.parse, text), _outcome(oracle.parse, text)
+    if isinstance(expected, str):
+        assert expr == expected, text
+    else:
+        assert (expr.num, expr.den) == (expected.num, expected.den), text
+    assert (_outcome(parser.parse_polynomial, text, exclusions)
+            == _outcome(oracle.parse_polynomial, text, exclusions)), text
+
+
+_PARSE_ARGS = (["x", "y"], ["u", "v"], {"a": 0, "b": Fraction(3, 2), "c": -7})
+_ATOMS = [str(k) for k in range(13)] + ["u", "v", "x", "y", "u_x", "u_xy", "v_yy", "a", "b", "c"]
+_EXPONENTS = ["", "", "", "^0", "^1", "^2", "^3", "**2"]
+
+
+@st.composite
+def _sum_texts(draw, depth):
+    """A sum of products of numbers and names, each perhaps to a literal
+    power.  Above depth 0 a factor may also be a negated factor, or a sum
+    one level shallower in parentheses, perhaps to a power."""
+    def factor(d):
+        kind = draw(st.integers(0, 7 if d else 4))
+        if kind <= 4:
+            return draw(st.sampled_from(_ATOMS)) + draw(st.sampled_from(_EXPONENTS))
+        if kind == 5:
+            return "-" + factor(d)
+        inner = f"({sum_(d - 1)})"
+        return inner if kind == 6 else inner + draw(st.sampled_from(["^0", "^1", "^2"]))
+
+    def product(d):
+        text = factor(d)
+        for _ in range(draw(st.integers(0, 3))):
+            text += draw(st.sampled_from("****/")) + factor(d)
+        return text
+
+    def sum_(d):
+        text = draw(st.sampled_from(["", "", "-", "+"])) + product(d)
+        for _ in range(draw(st.integers(0, 2))):
+            text += draw(st.sampled_from([" + ", " - ", "-", "+"])) + product(d)
+        return text
+
+    return sum_(depth)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_sum_texts(2))
+def test_parser_agrees_with_the_factor_by_factor_oracle(text):
+    u, x = DiffPoly.variable(jet(0, ())), DiffPoly.variable(xvar(0))
+    _same_parse(EquationParser(*_PARSE_ARGS), OracleParser(*_PARSE_ARGS), text, [u, x])
+
+
+@pytest.mark.parametrize("text", [
+    "2*u^0*u*u^1*x^3*a", "b^2*u_x*-u", "u*-(x+1)", "u^1^2", "u*x^y", "u*(x)^2*3",
+    "x/0", "u/a", "u*2/x*y", "-u^0", "0^0", "a^0*u", "u*", "u^", "u**2*x", "3 4", "u u",
+    "- - u", "u*+x", "2*u_x*u_q", "2*u*q", "2*q^x", "+u", "x^07",
+])
+def test_edge_products_agree_with_the_oracle(text):
+    _same_parse(EquationParser(*_PARSE_ARGS), OracleParser(*_PARSE_ARGS), text,
+                [DiffPoly.variable(xvar(0))])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(st.sampled_from("ux_y0123 \t\n*+-/^()?.\u00e9\u0663"), max_size=30))
+def test_tokens_and_tokenize_errors_match_one_match_per_token(text):
+    assert _outcome(jets._tokenize, text) == _outcome(_tokenize_by_matches, text)
+
+
+def _term_digest(s):
+    """sha256 of the equations then the exclusions, each as its sorted
+    (monomial, coefficient) pairs."""
+    h = hashlib.sha256()
+    for poly in s.equations + [None] + s.exclusions:
+        h.update(b"|" if poly is None else repr(sorted(poly.terms.items())).encode() + b"\n")
+    return h.hexdigest()
+
+
+_MHD_VARIED = ("rho", "chi", "nu", "cv", "mu0", "mubar", "eps0", "epsbar")
+_MHD_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _mhd_documents(seed):
+    """The two plasma-model documents that the mhd-contact benchmark
+    workload parses at ``seed``: the model with and without boundary, with
+    its constants drawn from distinct small primes."""
+    rng = random.Random(f"mhd-contact/{seed}")
+    for boundary in (False, True):
+        constants = dict(zip(_MHD_VARIED, rng.sample(_MHD_PRIMES, len(_MHD_VARIED))))
+        s = mhd_system(boundary=boundary, constants=constants)
+        rng.randrange(1, 2**31)  # the workload's sampling seed
+        yield boundary, {"independent": s.independent, "dependent": s.dependent,
+                         "order": s.order, "equations": s.render_equations()}
+
+
+# recorded from the factor-by-factor parser
+PARSE_DIGESTS = {
+    "continuity_e1.pde": "5058aef586126fde3bbda267c5a5b940f6cfdb28fe591ac877fe582ad841184a",
+    "dalembert.pde": "4f2e0f4aa1335a8627c9b0c6724b379b3784ba17693939ad2fe470a48269dbde",
+    "heat.pde": "af3844ad0f631f9fe1712877f658a5bb7fdd8a331ec235d1eb6fe630e322c53e",
+    "pressure_e2.pde": "9ac56b34a629af4db2c8555b8bf410b4965b1998c043a1ab7b8e56ebf592d9f8",
+    "table4_component.pde": "dcfc5a2bbbadb07b9772a438135e12ae632976fefdbe7c6c618d4ff8da220860",
+    "tricomi.pde": "c8adcbb2fb979a2dfba55b76b8d8c0ee5a34705c8644bc722b2bb94c13ef8eb1",
+    "uxx_uyy.pde": "fcdbed30d87d7d688c1300f4c75f9550de27fca64d302deb835da4b38e139983",
+    (1, False): "3ef133281300eeb9f07f3b29ce9c3e9cbe8fb277b7c6e5d72bafe7bdec020c6b",
+    (1, True): "33e8018e38892116b7922dbf647023e711565a9d2bfab7f42a7bfe3b3276dc17",
+    (2, False): "f4c5deb07942553b5df7b456d59928f9f94ed80f4c6a1fae2978191518d175cb",
+    (2, True): "d2fdc021c74146c2e6ff67af7bc2b0660d00dcf376a51ad90aa4b8c1d2d9941c",
+    (3, False): "5483f5ade60384fb081990531d1f9ff616528a9df6806360a059f0d38a89ac10",
+    (3, True): "d2913bd9f05a393ff4c5008ff1f3709a6f93283241e5e02b1cd608697809ceb0",
+}
+
+
+def _oracle_load(doc):
+    """load_system with the oracle parser in place of EquationParser."""
+    oracle = OracleParser(doc["independent"], doc["dependent"], doc.get("parameters"))
+    exclusions = [oracle.parse_polynomial(t) for t in doc.get("exclusions", [])]
+    return PdeSystem(independent=doc["independent"], dependent=doc["dependent"],
+                     order=doc["order"], exclusions=exclusions,
+                     equations=[oracle.parse_polynomial(t, exclusions) for t in doc["equations"]])
+
+
+@pytest.mark.parametrize("name", sorted(k for k in PARSE_DIGESTS if isinstance(k, str)))
+def test_packaged_documents_parse_as_recorded(name):
+    s = corpus(name)
+    assert _term_digest(s) == PARSE_DIGESTS[name]
+    expected = _oracle_load(load_document(data_path(name)))
+    assert (s.equations, s.exclusions) == (expected.equations, expected.exclusions)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mhd_benchmark_documents_parse_as_recorded(seed):
+    for boundary, doc in _mhd_documents(seed):
+        s = load_system(doc)
+        assert _term_digest(s) == PARSE_DIGESTS[seed, boundary]
+        assert s.equations == _oracle_load(doc).equations
+
+
 def test_verify_polynomial_solution_heat():
     heat = corpus("heat.pde")
     res = verify_polynomial_solution(heat, {"u": "a*x + b"})
@@ -440,6 +657,46 @@ def test_verify_polynomial_solution_dalembert():
     assert all(r.is_zero() for r in res)
     res = verify_polynomial_solution(dal, {"u": "x + y"})
     assert not all(r.is_zero() for r in res)
+
+
+def _substitute_by_products(poly, assignment):
+    """Every term as a chain of one-term products, one factor per variable:
+    the form the one-product DiffPoly.substitute must agree with."""
+    terms = []
+    for mono, c in poly.terms.items():
+        term = DiffPoly.constant(c)
+        for v, e in mono:
+            value = assignment[v] if v in assignment else DiffPoly.variable(v)
+            term = term * value ** e
+        terms.append(term)
+    return DiffPoly.sum_of(terms)
+
+
+def _quadratic_section(s):
+    """A quadratic polynomial in the independent variables and a free
+    constant k for each dependent variable."""
+    xs = s.independent
+    return {u: f"{j + 1}*{xs[j % len(xs)]}^2 - {xs[(j + 1) % len(xs)]}*{xs[-1]}/{j + 2} + k*{xs[0]}"
+               f" - {j}" for j, u in enumerate(s.dependent)}
+
+
+def test_substitution_agrees_with_the_chained_products(monkeypatch):
+    systems = [(name, corpus(name)) for name in sorted(
+        p.name for p in data_path(".").iterdir() if p.suffix == ".pde")]
+    systems.append(("mhd", mhd_system()))
+    assert len(systems) == 8
+    for name, s in systems:
+        section = _quadratic_section(s)
+        residuals = verify_polynomial_solution(s, section)
+        with monkeypatch.context() as patched:
+            patched.setattr(DiffPoly, "substitute", _substitute_by_products)
+            assert residuals == verify_polynomial_solution(s, section), name
+        assert any(not r.is_zero() for r in residuals), name
+    u, ux, x = DiffPoly.variable(jet(0, ())), DiffPoly.variable(jet(0, (0,))), DiffPoly.variable(xvar(0))
+    poly = 3 * u ** 2 * ux * x - ux ** 3 + 5
+    for value in (DiffPoly.zero(), DiffPoly.constant(2), x ** 2 * Fraction(1, 3), x + 1):
+        assignment = {jet(0, ()): value, jet(0, (0,)): value * 2}
+        assert poly.substitute(assignment) == _substitute_by_products(poly, assignment)
 
 
 def test_diffop_ring():
