@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import jets
 from .abelian import FgAbelianGroup, IntegerMatrix
@@ -600,9 +601,12 @@ def _cmd_pde(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    # SUPPRESS keeps a subparser from clobbering a global flag given before
-    # the subcommand; real defaults are applied after parsing
+    # built on the first run, not at import, and shared by every later run:
+    # parse_args keeps no state between calls.  SUPPRESS keeps a subparser
+    # from clobbering a global flag given before the subcommand; real
+    # defaults are applied after parsing
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json"],
                         default=argparse.SUPPRESS)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .abelian import IntegerMatrix, smith_normal_form
 from .data import load_blocks
@@ -199,16 +200,18 @@ def is_symmorphic(g: CrystallographicGroup):
         rhs.extend(g.vector_system[i])
     amat = IntegerMatrix(rows)
     diag, u, v = smith_normal_form(amat)
-    tb = u.apply(tuple(rhs))
+    # U applied to the right-hand side scaled to integers: t = tb / den
+    den = lcm(*(t.denominator for t in rhs))
+    tb = u.apply(tuple(t.numerator * (den // t.denominator) for t in rhs))
     y = [Fraction(0)] * amat.cols
     for i in range(amat.rows):
         di = diag[i] if i < len(diag) else 0
         if di == 0:
-            if Fraction(tb[i]).denominator != 1:
+            if tb[i] % den:
                 return False, None
         else:
             if i < amat.cols:
-                y[i] = Fraction(tb[i], di)
+                y[i] = Fraction(tb[i], di * den)
     witness = tuple(v.apply(tuple(y)))
     # verify exactly
     for i in range(pg.order):

@@ -179,8 +179,11 @@ def enumerate_subgroups(g: FiniteMatrixGroup) -> list[SubgroupRecord]:
     O'Brien, Handbook of Computational Group Theory, 2005): every subgroup
     is the join of its cyclic subgroups, so joining each subgroup h found,
     from the cyclic subgroups on, with <x> for each x not in h finds them
-    all.  Each subgroup carries the generators that made it, so a join is
-    one ``reach`` from those few and x.  Each subgroup is named from the
+    all.  The join depends only on the right coset h*x (for a in h,
+    <h, a*x> = <h, x>), so each coset is joined once: the cosets of the x
+    joined so far are marked, and a later x in a marked coset is skipped.
+    Each subgroup carries the generators that made it, so a join is one
+    ``reach`` from those few and x.  Each subgroup is named from the
     (det, trace) pairs of its elements, read off g's elements, and records
     with equal triples are ordered by their sorted element indices.
     """
@@ -191,11 +194,14 @@ def enumerate_subgroups(g: FiniteMatrixGroup) -> list[SubgroupRecord]:
         cyclic.setdefault(frozenset(g.reach([x])), x)
     found = {c: (x,) for c, x in cyclic.items()}  # subgroup -> its generators
     frontier = list(found)
+    cay = g.cayley
     while frontier:
         h = frontier.pop()
+        joined = set(h)  # the cosets h*x joined so far, h itself included
         for x in cyclic.values():
-            if x in h:
+            if x in joined:
                 continue
+            joined.update(cay[a][x] for a in h)
             gens = found[h] + (x,)
             k = frozenset(g.reach(gens))
             if k not in found:

@@ -50,6 +50,7 @@ SAMPLE_COUNT = 5
 MAX_SAMPLE_ATTEMPTS = 200
 MODULUS = 2**61 - 1  # a Mersenne prime; generic ranks are taken mod MODULUS
 MAX_NESTING = 100  # parentheses and prefix minus signs; well under the recursion limit
+MAX_TERMS = 10_000  # terms a parsed product or power may expand to; checked before expanding
 
 
 class NoGenericPoint(RuntimeError):
@@ -71,11 +72,12 @@ class ParseError(ValueError):
 # parsing
 # ---------------------------------------------------------------------------
 
-# every position is the start of a match: the last alternative takes any
-# character that starts no token, so one finditer pass covers the text
+# every position is the start of a match: the unnamed alternative takes
+# whitespace to the end of the text and the last one any character that
+# starts no token, so one finditer pass covers the text
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*(?:_[A-Za-z0-9]+)?)"
-    r"|(?P<op>\*\*|[-+*/^()])|(?P<bad>[\s\S]))"
+    r"|(?P<op>\*\*|[-+*/^()])|\Z|(?P<bad>[\s\S]))"
 )
 
 
@@ -85,6 +87,8 @@ def _tokenize(text: str):
     out = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
+        if kind is None:  # the end of the text
+            break
         val = m[kind]
         if kind == "num":
             val = int(val)
@@ -102,13 +106,29 @@ _CARET = ("op", "^")
 _ATOMS = ("num", "name")
 
 
+def _bound_terms(count: int, what: str):
+    if count > MAX_TERMS:
+        raise ParseError(f"{what} could expand to {count} terms, over MAX_TERMS = {MAX_TERMS}")
+
+
 def _times(a, b):
-    """Product of two DiffPoly where None stands for the constant one."""
+    """Product of two DiffPoly where None stands for the constant one,
+    refused before it is expanded if |a|*|b| exceeds MAX_TERMS."""
     if b is None:
         return a
     if a is None:
         return b
+    _bound_terms(len(a.terms) * len(b.terms), "a product")
     return a * b
+
+
+def _power(p, k: int):
+    """p ** k, refused before it is expanded if C(t+k-1, k), the number of
+    degree-k monomials in the t terms of p, exceeds MAX_TERMS."""
+    t = len(p.terms)
+    if t > 1 and k > 1:
+        _bound_terms(comb(t + k - 1, k), "a power")
+    return p ** k
 
 
 class _RationalExpr:
@@ -136,7 +156,7 @@ class _RationalExpr:
                              _times(self.den, o.den))
 
     def __mul__(self, o):
-        return _RationalExpr(self.num * o.num, _times(self.den, o.den))
+        return _RationalExpr(_times(self.num, o.num), _times(self.den, o.den))
 
     def __truediv__(self, o):
         if o.num.is_zero():
@@ -147,7 +167,8 @@ class _RationalExpr:
         return _RationalExpr(-self.num, self.den)
 
     def __pow__(self, k: int):
-        return _RationalExpr(self.num ** k, None if self.den is None else self.den ** k)
+        return _RationalExpr(_power(self.num, k),
+                             None if self.den is None else _power(self.den, k))
 
 
 class EquationParser:

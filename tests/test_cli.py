@@ -6,6 +6,7 @@ import pytest
 
 from crystaljet.abelian import FgAbelianGroup
 from crystaljet.cli import (
+    build_parser,
     canonical_json,
     load_known_errata,
     run,
@@ -194,6 +195,58 @@ def test_tables_validate_enumerates_each_subgroup_lattice_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 32
 
 
+# the README commands that the corpus-small benchmark workload runs
+README_COMMANDS = (
+    ["bordism", "unoriented", "--n", "4"],
+    ["bordism", "relative", "--betti", "1,2,1", "--p", "1"],
+    ["bordism", "crystal-group", "--group", "Z/2 x Z/2"],
+    ["tables", "pointgroup", "C_3", "--verify"],
+    ["tables", "spacegroups", "--filter", "Cubic"],
+    ["tables", "wallpaper", "p4m"],
+    ["tables", "validate", "--expect-known-errata"],
+    ["cohomology", "--group", "cyclic:4", "--module", "Z", "--degree", "2"],
+    ["symmorphic"],
+    ["pde", "symbol", "continuity_e1.pde"],
+    ["pde", "involutivity", "pressure_e2.pde"],
+    ["pde", "classify", "navier_stokes.desc"],
+    ["pde", "singular-classify", "mhd_singular.desc"],
+    ["pde", "verify-solution", "heat.pde", "--section", "u=a*x+b"],
+)
+
+
+def test_one_parser_serves_every_run_in_a_process(capsys):
+    sequence = []
+    for argv in README_COMMANDS:
+        sequence += [[*argv, "--format", "json"], ["tables", "bogus"],
+                     argv, ["--format", "text", *argv]]
+    sequence += [["--seed", "7", "pde", "symbol", "heat.pde"], ["pde", "symbol", "heat.pde"],
+                 ["pde", "symbol", "heat.pde", "--seed", "7"],
+                 ["pde", "--seed", "7", "--format", "json", "symbol", "heat.pde"],
+                 ["pde", "symbol", "heat.pde"]]
+
+    def outcome(argv):
+        """The exit code and stdout of a run, and the namespace it parsed
+        (or argparse's exit code), which shows a flag the output does not."""
+        code = run(argv)
+        out = capsys.readouterr().out
+        try:
+            parsed = vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            parsed = exc.code
+        capsys.readouterr()
+        return code, out, parsed
+
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh].count(1) == len(README_COMMANDS)  # each `tables bogus`
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert [outcome(argv) for argv in sequence] == fresh
+    assert build_parser.cache_info().misses == 1
+
+
 def test_tables_spacegroups(capsys):
     code, out, _ = run_capture(
         capsys, ["tables", "spacegroups", "--filter", "Triclinic", "--format", "json"]
@@ -351,6 +404,17 @@ def test_a_malformed_document_is_refused_with_its_field_named(capsys, tmp_path, 
     code, out, err = run_capture(capsys, ["pde", command, str(path)])
     assert code == 1 and not out
     assert err.strip() == f"error: {message}"
+
+
+def test_an_expansion_past_the_term_bound_is_refused_fast(capsys, tmp_path):
+    path = tmp_path / "power.pde"
+    path.write_text("independent: [x]\ndependent: [u]\norder: 1\nequations: ['(u+u_x+x+1)^40']\n")
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, ["pde", "symbol", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.strip() == ("error: ParseError: a power could expand to 12341 terms,"
+                           " over MAX_TERMS = 10000")
 
 
 @pytest.mark.parametrize("text, message", [

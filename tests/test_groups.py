@@ -340,6 +340,63 @@ def test_subgroup_lattice_of_groups_outside_the_crystal_classes():
     assert all(name == f"order-{order}-unclassified" for (name, order, _), _ in lattice)
 
 
+def _join_every_generator(g):
+    """The cyclic extension that joins each subgroup found with every cyclic
+    generator outside it, one ``reach`` per pair: the oracle for the one
+    join per right coset of ``enumerate_subgroups``, as its records."""
+    cyclic = {}
+    for x in range(g.order):
+        cyclic.setdefault(frozenset(g.reach([x])), x)
+    found = {c: (x,) for c, x in cyclic.items()}
+    frontier = list(found)
+    while frontier:
+        h = frontier.pop()
+        for x in cyclic.values():
+            if x not in h:
+                gens = found[h] + (x,)
+                k = frozenset(g.reach(gens))
+                if k not in found:
+                    found[k] = gens
+                    frontier.append(k)
+    pairs = _det_trace(g)
+    records = [(_name([pairs[i] for i in k]), len(k), g.order // len(k), k) for k in found]
+    records.sort(key=lambda r: (-r[1], r[0], r[2], tuple(sorted(r[3]))))
+    return records
+
+
+def _alternating_group_a5():
+    """A_5 as 5 x 5 even permutation matrices, from a 5-cycle and a 3-cycle."""
+    return close_group([_permutation_matrix((1, 2, 3, 4, 0)), _permutation_matrix((1, 2, 0, 3, 4))])
+
+
+def test_one_join_per_coset_gives_the_records_of_every_join():
+    a5 = _alternating_group_a5()
+    assert a5.order == 60  # not solvable: the coset argument needs no solvability
+    groups = [*point_groups().values(), *point_groups_2d().values(), _symmetric_group_s4(), a5]
+    for g in groups:
+        records = [(r.iso_name, r.order, r.index, r.element_indices)
+                   for r in enumerate_subgroups(g)]
+        assert records == _join_every_generator(g), g
+    assert len(enumerate_subgroups(a5)) == 59
+
+
+def test_one_join_per_coset_makes_fewer_reach_calls(monkeypatch):
+    calls = []
+    reach = FiniteMatrixGroup.reach
+
+    def counting(self, generators):
+        calls.append(self)
+        return reach(self, generators)
+
+    monkeypatch.setattr(FiniteMatrixGroup, "reach", counting)
+    enumerate_subgroups(point_group("O_h"))
+    assert len(calls) == 1046  # 2 851 with a join per cyclic generator
+    calls.clear()
+    for g in point_groups().values():
+        enumerate_subgroups(g)
+    assert len(calls) == 2756  # 6 251 with a join per cyclic generator
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 41), st.lists(st.integers(0, 47), max_size=4))
 def test_walk_is_the_inline_walk(which, picks):

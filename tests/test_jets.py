@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from crystaljet.diffpoly import DiffOperator, DiffPoly, jet, par, xvar
 from crystaljet.jets import (
     MAX_NESTING,
     MAX_SAMPLE_ATTEMPTS,
+    MAX_TERMS,
     EquationParser,
     NoGenericPoint,
     ParseError,
@@ -334,6 +336,47 @@ def test_nesting_is_bounded(nested):
             parser.parse_polynomial(nested(depth))
 
 
+def _sum(name, count):
+    return "(" + "+".join(f"{name}^{i}" for i in range(count)) + ")"
+
+
+def test_a_product_is_bounded_before_it_is_expanded():
+    parser = EquationParser(["x"], ["u"])
+    assert MAX_TERMS == 100 * 100
+    assert len(parser.parse_polynomial(f"{_sum('x', 100)}*{_sum('u', 100)}").terms) == MAX_TERMS
+    past = f"a product could expand to {MAX_TERMS + 1} terms, over MAX_TERMS = {MAX_TERMS}"
+    for text in (f"{_sum('x', 73)}*{_sum('u', 137)}",  # 73 * 137 = MAX_TERMS + 1
+                 f"u_x*{_sum('x', 73)}*{_sum('u', 137)}",  # after a flat product
+                 f"1/{_sum('x', 73)} + 1/{_sum('u', 137)}"):  # a common denominator
+        with pytest.raises(ParseError, match=f"^{past}$"):
+            parser.parse_polynomial(text)
+
+
+def test_a_power_is_bounded_before_it_is_expanded(monkeypatch):
+    parser = EquationParser(["x"], ["u"])
+    # C(4 + 5 - 1, 5) = 56 monomials of degree 5 in the 4 terms
+    monkeypatch.setattr(jets, "MAX_TERMS", 56)
+    assert len(parser.parse_polynomial("(u+u_x+x+1)^5").terms) == 56
+    monkeypatch.setattr(jets, "MAX_TERMS", 55)
+    with pytest.raises(ParseError, match="^a power could expand to 56 terms, over MAX_TERMS = 55$"):
+        parser.parse_polynomial("(u+u_x+x+1)^5")
+    monkeypatch.undo()
+    start = time.perf_counter()
+    refused = f"^a power could expand to 12341 terms, over MAX_TERMS = {MAX_TERMS}$"
+    with pytest.raises(ParseError, match=refused):
+        parser.parse_polynomial("(u+u_x+x+1)^40")
+    assert time.perf_counter() - start < 1
+    # a power of one term, or to the first power, expands nothing
+    assert parser.parse_polynomial("(2*u_x)^20000") == parser.parse_polynomial("2^20000*u_x^20000")
+    assert parser.parse_polynomial(f"{_sum('x', MAX_TERMS + 1)}^1").terms
+
+
+@pytest.mark.parametrize("text", ["u_x ", "u_x\n", " u_x \t\n", "u_x+ 1 ", "(u_x) "])
+def test_trailing_whitespace_is_accepted(text):
+    parser = EquationParser(["x"], ["u"])
+    assert parser.parse_polynomial(text) == parser.parse_polynomial(text.strip())
+
+
 def test_a_parameter_override_may_not_name_a_variable():
     doc = {"independent": ["x"], "dependent": ["u"], "order": 1, "equations": ["u_x - a"],
            "parameters": {"a": 1}}
@@ -433,7 +476,7 @@ def test_parser_errors():
 
 _ORACLE_TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*(?:_[A-Za-z0-9]+)?)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
+    r"|(?P<op>\*\*|[-+*/^()])|\Z)"
 )
 
 
@@ -447,6 +490,8 @@ def _tokenize_by_matches(text):
         if not m or m.end() == pos:
             raise ParseError(f"cannot tokenize {text[pos:pos+20]!r}")
         pos = m.end()
+        if m.lastgroup is None:  # whitespace to the end of the text
+            break
         if m.group("num"):
             out.append(("num", int(m.group("num"))))
         elif m.group("name"):
