@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -15,14 +16,15 @@ from crystaljet.cohomology import (
     _preimage_lattice,
     coboundary_squared_is_zero,
     derivations,
+    free_resolution,
     group_cohomology,
     group_cohomology_cyclic,
     group_homology_cyclic,
     kunneth_homology,
     splitting_classes,
 )
-from crystaljet.crystal import semidirect_product, wallpaper_groups
-from crystaljet.groups import close_group, point_group, point_groups
+from crystaljet.crystal import is_symmorphic, semidirect_product, wallpaper_groups
+from crystaljet.groups import close_group, point_group, point_groups, point_groups_2d
 
 Z = FgAbelianGroup.free(1)
 
@@ -313,8 +315,6 @@ def test_splitting_classes_pm():
 
 
 def test_splitting_class_count_matches_h1_all_symmorphic_wallpaper():
-    from crystaljet.crystal import is_symmorphic
-
     counts = {}
     for name, g in wallpaper_groups().items():
         if not is_symmorphic(g)[0]:
@@ -329,6 +329,32 @@ def test_splitting_class_count_matches_h1_all_symmorphic_wallpaper():
         "p1": 1, "p2": 4, "pm": 2, "cm": 1, "pmm": 4, "cmm": 2, "p4": 2,
         "p4m": 2, "p3": 3, "p3m1": 3, "p31m": 1, "p6": 1, "p6m": 1,
     }
+
+
+# sha256 of the exact bases that `kernel_basis` hands on: the ranks and the
+# boundary images of the length-3 resolution of each of the 32 + 10 point
+# groups, and the sorted values of every splitting class of the 13
+# symmorphic wallpaper groups; a kernel with another (equally valid) basis
+# changes both
+RESOLUTIONS_SHA256 = "fec9f2010158dce2bd3e492e253b1070cd0fd21d7a6dbbeebd1ce08a938cc28c"
+SPLITTING_CLASSES_SHA256 = "44bc014e3e6de80f970392abe9e2d0a81e075542aee782c5f9a7e636519e4ea4"
+
+
+def test_resolutions_and_splitting_classes_are_pinned():
+    digest = hashlib.sha256()
+    groups = [*point_groups().items(), *point_groups_2d().items()]
+    assert len(groups) == 42
+    for name, g in groups:
+        res = free_resolution(g, 3)
+        digest.update(repr((name, res.ranks, res.boundaries)).encode())
+    assert digest.hexdigest() == RESOLUTIONS_SHA256
+    digest = hashlib.sha256()
+    symmorphic = [(name, g) for name, g in wallpaper_groups().items() if is_symmorphic(g)[0]]
+    assert len(symmorphic) == 13
+    for name, g in symmorphic:
+        values = [sorted(cls.values.items()) for cls in splitting_classes(g)]
+        digest.update(repr((name, values)).encode())
+    assert digest.hexdigest() == SPLITTING_CLASSES_SHA256
 
 
 def test_splitting_classes_require_split():
