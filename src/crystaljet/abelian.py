@@ -5,11 +5,15 @@ Everything here works over arbitrary-precision integers; no floats, no
 rounding.  One in-place Hermite echelon (`_echelon`) does all elimination:
 lattice bases, kernels, integer solves, coordinates in a lattice basis,
 inverses of unimodular matrices, and the Smith normal form, which
-alternates row and column echelons until the matrix is diagonal.  The
-Smith form gives the invariant factors of a cokernel
-(`group_from_relations`), those of a list of cyclic orders (the Smith form
-of their diagonal matrix, `FgAbelianGroup.from_cyclic_orders`), and the
-unimodular U and V that `crystal.is_symmorphic` reads.
+alternates row and column echelons until the matrix is diagonal.  A
+kernel is read from plain column vectors (`kernel_basis`), the form in
+which the cohomology stack builds its maps.  The Smith form gives the
+invariant factors of a cokernel (`group_from_relations`), those of a list
+of cyclic orders (the Smith form of their diagonal matrix,
+`FgAbelianGroup.from_cyclic_orders`), and the unimodular U and V that
+`crystal.is_symmorphic` reads.  One torsion pairing, Z/m with Z/n to
+Z/gcd(m, n) (`tor_product`), gives Tor, Hom from a finite group and the
+torsion part of the tensor product.
 
 One fraction-free elimination (`bareiss`) gives determinants here and
 solves the jet layer's sample-point stages.
@@ -264,26 +268,18 @@ def _echelon(rows, width: int) -> list[int]:
     return pivots
 
 
-def _echelon_of_transpose(m: IntegerMatrix):
-    """(rows, width, rank) for the Hermite form of [m^T | I] on the m^T
-    block; the identity block of each row records how it was formed."""
-    width = m.rows
-    # with no rows, zip would drop the m.cols columns
-    columns = zip(*m.entries) if width else [()] * m.cols
-    rows = [list(col) + [0] * m.cols for col in columns]
-    for j, row in enumerate(rows):
-        row[width + j] = 1
-    return rows, width, len(_echelon(rows, width))
+def kernel_basis(columns) -> list[tuple[int, ...]]:
+    """Basis of the integer relations {x : sum_j x_j * columns[j] = 0}.
 
-
-def kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : m*x = 0}, as column vectors.
-
-    The rows of U*[m^T | I] whose m^T part vanishes carry rows u of the
-    unimodular U with u*m^T = 0, so they span the kernel and it is saturated.
+    With A the matrix of these columns, the Hermite form of the rows
+    [column_j | e_j] is U*[A^T | I]; its rows whose A^T part vanishes carry
+    rows u of the unimodular U with u*A^T = 0, so they span the kernel of A
+    and it is saturated.
     """
-    rows, width, rank = _echelon_of_transpose(m)
-    return [tuple(row[width:]) for row in rows[rank:]]
+    height = len(columns[0]) if columns else 0
+    rows = [list(col) + [int(i == j) for j in range(len(columns))] for i, col in enumerate(columns)]
+    rank = len(_echelon(rows, height))
+    return [tuple(row[height:]) for row in rows[rank:]]
 
 
 def lattice_coordinates(basis, v) -> list[int] | None:
@@ -317,14 +313,15 @@ def solve_integer(m: IntegerMatrix, b) -> tuple[int, ...] | None:
     b = tuple(b)
     if len(b) != m.rows:
         raise ValueError("shape mismatch")
-    rows, width, rank = _echelon_of_transpose(m)
-    y = lattice_coordinates(rows[:rank], b)
+    rows = [list(col) + [int(i == j) for j in range(m.cols)]
+            for i, col in enumerate(m.transpose().entries)]
+    y = lattice_coordinates(rows[:len(_echelon(rows, m.rows))], b)
     if y is None:
         return None
     x = [0] * m.cols
     for q, row in zip(y, rows):
         if q:
-            x = [a + q * u for a, u in zip(x, row[width:])]
+            x = [a + q * u for a, u in zip(x, row[m.rows:])]
     return tuple(x)
 
 
@@ -470,42 +467,26 @@ def tensor_over_z2(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
 
 
 def hom_group(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
-    """Hom(a, b) for finite a.  Hom(finite, Z^d) = 0 is returned, not an
-    error; a genuinely infinite source raises."""
+    """Hom(a, b) for finite a.  Hom(Z/m, Z/n) = Z/gcd(m, n) = Tor(Z/m, Z/n)
+    and Hom(Z/m, Z) = 0, so it is `tor_product`: Hom(finite, Z^d) = 0 is
+    returned, not an error; a genuinely infinite source raises."""
     if a.free_rank > 0:
         raise InfiniteGroup("hom source must be finite")
-    orders = []
-    for da in a.invariant_factors:
-        for db in b.invariant_factors:
-            g = gcd(da, db)
-            if g > 1:
-                orders.append(g)
-        # Hom(Z/da, Z^r) = 0: free part of b contributes nothing
-    return FgAbelianGroup.from_cyclic_orders(0, orders)
+    return tor_product(a, b)
 
 
 def tensor_product(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
-    """Tensor product over Z of arbitrary finitely generated groups."""
-    orders = []
-    free = a.free_rank * b.free_rank
-    for da in a.invariant_factors:
-        for db in b.invariant_factors:
-            g = gcd(da, db)
-            if g > 1:
-                orders.append(g)
-    orders.extend(list(a.invariant_factors) * b.free_rank)
-    orders.extend(list(b.invariant_factors) * a.free_rank)
-    return FgAbelianGroup.from_cyclic_orders(free, orders)
+    """Tensor product over Z of arbitrary finitely generated groups: the
+    torsion parts pair to Tor(a, b), and each free summand of one side
+    carries a copy of the other side's torsion."""
+    orders = [*tor_product(a, b).invariant_factors,
+              *a.invariant_factors * b.free_rank, *b.invariant_factors * a.free_rank]
+    return FgAbelianGroup.from_cyclic_orders(a.free_rank * b.free_rank, orders)
 
 
 def tor_product(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
     """Tor_1^Z(a, b); vanishes on free parts, Tor(Z/a, Z/b) = Z/gcd."""
-    orders = []
-    for da in a.invariant_factors:
-        for db in b.invariant_factors:
-            g = gcd(da, db)
-            if g > 1:
-                orders.append(g)
+    orders = [gcd(da, db) for da in a.invariant_factors for db in b.invariant_factors]
     return FgAbelianGroup.from_cyclic_orders(0, orders)
 
 

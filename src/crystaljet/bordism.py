@@ -201,21 +201,31 @@ def crystal_group_of(b: FgAbelianGroup):
     return group, witnesses
 
 
+def _exactness_checks(group: CrystallographicGroup) -> dict:
+    """The exactness checks of 0 -> Z^d -> group -> point group -> 1 in
+    normal form: the basis translations are pairwise distinct elements, the
+    projection onto the point group is onto, and its kernel is the
+    translations."""
+    d = group.dimension
+    pg = group.point_group
+    ident = IntegerMatrix.identity(d)
+    images = {group.element(ident, [int(i == j) for j in range(d)]).translation for i in range(d)}
+    return {
+        "translation_inclusion_injective": len(images) == d,
+        "projection_surjective": all(
+            group.contains(group.element(pg.elements[i], group.vector_system[i]))
+            for i in range(pg.order)
+        ),
+        "kernel_of_projection_equals_translations": all(
+            pg.elements[i] != ident or not any(group.vector_system[i]) for i in range(pg.order)
+        ),
+    }
+
+
 def _split_sequence_witness(group: CrystallographicGroup, s: int):
     d = group.dimension
     pg = group.point_group
-    # inclusion of Z^d: basis translations, pairwise distinct and in group
-    basis = []
-    for i in range(d):
-        v = [0] * d
-        v[i] = 1
-        basis.append(group.element(IntegerMatrix.identity(d), v))
-    inclusion_injective = len({(e.point_part, e.translation) for e in basis}) == d
-    # projection onto the point group is onto by normal form
-    projection_surjective = all(
-        group.contains(group.element(pg.elements[i], group.vector_system[i]))
-        for i in range(pg.order)
-    )
+    checks = _exactness_checks(group)
     # the zero-shift section is a homomorphism and splits the projection:
     # checked on the generator edges, which suffices by induction
     section_hom = True
@@ -223,16 +233,12 @@ def _split_sequence_witness(group: CrystallographicGroup, s: int):
         left = group.element(pg.elements[i], [0] * d) * group.element(pg.elements[j], [0] * d)
         if left.point_part != pg.elements[k] or any(x != 0 for x in left.translation):
             section_hom = False
-    kernel_is_translations = all(
-        group.vector_system[i] == (0,) * d or pg.elements[i] != IntegerMatrix.identity(d)
-        for i in range(pg.order)
-    )
     return {
-        "inclusion_injective": inclusion_injective,
-        "projection_surjective": projection_surjective,
+        "inclusion_injective": checks["translation_inclusion_injective"],
+        "projection_surjective": checks["projection_surjective"],
         "section_is_homomorphism": section_hom,
         "section_splits_projection": section_hom,
-        "kernel_equals_image": kernel_is_translations,
+        "kernel_equals_image": checks["kernel_of_projection_equals_translations"],
         "point_group_order": pg.order,
         "expected_point_group_order": 2 ** s,
     }
@@ -295,31 +301,8 @@ def verify_extension_exactness(group: CrystallographicGroup) -> dict:
     except Exception as exc:  # InvalidCocycle carries the pair
         record("cocycle_condition", False, str(exc))
         return report
-    d = group.dimension
-    pg = group.point_group
-    ident = IntegerMatrix.identity(d)
-    basis_images = set()
-    ok = True
-    for i in range(d):
-        v = [0] * d
-        v[i] = 1
-        el = group.element(ident, v)
-        if el.translation in basis_images:
-            ok = False
-        basis_images.add(el.translation)
-    record("translation_inclusion_injective", ok or d == 0)
-    record(
-        "projection_surjective",
-        all(
-            group.contains(group.element(pg.elements[i], group.vector_system[i]))
-            for i in range(pg.order)
-        ),
-    )
-    kernel_ok = True
-    for i in range(pg.order):
-        if pg.elements[i] == ident and any(x != 0 for x in group.vector_system[i]):
-            kernel_ok = False
-    record("kernel_of_projection_equals_translations", kernel_ok)
+    for name, ok in _exactness_checks(group).items():
+        record(name, ok)
     # splitting is reported but is not an exactness requirement
     split, shift = is_symmorphic(group)
     report["checks"].append(

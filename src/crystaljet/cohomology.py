@@ -5,10 +5,11 @@ Cohomology is computed on a small free ZG-resolution of Z, built with
 integer linear algebra only (Ellis, "Computing group resolutions",
 J. Symb. Comp. 38, 2004): each kernel is found as a Z-lattice, and
 ZG-generators are taken from its basis until their orbits span it.  With
-Hom_ZG(F_k, M) = M^{r_k}, the cochain matrices have r_k * rank columns
-(1, 3, 6, 10 for O_h) where the bar complex had (|G| - 1)^k * rank.
-Cocycles are an integer kernel, and the quotient by the coboundaries is
-read off in a Hermite basis of the cocycle lattice, whose relation matrix
+Hom_ZG(F_k, M) = M^{r_k}, each coboundary map is built as its r_k * rank
+columns (1, 3, 6, 10 for O_h) where the bar complex had (|G| - 1)^k * rank;
+the columns are the coboundaries, and the kernel routine reads them as they
+are.  Cocycles are an integer kernel, and the quotient by the coboundaries
+is read off in a Hermite basis of the cocycle lattice, whose relation matrix
 then goes through the Smith normal form.  Torsion coefficients are handled
 by carrying an explicit relation lattice next to each cochain group instead
 of switching to finite-field arithmetic.  Derivations are the 1-cocycles
@@ -154,16 +155,6 @@ class GModule:
                         if (dj * entry) % di != 0:
                             raise ValueError("action does not preserve torsion")
 
-    def relation_vectors(self):
-        """Generators of the relation lattice of the presentation Z^rank -> M."""
-        r = self.base.free_rank
-        out = []
-        for j, d in enumerate(self.base.invariant_factors):
-            v = [0] * self.rank
-            v[r + j] = d
-            out.append(tuple(v))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # free resolution
@@ -238,61 +229,50 @@ def free_resolution(g: FiniteMatrixGroup, length: int) -> FreeResolution:
         if k + 1 < length:
             rows, cols = ranks[k] * n, ranks[k + 1] * n
             _check_size(cols, rows + cols, CochainBoundExceeded)
-            columns = [w for v in gens for w in _orbit(g, v)]
-            kernel = kernel_basis(IntegerMatrix(zip(*columns) if rows else [], cols))
+            kernel = kernel_basis([w for v in gens for w in _orbit(g, v)])
     return FreeResolution(g, ranks, boundaries)
 
 
-def _cochain_matrix(res: FreeResolution, mod: GModule, k: int) -> IntegerMatrix:
-    """delta^k : Hom(F_k, M) = M^{r_k} -> M^{r_{k+1}}, f -> f o d_{k+1}.
+def _cochain_columns(res: FreeResolution, mod: GModule, k: int):
+    """delta^k : Hom(F_k, M) = M^{r_k} -> M^{r_{k+1}}, f -> f o d_{k+1}, as
+    its r_k * rank columns.
 
     Block (j, i) is the sum over h of c * rho(h), where c is the
     coefficient of h*e_i in d_{k+1}(e_j).
     """
     n, m = res.group.order, mod.rank
-    width = res.ranks[k] * m
-    _check_size(res.ranks[k + 1] * m, width, CochainBoundExceeded)
-    rows = []
-    for image in res.boundaries[k]:
-        block = [[0] * width for _ in range(m)]
+    height = res.ranks[k + 1] * m
+    _check_size(height, res.ranks[k] * m, CochainBoundExceeded)
+    columns = [[0] * height for _ in range(res.ranks[k] * m)]
+    for j, image in enumerate(res.boundaries[k]):
         for idx, c in enumerate(image):
             if c:
                 i, h = divmod(idx, n)
                 for p, arow in enumerate(mod.action[h].entries):
-                    row = block[p]
                     for q, a in enumerate(arow):
                         if a:
-                            row[i * m + q] += c * a
-        rows.extend(block)
-    return IntegerMatrix(rows, width)
+                            columns[i * m + q][j * m + p] += c * a
+    return columns
 
 
 def _block_relations(mod: GModule, ncopies: int):
-    """Relation generators for M^ncopies inside Z^(rank*ncopies)."""
+    """Relation generators for M^ncopies inside Z^(rank*ncopies): each
+    invariant factor d_j at its torsion coordinate of each copy."""
+    rank, r = mod.rank, mod.base.free_rank
     rels = []
-    rank = mod.rank
     for c in range(ncopies):
-        for v in mod.relation_vectors():
+        for j, d in enumerate(mod.base.invariant_factors):
             w = [0] * (rank * ncopies)
-            for i, x in enumerate(v):
-                if x:
-                    w[c * rank + i] = x
+            w[c * rank + r + j] = d
             rels.append(tuple(w))
     return rels
 
 
-def _preimage_lattice(matrix: IntegerMatrix, target_relations):
-    """Generators of {x : matrix*x lies in the lattice spanned by
-    target_relations}."""
-    if not target_relations:
-        return kernel_basis(matrix)
-    cols = [matrix.col(j) for j in range(matrix.cols)]
-    ext = cols + [tuple(-x for x in v) for v in target_relations]
-    big = IntegerMatrix(list(zip(*ext))) if ext else matrix
-    gens = []
-    for vec in kernel_basis(big):
-        gens.append(vec[: matrix.cols])
-    return gens
+def _preimage_lattice(columns, relations):
+    """Generators of {x : sum_j x_j * columns[j] lies in the lattice spanned
+    by relations}: the kernel of [columns | -relations], cut to x."""
+    n = len(columns)
+    return [x[:n] for x in kernel_basis([*columns, *([-v for v in r] for r in relations)])]
 
 
 def _cocycles(res: FreeResolution, mod: GModule, degree: int):
@@ -303,16 +283,13 @@ def _cocycles(res: FreeResolution, mod: GModule, degree: int):
         names = [h.name or f"a group of order {h.order}" for h in (res.group, mod.group)]
         raise ValueError(f"the module is over {names[1]}, not over {names[0]}")
     ambient = res.ranks[degree] * mod.rank
-    delta_n = _cochain_matrix(res, mod, degree)
+    delta_n = _cochain_columns(res, mod, degree)
     relations = _block_relations(mod, res.ranks[degree + 1])
     # the cocycles are the kernel of [delta_n | -relations]
     width = ambient + len(relations)
-    _check_size(width, delta_n.rows + width, CochainBoundExceeded)
+    _check_size(width, res.ranks[degree + 1] * mod.rank + width, CochainBoundExceeded)
     cocycles = _preimage_lattice(delta_n, relations)
-    coboundaries = []
-    if degree > 0:
-        delta_prev = _cochain_matrix(res, mod, degree - 1)
-        coboundaries = [delta_prev.col(j) for j in range(delta_prev.cols)]
+    coboundaries = _cochain_columns(res, mod, degree - 1) if degree else []
     return cocycles, coboundaries, _block_relations(mod, res.ranks[degree]), ambient
 
 
@@ -327,23 +304,6 @@ def group_cohomology(g: FiniteMatrixGroup, mod: GModule, degree: int) -> FgAbeli
         free_resolution(g, degree + 1), mod, degree
     )
     return quotient_group(relations + coboundaries, cocycles, ambient)
-
-
-def coboundary_squared_is_zero(g: FiniteMatrixGroup, mod: GModule, degree: int) -> bool:
-    """delta^{n+1} o delta^n = 0 on the resolution's cochains (modulo the
-    coefficient relations when the module has torsion)."""
-    res = free_resolution(g, degree + 2)
-    comp = _cochain_matrix(res, mod, degree + 1) * _cochain_matrix(res, mod, degree)
-    rels = mod.base.invariant_factors
-    r = mod.base.free_rank
-    m = mod.rank
-    for i in range(comp.rows):
-        coord = i % m
-        modulus = rels[coord - r] if coord >= r else 0
-        for x in comp.row(i):
-            if (x % modulus if modulus else x) != 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +360,6 @@ class CrossedHom:
 
     def value(self, element: IntegerMatrix):
         return self.values[self.module.group.index_of(element)]
-
-    def is_derivation(self) -> bool:
-        g = self.module.group
-        facs = self.module.base.invariant_factors
-        r = self.module.base.free_rank
-        for a in range(g.order):
-            for b in range(g.order):
-                ab = g.cayley[a][b]
-                lhs = self.values[ab]
-                adb = self.module.action[a].apply(self.values[b])
-                rhs = tuple(x + y for x, y in zip(self.values[a], adb))
-                for i, (x, y) in enumerate(zip(lhs, rhs)):
-                    if i < r:
-                        if x != y:
-                            return False
-                    elif (x - y) % facs[i - r] != 0:
-                        return False
-        return True
 
 
 def _derivation(res: FreeResolution, mod: GModule, cocycle) -> CrossedHom:

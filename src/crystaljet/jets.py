@@ -51,6 +51,7 @@ MAX_SAMPLE_ATTEMPTS = 200
 MODULUS = 2**61 - 1  # a Mersenne prime; generic ranks are taken mod MODULUS
 MAX_NESTING = 100  # parentheses and prefix minus signs; well under the recursion limit
 MAX_TERMS = 10_000  # terms a parsed product or power may expand to; checked before expanding
+MAX_COEFF_BITS = 100_000  # bits of a coefficient a parsed power may form; checked before forming
 
 
 class NoGenericPoint(RuntimeError):
@@ -122,12 +123,29 @@ def _times(a, b):
     return a * b
 
 
+def _bound_bits(coeffs, k: int):
+    """Refuse the k-th power of a sum with these coefficients before it is
+    formed if its coefficients could pass MAX_COEFF_BITS bits.  With D the
+    lcm of the denominators and S the sum of |c*D|, every coefficient of the
+    power has a numerator of at most S^k and a denominator dividing D^k, so
+    at most k times the bits of max(S, D)."""
+    den = lcm(*(c.denominator for c in coeffs))
+    height = max(den, sum(abs(c.numerator) * (den // c.denominator) for c in coeffs))
+    bits = k * height.bit_length() if height > 1 else 0
+    if bits > MAX_COEFF_BITS:
+        raise ParseError(f"a power could form a {bits}-bit coefficient, "
+                         f"over MAX_COEFF_BITS = {MAX_COEFF_BITS}")
+
+
 def _power(p, k: int):
     """p ** k, refused before it is expanded if C(t+k-1, k), the number of
-    degree-k monomials in the t terms of p, exceeds MAX_TERMS."""
+    degree-k monomials in the t terms of p, exceeds MAX_TERMS, or if its
+    coefficients could pass MAX_COEFF_BITS bits."""
     t = len(p.terms)
-    if t > 1 and k > 1:
-        _bound_terms(comb(t + k - 1, k), "a power")
+    if k > 1:
+        if t > 1:
+            _bound_terms(comb(t + k - 1, k), "a power")
+        _bound_bits(p.terms.values(), k)
     return p ** k
 
 
@@ -275,8 +293,11 @@ class EquationParser:
             if type(value) is tuple:
                 if k:
                     powers[value] = powers.get(value, 0) + k
+            elif k == 1:
+                coeff *= value
             else:
-                coeff *= value if k == 1 else value ** k
+                _bound_bits((value,), k)
+                coeff *= value ** k
             done = after
             if done == end or tokens[done] != _TIMES:
                 break

@@ -1,7 +1,7 @@
 import random
 from copy import deepcopy
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
@@ -59,7 +59,7 @@ def test_snf_empty_relations():
     assert (v.rows, v.cols) == (3, 3)
     assert group_from_relations(3, m) == FgAbelianGroup.free(3)
     # no equations: every vector is in the kernel
-    assert kernel_basis(m) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel_basis(m.transpose().entries) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_snf_derived_example():
@@ -193,6 +193,57 @@ def test_tensor_and_tor():
     assert tor_product(FgAbelianGroup.free(2), z(6)).is_trivial()
 
 
+# a group drawn as Z^free x the product of Z/o over its cyclic orders o,
+# orders 1 included (a trivial summand); the oracles below read the drawn
+# orders, not the invariant factors the library computes from them
+cyclic_presentations = st.tuples(st.integers(0, 2), st.lists(st.integers(1, 12), max_size=3))
+
+
+def presented(case):
+    free, orders = case
+    return FgAbelianGroup.from_cyclic_orders(free, orders)
+
+
+def presentation(case):
+    """(generators, relation rows): Z/o on a generator of its own, the free
+    generators first."""
+    free, orders = case
+    n = free + len(orders)
+    return n, [[o * (j == free + i) for j in range(n)] for i, o in enumerate(orders)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_presentations, cyclic_presentations)
+def test_tensor_product_is_the_kronecker_presentation(a, b):
+    # A (x) B = Z^(m*n) / (R_A (x) I_n + I_m (x) R_B), the cokernel of the
+    # Kronecker products of the two relation matrices
+    m, ra = presentation(a)
+    n, rb = presentation(b)
+    rows = [[r[i] * (j == k) for i in range(m) for k in range(n)] for r in ra for j in range(n)]
+    rows += [[(i == j) * r[k] for i in range(m) for k in range(n)] for j in range(m) for r in rb]
+    want = group_from_relations(m * n, IntegerMatrix(rows, m * n))
+    assert tensor_product(presented(a), presented(b)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_presentations, cyclic_presentations)
+def test_hom_and_tor_have_the_order_of_the_torsion_count(a, b):
+    # |Hom(sum Z/d, B)| is the product over d of the number of elements x of
+    # B with d*x = 0, counted here over the torsion elements of B (a free
+    # summand has no torsion); Tor(A, B) has the same order
+    a = (0, a[1])
+    orders = b[1]
+
+    def torsion(d):
+        return sum(all(d * x % o == 0 for x, o in zip(xs, orders))
+                   for xs in product(*map(range, orders)))
+
+    count = prod(torsion(d) for d in a[1])
+    assert hom_group(presented(a), presented(b)).order() == count
+    assert tor_product(presented(a), presented(b)).order() == count
+    assert tor_product(presented(b), presented(a)).order() == count
+
+
 def test_render_and_parse():
     assert FgAbelianGroup.trivial().render() == "0"
     assert FgAbelianGroup(1, (2, 4)).render() == "Z^1 x Z/2 x Z/4"
@@ -232,7 +283,7 @@ def test_parse_names_the_input_and_the_bad_summand():
 
 def test_kernel_and_solve():
     m = IntegerMatrix([[1, 2, 3], [2, 4, 6]])
-    basis = kernel_basis(m)
+    basis = kernel_basis(m.transpose().entries)
     assert len(basis) == 2
     for vec in basis:
         assert all(x == 0 for x in m.apply(vec))
@@ -343,7 +394,7 @@ def test_lattice_basis_is_hermite_and_spans_the_input(m):
 @settings(max_examples=200, deadline=None)
 @given(matrices)
 def test_kernel_basis_is_a_saturated_basis(m):
-    basis = kernel_basis(m)
+    basis = kernel_basis(m.transpose().entries)
     assert len(basis) == m.cols - snf_rank(m)
     for x in basis:
         assert not any(m.apply(x))

@@ -417,6 +417,21 @@ def test_an_expansion_past_the_term_bound_is_refused_fast(capsys, tmp_path):
                            " over MAX_TERMS = 10000")
 
 
+# a flat product, and a power after a factor that is not flat
+@pytest.mark.parametrize("equation, bits", [("2^3000000*u_x", 6000000),
+                                            ("(u_x+1)^1*3^2000000", 4000000)])
+def test_a_literal_power_past_the_coefficient_bound_is_refused_fast(capsys, tmp_path,
+                                                                   equation, bits):
+    path = tmp_path / "power.pde"
+    path.write_text(f"independent: [x]\ndependent: [u]\norder: 1\nequations: ['{equation}']\n")
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, ["pde", "symbol", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.strip() == (f"error: ParseError: a power could form a {bits}-bit coefficient,"
+                           " over MAX_COEFF_BITS = 100000")
+
+
 @pytest.mark.parametrize("text, message", [
     ("{}", "descriptor is missing the 'n' field"),
     ("{singular: true, components: [{n: 2, m: 1, order: 1, betti_W: [1, 0, 0]}]}",

@@ -13,8 +13,8 @@ from crystaljet.cohomology import (
     GModule,
     NotSplit,
     _block_relations,
+    _cochain_columns,
     _preimage_lattice,
-    coboundary_squared_is_zero,
     derivations,
     free_resolution,
     group_cohomology,
@@ -27,6 +27,46 @@ from crystaljet.crystal import is_symmorphic, semidirect_product, wallpaper_grou
 from crystaljet.groups import close_group, point_group, point_groups, point_groups_2d
 
 Z = FgAbelianGroup.free(1)
+
+
+def coboundary_squared_is_zero(g, mod, degree):
+    """delta^{n+1} o delta^n = 0 on the resolution's cochains (modulo the
+    coefficient relations when the module has torsion)."""
+    res = free_resolution(g, degree + 2)
+    first = _cochain_columns(res, mod, degree)
+    second = _cochain_columns(res, mod, degree + 1)
+    rels = mod.base.invariant_factors
+    r = mod.base.free_rank
+    m = mod.rank
+    for column in first:
+        for i in range(res.ranks[degree + 2] * m):
+            x = sum(c * image[i] for c, image in zip(column, second))
+            coord = i % m
+            modulus = rels[coord - r] if coord >= r else 0
+            if (x % modulus if modulus else x) != 0:
+                return False
+    return True
+
+
+def is_derivation(h):
+    """d(ab) = d(a) + a.d(b) (modulo the coefficient relations) on all
+    |G|^2 pairs: the reference check of a CrossedHom."""
+    g = h.module.group
+    facs = h.module.base.invariant_factors
+    r = h.module.base.free_rank
+    for a in range(g.order):
+        for b in range(g.order):
+            ab = g.cayley[a][b]
+            lhs = h.values[ab]
+            adb = h.module.action[a].apply(h.values[b])
+            rhs = tuple(x + y for x, y in zip(h.values[a], adb))
+            for i, (x, y) in enumerate(zip(lhs, rhs)):
+                if i < r:
+                    if x != y:
+                        return False
+                elif (x - y) % facs[i - r] != 0:
+                    return False
+    return True
 
 
 def cyclic_matrix_group(m):
@@ -238,7 +278,7 @@ def elementwise_derivations(g, mod):
                 for j in range(m):
                     row[b * m + j] -= act[(i, j)]
                 rows.append(row)
-    cocycles = _preimage_lattice(IntegerMatrix(rows), _block_relations(mod, n * n))
+    cocycles = _preimage_lattice(IntegerMatrix(rows).transpose().entries, _block_relations(mod, n * n))
     principal = []
     for j in range(m):
         vec = [0] * ambient
@@ -299,7 +339,7 @@ def test_splitting_classes_c2_trivial_action_on_z2():
     classes = splitting_classes(g)
     assert len(classes) == 4
     for cls in classes:
-        assert cls.is_derivation()
+        assert is_derivation(cls)
 
 
 def test_splitting_classes_pm():
@@ -308,7 +348,7 @@ def test_splitting_classes_pm():
     assert len(classes) == 2  # |H^1| for the mirror action on Z^2
     for cls in classes:
         assert len(cls.values) == pm.point_group.order
-        assert cls.is_derivation()
+        assert is_derivation(cls)
     # the class count equals the order of H^1 computed from the complex
     h1 = group_cohomology(pm.point_group, GModule.natural(pm.point_group), 1)
     assert len(classes) == h1.order()
@@ -323,7 +363,7 @@ def test_splitting_class_count_matches_h1_all_symmorphic_wallpaper():
         h1 = group_cohomology(g.point_group, GModule.natural(g.point_group), 1)
         assert len(classes) == h1.order(), name
         for cls in classes:
-            assert len(cls.values) == g.point_group.order and cls.is_derivation(), name
+            assert len(cls.values) == g.point_group.order and is_derivation(cls), name
         counts[name] = len(classes)
     assert counts == {
         "p1": 1, "p2": 4, "pm": 2, "cm": 1, "pmm": 4, "cmm": 2, "p4": 2,

@@ -13,6 +13,7 @@ from crystaljet.corpus import metric_flow_system, mhd_system
 from crystaljet.data import data_path, load_document
 from crystaljet.diffpoly import DiffOperator, DiffPoly, jet, par, xvar
 from crystaljet.jets import (
+    MAX_COEFF_BITS,
     MAX_NESTING,
     MAX_SAMPLE_ATTEMPTS,
     MAX_TERMS,
@@ -369,6 +370,38 @@ def test_a_power_is_bounded_before_it_is_expanded(monkeypatch):
     # a power of one term, or to the first power, expands nothing
     assert parser.parse_polynomial("(2*u_x)^20000") == parser.parse_polynomial("2^20000*u_x^20000")
     assert parser.parse_polynomial(f"{_sum('x', MAX_TERMS + 1)}^1").terms
+
+
+def test_a_literal_power_is_bounded_before_it_is_formed(monkeypatch):
+    parser = EquationParser(["x"], ["u"], parameters={"a": "3/7"})
+    assert MAX_COEFF_BITS == 100_000
+    past = (f"^a power could form a {MAX_COEFF_BITS + 1}-bit coefficient,"
+            f" over MAX_COEFF_BITS = {MAX_COEFF_BITS}$")
+    # 1000 has 10 bits and 2047 has 11: 10 * 10000 = MAX_COEFF_BITS and
+    # 11 * 9091 = MAX_COEFF_BITS + 1, in the flat product, after a factor
+    # that is not flat, under a division and inside parentheses
+    for template in ("{}*u_x", "(u_x+1)^1*{}", "u_x/{}", "({})"):
+        assert parser.parse_polynomial(template.format("1000^10000")).terms
+        with pytest.raises(ParseError, match=past):
+            parser.parse_polynomial(template.format("2047^9091"))
+    assert parser.parse_polynomial("(1000*u_x)^10000").terms
+    with pytest.raises(ParseError, match=past):
+        parser.parse_polynomial("(2047*u_x)^9091")
+    # the bound is k times the bits of max(S, D), with D the lcm of the
+    # denominators and S the sum of |c*D|: a = 3/7 (D = 7); a*u_x + 1
+    # (D = 7, S = 3 + 7); the numerator 3*u_x + 2 and the denominator 6 that
+    # u_x/2 + 1/3 parses to
+    for text, bits in (("a^4", 12), ("(a*u_x + 1)^4", 16), ("(u_x/2 + 1/3)^4", 12)):
+        monkeypatch.setattr(jets, "MAX_COEFF_BITS", bits)
+        assert parser.parse_polynomial(text).terms
+        monkeypatch.setattr(jets, "MAX_COEFF_BITS", bits - 1)
+        with pytest.raises(ParseError, match=f"^a power could form a {bits}-bit coefficient,"
+                                             f" over MAX_COEFF_BITS = {bits - 1}$"):
+            parser.parse_polynomial(text)
+    monkeypatch.undo()
+    # a power of 0 or of +-1 forms nothing; a variable's power is an exponent
+    for text in ("1^3000000*u_x", "(-1)^3000000*u_x", "0^3000000 + u_x", "u_x^3000000"):
+        assert parser.parse_polynomial(text).terms
 
 
 @pytest.mark.parametrize("text", ["u_x ", "u_x\n", " u_x \t\n", "u_x+ 1 ", "(u_x) "])

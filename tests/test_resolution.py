@@ -86,9 +86,9 @@ def bar_cohomology(g, mod, degree):
         d = moduli.pop()
         rows = lattice_from_generators(delta_n.entries, delta_n.cols)
         relations = [[d * (i == j) for j in range(len(rows))] for i in range(len(rows))]
-        cocycles = _preimage_lattice(IntegerMatrix(rows, delta_n.cols), relations)
+        cocycles = _preimage_lattice(IntegerMatrix(rows, delta_n.cols).transpose().entries, relations)
     else:
-        cocycles = _preimage_lattice(delta_n, _block_relations(mod, delta_n.rows // m))
+        cocycles = _preimage_lattice(delta_n.transpose().entries, _block_relations(mod, delta_n.rows // m))
     if not cocycles:
         return FgAbelianGroup.trivial()
     sub = _block_relations(mod, ntup)
@@ -134,8 +134,7 @@ def test_resolution_is_exact_up_to_length_three(name):
     for k in (1, 2):
         ambient = res.ranks[k] * n
         d_k = _orbit_columns(g, res.boundaries[k - 1])
-        matrix = IntegerMatrix(list(zip(*d_k)) if d_k and d_k[0] else [], ambient)
-        kernel = lattice_from_generators(kernel_basis(matrix), ambient)
+        kernel = lattice_from_generators(kernel_basis(d_k), ambient)
         image = lattice_from_generators(_orbit_columns(g, res.boundaries[k]), ambient)
         assert image == kernel, (name, k)
 
