@@ -7,15 +7,18 @@ locus by the solve stages and rejected where an exclusion vanishes.  The
 points are exact, and so is every decision about them, in integers only:
 each polynomial a check reads is compiled once per call and evaluated as
 an integer multiple of its rational value, and each stage is solved by
-fraction-free elimination (`abelian.bareiss`), which gives the same
-rationals as elimination over Q.
+fraction-free elimination (`abelian.bareiss`) on primitive rows, each
+divided by the gcd of its entries, which gives the same rationals as
+elimination over Q.
 
 Generic ranks come from one kernel.  Each sample point is reduced modulo
 the prime p = 2^61 - 1.  One compiled form of a polynomial (_ScaledPoly)
-serves the exact checks and, read mod p, the gradients.  One pass
-(_generic_gradients) samples the points and gives, per point, the gradient
-of every equation; every Jacobian is read from those gradients, or built
-from them row by row.  Its columns are put in one order in which every
+serves the exact checks and, compiled on into its partial derivatives
+(_compile_partials) and read mod p, the gradients.  One pass
+(_generic_gradients) compiles each equation once, and that compile feeds
+both the locus check of the sample points and the partials; per point it
+gives the gradient of every equation, and every Jacobian is read from
+those gradients, or built from them row by row.  Its columns are put in one order in which every
 column set a report needs is a prefix, and one elimination mod p per point
 (rank_at_point) gives the rank of each prefix.
 
@@ -37,9 +40,9 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, gcd, lcm
-from operator import itemgetter
+from itertools import combinations_with_replacement, islice
+from math import comb, gcd, lcm, prod
+from operator import itemgetter, mul
 
 from .abelian import bareiss
 from .data import load_document
@@ -73,33 +76,37 @@ class ParseError(ValueError):
 # parsing
 # ---------------------------------------------------------------------------
 
-# every position is the start of a match: the unnamed alternative takes
+# every position is the start of a match: the \Z alternative takes
 # whitespace to the end of the text and the last one any character that
-# starts no token, so one finditer pass covers the text
+# starts no token, so one findall pass covers the text, and each match
+# is its one group: a token, "" at the end, or the character it stops at
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*(?:_[A-Za-z0-9]+)?)"
-    r"|(?P<op>\*\*|[-+*/^()])|\Z|(?P<bad>[\s\S]))"
+    r"\s*(\d+|[A-Za-z][A-Za-z0-9]*(?:_[A-Za-z0-9]+)?|\*\*|[-+*/^()]|\Z|[\s\S])"
 )
+_OPERATORS = {op: ("op", op) for op in "+-*/^()"} | {"**": ("op", "^")}
 
 
 def _tokenize(text: str):
-    """(kind, value) pairs in one pass; text that starts no token raises
-    ParseError quoting it from where the last token ended."""
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # the end of the text
-            break
-        val = m[kind]
-        if kind == "num":
-            val = int(val)
-        elif kind == "bad":
-            pos = m.start()
+    """(kind, value) pairs from one findall pass; text that starts no token
+    raises ParseError quoting it from where the last token ended.  A match
+    is a name when it starts with a letter and a number when it starts with
+    a digit, as in _TOKEN, and each is replaced by its token in place."""
+    tokens = _TOKEN.findall(text)
+    for i, match in enumerate(tokens):
+        op = _OPERATORS.get(match)
+        if op is not None:
+            tokens[i] = op
+        elif match[:1].isascii() and match[:1].isalpha():
+            tokens[i] = ("name", match)
+        elif match[:1].isdecimal():
+            tokens[i] = ("num", int(match))
+        elif match:
+            pos = next(m.start() for m in _TOKEN.finditer(text) if m[1] == match)
             raise ParseError(f"cannot tokenize {text[pos:pos+20]!r}")
-        elif val == "**":
-            val = "^"
-        out.append((kind, val))
-    return out
+        else:
+            del tokens[i:]
+            break
+    return tokens
 
 
 _TIMES = ("op", "*")
@@ -624,7 +631,8 @@ def _compile_stages(s: PdeSystem):
     return stages
 
 
-def sample_points(s: PdeSystem, count=SAMPLE_COUNT, seed=DEFAULT_SEED, extra_vars=()):
+def sample_points(s: PdeSystem, count=SAMPLE_COUNT, seed=DEFAULT_SEED, extra_vars=(),
+                  compiled=None):
     """Deterministic generic rational points of the system.
 
     Every variable that the equations or the exclusions read, and every one
@@ -639,14 +647,17 @@ def sample_points(s: PdeSystem, count=SAMPLE_COUNT, seed=DEFAULT_SEED, extra_var
 
     Everything is compiled once per call, and every check is exact: each
     polynomial is evaluated as an integer (see _ScaledPoly) and each stage
-    solved by fraction-free elimination (see _solve_stage).  The stages are
-    checked before the first draw."""
+    solved by fraction-free elimination (see _solve_stage).  ``compiled``,
+    when given, is the equations as _ScaledPoly, one per equation, to be
+    used as they are.  The stages are checked before the first draw."""
     rng = random.Random(seed)
     stages = _compile_stages(s)
-    needed = set(extra_vars).union(*(p.variables() for p in (*s.equations, *s.exclusions)))
-    free = sorted(needed.difference(*(pivots for pivots, _ in stages)))
+    if compiled is None:
+        compiled = [_ScaledPoly(e) for e in s.equations]
     exclusions = [_ScaledPoly(e) for e in s.exclusions]
-    locus = [_ScaledPoly(e) for e in s.equations] if stages else []
+    needed = set(extra_vars).union(*(p.reads for p in (*compiled, *exclusions)))
+    free = sorted(needed.difference(*(pivots for pivots, _ in stages)))
+    locus = compiled if stages else []
     rejections = dict.fromkeys(REJECTION_REASONS, 0)
     points = []
     attempts = 0
@@ -684,15 +695,24 @@ def _solve_stage(pivots, rows, point):
     """The pivot values that solve a stage at the point, or None when the
     stage is singular there.
 
-    Each row is its equation times a positive integer, so the integer
-    system has the rational one's unique solution.  `abelian.bareiss` is
-    singular exactly where elimination over Q is, and leaves the solution
-    as minus the constant column over the diagonal."""
+    Each row is its equation times a positive integer, divided by the gcd
+    of its entries (see _primitive), so the integer system has the rational
+    one's unique solution.  `abelian.bareiss` is singular exactly where
+    elimination over Q is, and leaves the solution as minus the constant
+    column over the diagonal."""
     k = len(pivots)
-    aug = [row.values(point, k + 1) for row in rows]
+    aug = [_primitive(row.values(point, k + 1)) for row in rows]
     if bareiss(aug, k) is None:
         return None
     return {v: Fraction(-aug[i][k], aug[i][i]) for i, v in enumerate(pivots)}
+
+
+def _primitive(row: list) -> list:
+    """An integer row divided by the gcd of its entries, a positive
+    constant; a zero row as it is.  Bareiss keeps every entry an integer
+    minor of its input rows, so smaller rows keep every entry smaller."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 # ---------------------------------------------------------------------------
@@ -707,41 +727,70 @@ def _reduce_point(point):
             for v, q in point.items()}
 
 
-def _gradients(compiled, point):
-    """The gradient mod p of every compiled polynomial (a _ScaledPoly
-    without pivot columns) at a reduced point, as a dict from each variable
-    of the polynomial to its partial derivative there.  The product of the
-    other factors of a monomial is its prefix product times its suffix
-    product, so a term costs time linear in its number of variables."""
-    out = []
+def _compile_partials(compiled):
+    """The partial derivatives of compiled polynomials (each a _ScaledPoly
+    without pivot columns), as (products, rows).
+
+    The term c * v^e * rest of a polynomial gives its partial by v the term
+    c*e mod p times the product of rest and v^(e-1).  Each such product is
+    kept once in ``products``, as its factors: a variable, or the pair
+    (variable, k) for its k-th power, k > 1.  ``rows`` has, per polynomial,
+    one (variable, coefficients, product indices) triple per variable the
+    polynomial reads."""
+    index = {}  # factors -> position in products
+    rows = []
     for poly in compiled:
-        grad = {}
+        row = {}
         for _, _, coeffs, monos in poly.groups:
             for c, mono in zip(coeffs, monos):
-                factors = [point[v] if e == 1 else pow(point[v], e, MODULUS) for v, e in mono]
-                suffix = [1] * (len(factors) + 1)
-                for j in range(len(factors) - 1, 0, -1):
-                    suffix[j] = suffix[j + 1] * factors[j] % MODULUS
-                prefix = c % MODULUS
+                c %= MODULUS  # one int for the partials by every linear factor
+                factors = tuple([v if e == 1 else (v, e) for v, e in mono])
                 for i, (v, e) in enumerate(mono):
-                    d = prefix * suffix[i + 1]
-                    if e > 1:
-                        d = d % MODULUS * e * pow(point[v], e - 1, MODULUS)
-                    grad[v] = grad.get(v, 0) + d
-                    prefix = prefix * factors[i] % MODULUS
-        out.append({v: d % MODULUS for v, d in grad.items()})
-    return out
+                    lowered = () if e == 1 else (v if e == 2 else (v, e - 1),)
+                    rest = factors[:i] + lowered + factors[i + 1:]
+                    cs, at = row.setdefault(v, ([], []))
+                    cs.append(c if e == 1 else c * e % MODULUS)
+                    at.append(index.setdefault(rest, len(index)))
+        rows.append(tuple((v, tuple(cs), tuple(at)) for v, (cs, at) in row.items()))
+    return tuple(index), rows
+
+
+class _Powers(dict):
+    """A reduced point that also gives the power k of the value of v mod p
+    under the key (v, k), computed once when first read."""
+
+    def __missing__(self, key):
+        v, k = key
+        value = self[key] = pow(self[v], k, MODULUS)
+        return value
+
+
+def _gradients(partials, point):
+    """The gradient mod p at a reduced point of every polynomial of
+    ``partials`` (see _compile_partials), as a dict from each variable of
+    the polynomial to its partial derivative there.  Each product is formed
+    once per point, and each partial is a plain sum of products, taken mod
+    p once."""
+    products, rows = partials
+    get = _Powers(point).__getitem__
+    value = [prod(map(get, factors)) for factors in products].__getitem__
+    return [{v: sum(map(mul, coeffs, map(value, at))) % MODULUS for v, coeffs, at in row}
+            for row in rows]
 
 
 def _generic_gradients(s: PdeSystem, seed, extra_vars=()):
     """The one generic-point pass of the jet layer: every generic rank is
     read off it.  The equations are compiled once and sample_points is
-    called once; for each sample point in turn this yields the point mod p
+    called once on that compile, which serves its locus check and its
+    sampled variables; the partials are compiled from it once the points
+    are drawn.  For each sample point in turn this yields the point mod p
     and the gradient mod p of every equation there (see _gradients)."""
     compiled = [_ScaledPoly(e) for e in s.equations]
-    for pt in sample_points(s, seed=seed, extra_vars=extra_vars):
+    points = sample_points(s, seed=seed, extra_vars=extra_vars, compiled=compiled)
+    partials = _compile_partials(compiled)
+    for pt in points:
         red = _reduce_point(pt)
-        yield red, _gradients(compiled, red)
+        yield red, _gradients(partials, red)
 
 
 def rank_at_point(rows, prefixes=()) -> list:
@@ -764,11 +813,14 @@ def rank_at_point(rows, prefixes=()) -> list:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         inv = pow(m[rank][col], -1, MODULUS)
-        pivot_row = [x * inv % MODULUS for x in m[rank]]
+        # rows from the rank down are zero left of col
+        pivot_row = [x * inv % MODULUS for x in islice(m[rank], col, None)]
         for r in range(rank + 1, n_rows):
-            f = m[r][col]
+            row = m[r]
+            f = row[col]
             if f:
-                m[r] = [(x - f * y) % MODULUS for x, y in zip(m[r], pivot_row)]
+                row[col:] = [(x - f * y) % MODULUS
+                             for x, y in zip(islice(row, col, None), pivot_row)]
         pivots.append(col)
     return [bisect_left(pivots, c) for c in prefixes] + [len(pivots)]
 

@@ -188,7 +188,9 @@ def test_h2_with_z_coefficients_is_the_abelianization():
 
 
 def test_coboundary_squared_zero():
-    for name in ("C_2", "C_s", "D_2"):
+    # the natural actions of D_3 and C_3v are not symmetric matrices, so a
+    # transposed action block breaks delta o delta = 0 there
+    for name in ("C_2", "C_s", "D_2", "D_3", "C_3v"):
         g = point_group(name)
         for mod in (GModule.trivial(g, Z), GModule.natural(g),
                     GModule.trivial(g, FgAbelianGroup.cyclic(4))):

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crystaljet import jets
-from crystaljet.corpus import mhd_system
+from crystaljet.abelian import bareiss
+from crystaljet.corpus import metric_flow_system, mhd_system
 from crystaljet.data import data_path
 from crystaljet.diffpoly import DiffPoly, jet, xvar
 from crystaljet.jets import (
@@ -212,9 +213,75 @@ def test_gradient_is_reduced_partial_derivative(p, pt):
     scaled = p * Fraction(lcm(*(c.denominator for c in coeffs)),
                           gcd(*(c.numerator for c in coeffs)) or 1)
     assert all(c.denominator == 1 for c in scaled.terms.values())
-    (grad,) = jets._gradients([jets._ScaledPoly(p)], jets._reduce_point(pt))
+    (grad,) = jets._gradients(jets._compile_partials([jets._ScaledPoly(p)]),
+                              jets._reduce_point(pt))
     for v in VARIABLES:
         assert grad.get(v, 0) == reduce(scaled.partial(v).evaluate(pt)), v
+
+
+def prefix_suffix_gradients(compiled, point):
+    """The gradient kernel that compiled partials replaced: per term, the
+    product of the other factors of its monomial is its prefix product
+    times its suffix product, reduced mod p at every step."""
+    out = []
+    for poly in compiled:
+        grad = {}
+        for _, _, coeffs, monos in poly.groups:
+            for c, mono in zip(coeffs, monos):
+                factors = [point[v] if e == 1 else pow(point[v], e, MODULUS) for v, e in mono]
+                suffix = [1] * (len(factors) + 1)
+                for j in range(len(factors) - 1, 0, -1):
+                    suffix[j] = suffix[j + 1] * factors[j] % MODULUS
+                prefix = c % MODULUS
+                for i, (v, e) in enumerate(mono):
+                    d = prefix * suffix[i + 1]
+                    if e > 1:
+                        d = d % MODULUS * e * pow(point[v], e - 1, MODULUS)
+                    grad[v] = grad.get(v, 0) + d
+                    prefix = prefix * factors[i] % MODULUS
+        out.append({v: d % MODULUS for v, d in grad.items()})
+    return out
+
+
+CORPUS_BUILDERS = {
+    **{name: (lambda name=name: load_system(str(data_path(name)))) for name in PDE_FILES},
+    "mhd": mhd_system,
+    "mhd boundary": lambda: mhd_system(boundary=True),
+    "metric flow": metric_flow_system,
+}
+
+
+@pytest.mark.parametrize("name", CORPUS_BUILDERS)
+@pytest.mark.parametrize("seed", [1, 7, jets.DEFAULT_SEED])
+def test_compiled_partials_match_prefix_suffix_gradients(name, seed):
+    s = CORPUS_BUILDERS[name]()
+    systems = (s, prolong_system(s, 1)) if name in PDE_FILES else (s,)
+    for system in systems:
+        compiled = [jets._ScaledPoly(e) for e in system.equations]
+        partials = jets._compile_partials(compiled)
+        for pt in sample_points(system, seed=seed, compiled=compiled):
+            red = jets._reduce_point(pt)
+            assert jets._gradients(partials, red) == prefix_suffix_gradients(compiled, red)
+
+
+def test_contact_rank_compiles_each_equation_once(monkeypatch):
+    # one plain compile per equation and exclusion serves the locus check,
+    # the sampled variables and the gradients; the stage rows are compiled
+    # with their pivot columns
+    plain = []
+
+    class Counted(jets._ScaledPoly):
+        __slots__ = ()
+
+        def __init__(self, poly, columns=None):
+            if not columns:
+                plain.append(id(poly))
+            super().__init__(poly, columns)
+
+    monkeypatch.setattr(jets, "_ScaledPoly", Counted)
+    s = mhd_system()
+    assert cartan_distribution_dimension(s) == 148
+    assert sorted(plain) == sorted(map(id, s.equations + s.exclusions))
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,6 +434,31 @@ def test_singular_stage_rejections_match_fraction_oracle():
     assert rejections["singular stage"] > 0 and len(expected) == count
     assert any(pt[xvar(1)] == 0 for pt in expected)
     assert sample_points(s, count=count, seed=seed) == expected
+
+
+def bareiss_solution(rows, k):
+    """The unique solution that bareiss leaves in k x (k+1) rows, or None
+    when they are singular."""
+    rows = [list(row) for row in rows]
+    if bareiss(rows, k) is None:
+        return None
+    return [Fraction(-row[k], row[i]) for i, row in enumerate(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.tuples(st.lists(st.integers(-20, 20), min_size=k + 1, max_size=k + 1),
+              st.integers(1, 10**6)),
+    min_size=k, max_size=k)))
+def test_primitive_rows_keep_the_stage_solution(rows_and_scales):
+    # a stage row is a primitive row times a positive integer, as the
+    # compiled rows are; dividing out the content changes neither the
+    # verdict nor the Fraction solution
+    k = len(rows_and_scales)
+    rows = [[x * scale for x in row] for row, scale in rows_and_scales]
+    primitive = [jets._primitive(list(row)) for row in rows]
+    assert all(gcd(*row) in (0, 1) for row in primitive)
+    assert bareiss_solution(primitive, k) == bareiss_solution(rows, k)
 
 
 def test_always_singular_stage_counts_every_attempt():

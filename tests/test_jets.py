@@ -645,7 +645,7 @@ def test_edge_products_agree_with_the_oracle(text):
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.text(st.sampled_from("ux_y0123 \t\n*+-/^()?.\u00e9\u0663"), max_size=30))
+@given(st.text(st.sampled_from("ux_y0123 \t\n*+-/^()?.\u00e9\u0663\u00b2"), max_size=30))
 def test_tokens_and_tokenize_errors_match_one_match_per_token(text):
     assert _outcome(jets._tokenize, text) == _outcome(_tokenize_by_matches, text)
 
