@@ -1,6 +1,6 @@
 import pytest
 
-from crystaljet.abelian import FgAbelianGroup
+from crystaljet.abelian import FgAbelianGroup, IntegerMatrix
 from crystaljet.bordism import (
     BettiListTooShort,
     NotCrystalShapedGroup,
@@ -14,6 +14,7 @@ from crystaljet.bordism import (
     oriented_bordism,
     paper_crystal_assignment,
     relative_bordism,
+    sign_flip_point_group,
     thom_monomial_count,
     unoriented_bordism,
     verify_extension_exactness,
@@ -150,6 +151,11 @@ def test_exactness_on_wallpaper_groups():
     assert report["passed"]  # pg is a valid extension, just not split
     splits = next(c for c in report["checks"] if c["check"] == "splits")
     assert splits["ok"] is False
+
+
+def test_the_sign_flip_group_of_dimension_zero_is_the_trivial_group():
+    g = sign_flip_point_group(0, 0)
+    assert g.elements == g.generators == [IntegerMatrix.identity(0)]
 
 
 def test_corrupted_vector_system_reported():

@@ -517,6 +517,15 @@ def test_an_unnamed_descriptor_names_the_violated_hypothesis_alone(capsys, tmp_p
                            " not established")
 
 
+def test_a_non_invertible_binding_is_refused(capsys, tmp_path):
+    path = tmp_path / "double.txt"
+    path.write_text("[[-1,0],[0,-1]] -> [[2]]\n")
+    code, out, err = run_capture(capsys, ["cohomology", "--group", "plane:2", "--module", "Z",
+                                          "--action", str(path), "--degree", "1"])
+    assert code == 1 and not out
+    assert err.strip() == "error: ValueError: action matrices must be invertible over Z"
+
+
 @pytest.mark.parametrize("line, why", [
     (BINDING.replace("->", ""), "no '->'"),
     (BINDING.replace("0,0,1", "0,0,x"), "invalid literal for int()"),

@@ -118,6 +118,22 @@ def test_module_action_must_be_a_homomorphism():
             GModule(g, Z, bad)
 
 
+@pytest.mark.parametrize("base, action, message", [
+    (Z, IntegerMatrix.identity(2), "action matrix of wrong size"),
+    (Z, IntegerMatrix([[2]]), "action matrices must be invertible over Z"),
+    (FgAbelianGroup(1, (2,)), IntegerMatrix([[1, 1], [0, -1]]), "torsion maps into free part"),
+    (FgAbelianGroup(0, (2, 4)), IntegerMatrix([[0, 1], [1, 0]]),
+     "action does not preserve torsion"),
+])
+def test_module_action_refusals(base, action, message):
+    # the rotation of C_2 acts by the given matrix; each of these squares
+    # to the identity or fails before the homomorphism check
+    g = point_group("C_2")
+    ident = IntegerMatrix.identity(base.free_rank + len(base.invariant_factors))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GModule(g, base, {0: ident, 1: action})
+
+
 def test_h1_klein_free_module_vanishes():
     klein = point_group("D_2")
     mod = GModule.trivial(klein, FgAbelianGroup.free(2))

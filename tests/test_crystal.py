@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -114,6 +115,35 @@ def test_generator_translations_must_be_consistent():
     for gens in ([(I2, half)], [(I2, half), (mirror, (0, 0))]):
         with pytest.raises(InvalidCocycle):
             CrystallographicGroup.from_generator_system(gens)
+
+
+def test_a_generator_that_is_a_product_of_earlier_ones_is_checked():
+    # p4 from r and r^2: the translation given to r^2 must be
+    # tau(r) + r.tau(r) = (1/2, 1/2) mod Z^2
+    r = IntegerMatrix([[0, -1], [1, 0]])
+    half = (Fraction(1, 2), Fraction(0))
+    for tau_r2 in ((0, 0), half):
+        with pytest.raises(InvalidCocycle):
+            CrystallographicGroup.from_generator_system([(r, half), (r * r, tau_r2)])
+    built = CrystallographicGroup.from_generator_system(
+        [(r, half), (r * r, (Fraction(1, 2), Fraction(-1, 2)))])
+    alone = CrystallographicGroup.from_generator_system([(r, half)])
+    assert built.vector_system == alone.vector_system
+
+
+# sha256 of the vector systems of the 17 plane groups, by group name and
+# element index, each line the element's matrix and its translation
+WALLPAPER_VECTOR_SYSTEMS_SHA256 = "6eb7be47582d5e4a626b7f1544c8f5cec4818324c2371ced8c4cc2e08d2d53cf"
+
+
+def test_wallpaper_vector_systems_are_pinned():
+    lines = []
+    for name, g in sorted(wallpaper_groups().items()):
+        pg = g.point_group
+        for i, tau in sorted(g.vector_system.items()):
+            lines.append(f"{name} {pg.elements[i].entries} {tuple(str(t) for t in tau)}")
+    assert len(lines) == 78
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WALLPAPER_VECTOR_SYSTEMS_SHA256
 
 
 def test_cocycle_checked_off_the_generators():

@@ -405,3 +405,35 @@ def test_walk_is_the_inline_walk(which, picks):
     edges = list(g.walk(gens))
     assert edges == list(_inline_walk(g, gens))
     assert g.reach(gens) == list(dict.fromkeys([g.identity_index, *(b for _, _, b in edges)]))
+
+
+def _frontier_closure(gens):
+    """Breadth-first closure with one frontier list per level: the oracle
+    for the element list of ``close_group``."""
+    ident = IntegerMatrix.identity(gens[0].rows)
+    elements, seen, frontier = [ident], {ident}, [ident]
+    while frontier:
+        new_frontier = []
+        for a in frontier:
+            for g in gens:
+                prod = a * g
+                if prod not in seen:
+                    seen.add(prod)
+                    elements.append(prod)
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    return elements
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 41), st.lists(st.integers(0, 47), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_close_group_is_the_frontier_closure(which, picks, seed):
+    g = [*point_groups().values(), *point_groups_2d().values()][which]
+    p = _random_unimodular(random.Random(seed), g.dimension)
+    pinv = p.inverse_unimodular()
+    gens = [g.elements[i % g.order] for i in picks]
+    for chosen in (gens, [p * m * pinv for m in gens]):
+        closed = close_group(chosen)
+        assert closed.elements == _frontier_closure(chosen)
+        assert closed.generators == chosen
