@@ -21,6 +21,7 @@ solves the jet layer's sample-point stages.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -41,7 +42,8 @@ class InfiniteGroup(ValueError):
 
 
 class IntegerMatrix:
-    """Immutable rectangular matrix with python-int entries.
+    """Immutable rectangular matrix with python-int entries; an entry that
+    is not an integer (a Fraction or a float) is refused with TypeError.
 
     `cols` gives the width of a matrix with no rows; otherwise it defaults
     to the length of the first row."""
@@ -49,7 +51,7 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols=None):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(tuple(map(operator.index, row)) for row in entries)
         self.rows = len(entries)
         if cols is None:
             cols = len(entries[0]) if entries else 0
@@ -67,14 +69,9 @@ class IntegerMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def diagonal(cls, diag, rows=None, cols=None):
-        rows = len(diag) if rows is None else rows
-        cols = len(diag) if cols is None else cols
-        m = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(diag):
-            if i < rows and i < cols:
-                m[i][i] = d
-        return cls(m, cols)
+    def diagonal(cls, diag):
+        n = len(diag)
+        return cls([[d if i == j else 0 for j in range(n)] for i, d in enumerate(diag)], n)
 
     def __eq__(self, other):
         return isinstance(other, IntegerMatrix) and self.entries == other.entries

@@ -163,9 +163,6 @@ def relative_bordism(betti, p: int) -> FgAbelianGroup:
 def sign_flip_point_group(d: int, flips: int) -> FiniteMatrixGroup:
     """Subgroup of GL_d(Z) generated by single-coordinate sign flips on the
     first `flips` coordinates (order 2^flips)."""
-    if d == 0:
-        ident = IntegerMatrix.identity(0)
-        return FiniteMatrixGroup(0, [ident], [ident])
     gens = []
     for i in range(flips):
         diag = [1] * d

@@ -4,7 +4,8 @@ cohomology computations, symmorphism tests and PDE analysis.
 Exit codes: 0 success, 1 usage or internal error, 2 validation mismatches
 (suppressed by --expect-known-errata when every finding is a recorded
 erratum).  All numeric output is exact; JSON is canonical (sorted keys,
-no floats) and round-trips byte-identically.
+no floats) and round-trips byte-identically.  Each table check returns a
+``groups.ValidationReport``; ``tables validate`` merges them and prints one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import jets
@@ -44,6 +44,7 @@ from .crystal import (
 from .data import data_path, load_lines
 from .groups import (
     INTERNATIONAL,
+    ValidationReport,
     close_group,
     enumerate_subgroups,
     parse_matrix,
@@ -60,10 +61,12 @@ def canonical_json(obj) -> str:
 
 
 def _resolve_path(path: str) -> str:
+    """The path itself if it exists; a bare file name that does not falls
+    back to the packaged document of that name."""
     if os.path.exists(path):
         return path
-    candidate = data_path(os.path.basename(path))
-    if candidate.is_file():
+    candidate = data_path(path)
+    if os.path.basename(path) == path and candidate.is_file():
         return str(candidate)
     raise FileNotFoundError(path)
 
@@ -81,43 +84,6 @@ POINT_GROUP_DOCUMENTED_ORDERS = {
     "D_2d": 8, "D_3d": 12, "S_4": 4, "S_6": 6,
     "T": 12, "T_h": 24, "O": 24, "T_d": 24, "O_h": 48,
 }
-
-
-@dataclass
-class ValidationReport:
-    dataset: str
-    checks_run: int = 0
-    mismatches: list = field(default_factory=list)
-
-    def add(self, location, published, computed, kind):
-        # each entry keeps the dataset it was found in, which the errata
-        # verdict reads after merging; the JSON leaves it out
-        self.mismatches.append(
-            {
-                "dataset": self.dataset,
-                "location": location,
-                "published": str(published),
-                "computed": str(computed),
-                "class": kind,
-            }
-        )
-
-    def add_table_mismatches(self, mismatches):
-        for mm in mismatches:
-            self.add(mm.location, mm.published, mm.computed, mm.kind)
-
-    def merge(self, other: "ValidationReport"):
-        self.checks_run += other.checks_run
-        self.mismatches.extend(other.mismatches)
-
-    def to_json_dict(self):
-        return {
-            "dataset": self.dataset,
-            "checks_run": self.checks_run,
-            "mismatches": [
-                {k: v for k, v in m.items() if k != "dataset"} for m in self.mismatches
-            ],
-        }
 
 
 def load_known_errata() -> set:
@@ -140,8 +106,7 @@ def validate_point_group_tables() -> ValidationReport:
         if g.order != want:
             report.add(f"{name} order", want, g.order, "OrderMismatch")
         result = validate_appendix_b(name)
-        report.checks_run += 1
-        report.add_table_mismatches(result.mismatches)
+        report.merge(result)
         # every computed subgroup satisfies Lagrange by construction; check
         report.checks_run += 1
         for rec in result.subgroups:
@@ -234,7 +199,7 @@ def _validation_exit(report: ValidationReport, args) -> int:
         new = [
             m
             for m in report.mismatches
-            if (m["dataset"], m["location"], m["class"]) not in known
+            if (m.dataset, m.location, m.kind) not in known
         ]
         return 0 if not new else 2
     return 2
@@ -259,8 +224,8 @@ def _report_lines(report: ValidationReport):
         lines.append("all published values reproduced")
     for m in report.mismatches:
         lines.append(
-            f"  [{m['class']}] {m['location']}: published {m['published']}"
-            f" | computed {m['computed']}"
+            f"  [{m.kind}] {m.location}: published {m.published}"
+            f" | computed {m.computed}"
         )
     return lines
 
@@ -316,8 +281,8 @@ def _cmd_bordism(args) -> int:
 def _cmd_tables(args) -> int:
     if args.which == "pointgroup":
         g = point_group(args.name)
-        result = validate_appendix_b(g.name) if args.verify else None
-        recs = result.subgroups if result else enumerate_subgroups(g)
+        report = validate_appendix_b(g.name) if args.verify else None
+        recs = report.subgroups if report else enumerate_subgroups(g)
         payload = {
             "name": g.name,
             "international": INTERNATIONAL[g.name],
@@ -329,8 +294,6 @@ def _cmd_tables(args) -> int:
         lines = [f"{g.name} ({INTERNATIONAL[g.name]}), order {g.order}"]
         lines += [f"  {r.iso_name:8s} order {r.order:3d} index {r.index}" for r in recs]
         if args.verify:
-            report = ValidationReport("appendix_b", checks_run=1)
-            report.add_table_mismatches(result.mismatches)
             payload["validation"] = report.to_json_dict()
             lines += _report_lines(report)
             _emit(args, payload, lines)

@@ -15,8 +15,10 @@ by carrying an explicit relation lattice next to each cochain group instead
 of switching to finite-field arithmetic.  Derivations are the 1-cocycles
 of the same resolution, carried to every group element along the edges of
 ``FiniteMatrixGroup.walk``; splitting classes are a transversal of them
-modulo the principal ones.  A module's action is checked on the products
-a*s with s a generator only, which suffices by induction on word length.
+modulo the principal ones.  A module's action is one dict from element
+index to matrix, which each constructor builds, and it is checked on the
+products a*s with s a generator only, which suffices by induction on word
+length.
 """
 
 from __future__ import annotations
@@ -66,16 +68,13 @@ def _check_size(rows: int, cols: int, error):
 
 class GModule:
     """A finitely generated abelian group with a G-action by integer
-    matrices acting on all coordinates (free first, then torsion)."""
+    matrices acting on all coordinates (free first, then torsion);
+    ``action`` maps each element index of the group to its matrix."""
 
-    def __init__(self, group: FiniteMatrixGroup, base: FgAbelianGroup, action):
+    def __init__(self, group: FiniteMatrixGroup, base: FgAbelianGroup, action: dict):
         self.group = group
         self.base = base
         self.rank = base.free_rank + len(base.invariant_factors)
-        if callable(action):
-            action = {i: action(group.elements[i]) for i in range(group.order)}
-        elif action and isinstance(next(iter(action)), IntegerMatrix):
-            action = {group.index_of(m): a for m, a in action.items()}
         self.action = dict(action)
         self._validate()
 
@@ -89,10 +88,8 @@ class GModule:
     def sign(cls, group, base):
         """Each element acts by its determinant (the det representation)."""
         rank = base.free_rank + len(base.invariant_factors)
-        def act(m):
-            d = m.determinant()
-            return IntegerMatrix.diagonal([d] * rank)
-        return cls(group, base, act)
+        return cls(group, base, {i: IntegerMatrix.diagonal([m.determinant()] * rank)
+                                 for i, m in enumerate(group.elements)})
 
     @classmethod
     def natural(cls, group, scale_mod: int | None = None):
@@ -148,7 +145,7 @@ class GModule:
                 col = a.col(r + j)
                 for row_i, entry in enumerate(col):
                     if row_i < r:
-                        if dj * entry != 0 and entry != 0:
+                        if entry != 0:
                             raise ValueError("torsion maps into free part")
                     else:
                         di = facs[row_i - r]

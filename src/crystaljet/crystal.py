@@ -6,8 +6,9 @@ A group is stored in cocycle normal form: a finite point group of integer
 matrices plus a vector system assigning each point-group element a rational
 translation mod Z^d.  Elements are pairs (a, u) with the product
 (a, u)(b, v) = (ab, u + a.v).  A vector system is built from generator
-translations, and checked as a cocycle, on the edges a -> a*s of
-``FiniteMatrixGroup.walk``.
+translations along the edges a -> a*s of ``FiniteMatrixGroup.walk``, and
+checked as a cocycle on the same edges by the one check,
+``CrystallographicGroup.check_cocycle``, that every construction runs.
 """
 
 from __future__ import annotations
@@ -116,20 +117,17 @@ class CrystallographicGroup:
     def from_generator_system(cls, gens_with_tau, name=None):
         """Build the group from point generators and their translations,
         extending the vector system over the whole point group."""
-        gens = [g for g, _ in gens_with_tau]
-        point = close_group(gens)
+        point = close_group([g for g, _ in gens_with_tau])
         d = point.dimension
+        # the generators keep their own translations (the identity's too,
+        # which the check refuses if nonzero); the constructor's
+        # check_cocycle refuses any inconsistency on the same edges
         tau = {point.identity_index: (Fraction(0),) * d}
-        gen_tau = {point.index_of(g): _frac_vec(t) for g, t in gens_with_tau}
-        # check_cocycle's rule on the same edges; with tau(1) = 0 preset, a
-        # nonzero translation given to the identity fails here too
-        for a, s, b in point.walk(gen_tau):
-            val = _mod1(_vec_add(tau[a], point.elements[a].apply(gen_tau[s])))
+        tau.update((point.index_of(g), _frac_vec(t)) for g, t in gens_with_tau)
+        for a, s, b in point.walk(map(point.index_of, point.generators)):
             if b not in tau:
-                tau[b] = val
-            elif tau[b] != val:
-                raise InvalidCocycle(f"generator translations are inconsistent at element {b}")
-        return cls(d, point, tau, name=name, check=False)
+                tau[b] = _vec_add(tau[a], point.elements[a].apply(tau[s]))
+        return cls(d, point, tau, name=name)
 
     # -- structural checks ------------------------------------------------
     def check_cocycle(self):

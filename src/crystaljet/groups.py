@@ -4,16 +4,21 @@ lattices, and crystallographic naming for point groups.
 The 32 three-dimensional point groups (and the ten two-dimensional ones)
 are embedded as integer generator matrices in a lattice-adapted basis, so
 all arithmetic stays exact.  Published subgroup tables are carried verbatim
-in ``appendix_b.dat`` and validated, never silently corrected.
+in ``appendix_b.dat`` and validated, never silently corrected; every table
+check, here and in the CLI, reports its findings as ``TableMismatch``
+records in one ``ValidationReport``.
 
 Every group keeps its identity as element 0, so index 0 is the identity in
-every Cayley table and walk.  Groups are named by one rule, a lookup of the
-order and the multiset of (det, trace) pairs of the elements.  Every finite
-subgroup of GL_3(Z) or GL_2(Z) is conjugate over Q to one of the 32 or 10
-representatives (the geometric crystal classes; International Tables for
-Crystallography, Vol. A), that fingerprint is invariant under such
-conjugation, and the 42 representatives have 42 distinct fingerprints, so
-the lookup names every finite group in dimensions 2 and 3.
+every Cayley table and walk.  ``close_group`` and ``reach`` are each one
+breadth-first loop over a list that grows while it is read, so elements are
+numbered in breadth-first order from the identity.  Groups are named by
+one rule, a lookup of the order and the multiset of (det, trace) pairs of
+the elements.  Every finite subgroup of GL_3(Z) or GL_2(Z) is conjugate
+over Q to one of the 32 or 10 representatives (the geometric crystal
+classes; International Tables for Crystallography, Vol. A), that
+fingerprint is invariant under such conjugation, and the 42
+representatives have 42 distinct fingerprints, so the lookup names every
+finite group in dimensions 2 and 3.
 """
 
 from __future__ import annotations
@@ -129,7 +134,7 @@ class FiniteMatrixGroup:
         return f"<{label}: order {self.order}, dim {self.dimension}>"
 
 
-def close_group(generators, bound: int = DEFAULT_CLOSURE_BOUND) -> FiniteMatrixGroup:
+def close_group(generators) -> FiniteMatrixGroup:
     """Close a set of invertible integer matrices under multiplication."""
     gens = list(generators)
     if not gens:
@@ -140,24 +145,18 @@ def close_group(generators, bound: int = DEFAULT_CLOSURE_BOUND) -> FiniteMatrixG
             raise ValueError("generators must be square of equal size")
         if not g.is_invertible_over_z():
             raise NotInvertible(f"generator {g!r} has determinant != +-1")
-    ident = IntegerMatrix.identity(dim)
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for a in frontier:
-            for g in gens:
-                prod = a * g
-                if prod not in seen:
-                    seen.add(prod)
-                    elements.append(prod)
-                    new_frontier.append(prod)
-                    if len(elements) > bound:
-                        raise ClosureBoundExceeded(
-                            f"closure exceeded {bound} elements; group may be infinite"
-                        )
-        frontier = new_frontier
+    elements = [IntegerMatrix.identity(dim)]
+    seen = set(elements)
+    for a in elements:  # grows while it is read: a breadth-first queue
+        for g in gens:
+            prod = a * g
+            if prod not in seen:
+                seen.add(prod)
+                elements.append(prod)
+                if len(elements) > DEFAULT_CLOSURE_BOUND:
+                    raise ClosureBoundExceeded(
+                        f"closure exceeded {DEFAULT_CLOSURE_BOUND} elements; group may be infinite"
+                    )
     return FiniteMatrixGroup(dim, gens, elements)
 
 
@@ -351,26 +350,52 @@ def appendix_b_tables() -> dict[str, list[tuple[str, int, int]]]:
 
 @dataclass(frozen=True)
 class TableMismatch:
+    dataset: str
     location: str
     published: str
     computed: str
-    kind: str  # LagrangeViolationInPaper | MissingInPaper | ExtraInPaper
+    kind: str  # LagrangeViolationInPaper | MissingInPaper | ExtraInPaper, or a CLI check's class
 
 
 @dataclass
-class ValidationResult:
-    group_name: str
-    mismatches: list
-    subgroups: list  # the computed SubgroupRecords the check compared
+class ValidationReport:
+    """The checks run on one dataset and the mismatches they found; each
+    mismatch keeps its dataset, which the errata verdict reads after
+    merging and the JSON leaves out."""
+
+    dataset: str
+    checks_run: int = 0
+    mismatches: list = field(default_factory=list)
+    subgroups: list = field(default_factory=list)  # computed SubgroupRecords compared
 
     @property
     def ok(self):
         return not self.mismatches
 
+    def add(self, location, published, computed, kind):
+        self.mismatches.append(
+            TableMismatch(self.dataset, location, str(published), str(computed), kind)
+        )
 
-def validate_appendix_b(name: str):
+    def merge(self, other: "ValidationReport"):
+        self.checks_run += other.checks_run
+        self.mismatches.extend(other.mismatches)
+
+    def to_json_dict(self):
+        return {
+            "dataset": self.dataset,
+            "checks_run": self.checks_run,
+            "mismatches": [
+                {"location": m.location, "published": m.published,
+                 "computed": m.computed, "class": m.kind}
+                for m in self.mismatches
+            ],
+        }
+
+
+def validate_appendix_b(name: str) -> ValidationReport:
     """Compare the computed subgroup lattice of a named point group against
-    its as-published table.
+    its as-published table: one check, with the computed subgroups.
 
     Published rows are matched as (iso, order, index) sets, ignoring
     multiplicity, because the printed tables list iso-types only.
@@ -378,9 +403,9 @@ def validate_appendix_b(name: str):
     g = point_group(name)
     name = g.name
     subgroups = enumerate_subgroups(g)
+    report = ValidationReport("appendix_b", checks_run=1, subgroups=subgroups)
     computed = {rec.triple() for rec in subgroups}
     published = appendix_b_tables()[name]
-    mismatches = []
     seen_pub = set()
     for iso, order, index in published:
         row = f"{iso}/{order}/{index}"
@@ -388,32 +413,12 @@ def validate_appendix_b(name: str):
             continue  # duplicated printed row; set comparison already covers it
         seen_pub.add((iso, order, index))
         if order * index != g.order:
-            mismatches.append(
-                TableMismatch(
-                    location=f"{name} row {row}",
-                    published=row,
-                    computed="(impossible: order*index != group order)",
-                    kind="LagrangeViolationInPaper",
-                )
-            )
+            report.add(f"{name} row {row}", row, "(impossible: order*index != group order)",
+                       "LagrangeViolationInPaper")
         elif (iso, order, index) not in computed:
-            mismatches.append(
-                TableMismatch(
-                    location=f"{name} row {row}",
-                    published=row,
-                    computed="(no such subgroup)",
-                    kind="ExtraInPaper",
-                )
-            )
+            report.add(f"{name} row {row}", row, "(no such subgroup)", "ExtraInPaper")
     for triple in sorted(computed):
         if triple not in seen_pub:
-            iso, order, index = triple
-            mismatches.append(
-                TableMismatch(
-                    location=f"{name} computed {iso}/{order}/{index}",
-                    published="(absent)",
-                    computed=f"{iso}/{order}/{index}",
-                    kind="MissingInPaper",
-                )
-            )
-    return ValidationResult(group_name=name, mismatches=mismatches, subgroups=subgroups)
+            row = "/".join(map(str, triple))
+            report.add(f"{name} computed {row}", "(absent)", row, "MissingInPaper")
+    return report

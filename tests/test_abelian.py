@@ -46,6 +46,13 @@ def check_snf(m):
     return d
 
 
+def test_integer_matrix_refuses_non_integer_entries():
+    assert IntegerMatrix([[True, 0], [-3, 2]]).entries == ((1, 0), (-3, 2))
+    for entry in (Fraction(1, 2), Fraction(2), 1.9, 2.0):
+        with pytest.raises(TypeError):
+            IntegerMatrix([[entry, 1]])
+
+
 def test_snf_already_diagonal():
     d = check_snf(IntegerMatrix([[2, 0], [0, 2]]))
     assert d == [2, 2]

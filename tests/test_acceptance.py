@@ -162,7 +162,7 @@ def test_criterion_5_table_validation():
     )
     report_all = validate_all_tables()
     checks.append(
-        any(m["class"] == "BravaisSumMismatch" and "Cubic" in m["location"]
+        any(m.kind == "BravaisSumMismatch" and "Cubic" in m.location
             for m in report_all.mismatches)
     )
     checks.append(cli_run(["tables", "validate", "--expect-known-errata"]) == 0)

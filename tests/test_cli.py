@@ -140,6 +140,14 @@ def test_pde_verify_solution_names_a_bad_section(capsys, item, bad):
     assert err.startswith(f"error: ParseError: {bad}")
 
 
+def test_a_missing_path_is_not_swapped_for_packaged_data(capsys):
+    code, out, err = run_capture(capsys, ["pde", "symbol", "/nonexistent/dir/heat.pde"])
+    assert code == 1 and not out
+    assert err.strip() == "error: FileNotFoundError: /nonexistent/dir/heat.pde"
+    code, out, _ = run_capture(capsys, ["pde", "symbol", "heat.pde"])
+    assert code == 0 and out.startswith("system ")
+
+
 def test_tables_pointgroup_verify_exit_codes(capsys):
     code, _, _ = run_capture(capsys, ["tables", "pointgroup", "C_3", "--verify"])
     assert code == 2
@@ -668,7 +676,7 @@ def test_errata_file_covers_all_current_findings():
     report = validate_all_tables()
     assert report.mismatches
     for m in report.mismatches:
-        key = (m["dataset"], m["location"], m["class"])
+        key = (m.dataset, m.location, m.kind)
         assert key in known, key
 
 

@@ -52,7 +52,7 @@ def test_close_group_rejects_noninvertible():
 def test_close_group_bound():
     shear = IntegerMatrix([[1, 1], [0, 1]])  # infinite order
     with pytest.raises(ClosureBoundExceeded):
-        close_group([shear], bound=50)
+        close_group([shear])
 
 
 def test_point_group_orders_match_annotations():
