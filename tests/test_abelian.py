@@ -307,6 +307,7 @@ def test_quotient_group():
     # <(1,1)> / <(2,2)> = Z_2
     assert quotient_group([(2, 2)], [(1, 1)], 2) == FgAbelianGroup.cyclic(2)
     assert quotient_group([], [(1, 0)], 2) == FgAbelianGroup.free(1)
+    assert quotient_group([], [], 2) == FgAbelianGroup.trivial()
 
 
 def test_lattice_from_generators():

@@ -396,6 +396,8 @@ def test_splitting_class_count_matches_h1_all_symmorphic_wallpaper():
 # changes both
 RESOLUTIONS_SHA256 = "fec9f2010158dce2bd3e492e253b1070cd0fd21d7a6dbbeebd1ce08a938cc28c"
 SPLITTING_CLASSES_SHA256 = "44bc014e3e6de80f970392abe9e2d0a81e075542aee782c5f9a7e636519e4ea4"
+# the same digest over the length-4 resolutions (O_h ranks 1, 3, 6, 10, 15)
+LENGTH_FOUR_RESOLUTIONS_SHA256 = "921a746d425e11e6adf2b1cd10ddc56bdf2dc7cd1545e6c72615c427c1e1897a"
 
 
 def test_resolutions_and_splitting_classes_are_pinned():
@@ -413,6 +415,17 @@ def test_resolutions_and_splitting_classes_are_pinned():
         values = [sorted(cls.values.items()) for cls in splitting_classes(g)]
         digest.update(repr((name, values)).encode())
     assert digest.hexdigest() == SPLITTING_CLASSES_SHA256
+
+
+def test_length_four_resolutions_are_pinned():
+    digest = hashlib.sha256()
+    groups = [*point_groups().items(), *point_groups_2d().items()]
+    for name, g in groups:
+        res = free_resolution(g, 4)
+        digest.update(repr((name, res.ranks, res.boundaries)).encode())
+        if name == "O_h":
+            assert res.ranks == [1, 3, 6, 10, 15]
+    assert digest.hexdigest() == LENGTH_FOUR_RESOLUTIONS_SHA256
 
 
 def test_splitting_classes_require_split():

@@ -10,6 +10,8 @@ only run on small groups.
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crystaljet.abelian import (
     FgAbelianGroup,
@@ -137,6 +139,29 @@ def test_resolution_is_exact_up_to_length_three(name):
         kernel = lattice_from_generators(kernel_basis(d_k), ambient)
         image = lattice_from_generators(_orbit_columns(g, res.boundaries[k]), ambient)
         assert image == kernel, (name, k)
+
+
+# the stop rule of the orbit generators: a sublattice S of L whose echelon
+# basis has as many rows as L's and only unit pivots is L itself, since
+# substitution along unit pivots reads integer coordinates off every vector
+# of their common Q-span
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=4),
+    st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=5))))
+@example((2, [[1, 0], [0, 1]], [[1, 1, 0, 0], [0, 1, 0, 0]]))
+@example((2, [[1, 0], [0, 1]], [[2, 1, 0, 0], [0, 1, 0, 0]]))
+@example((2, [[2, 0], [0, 1]], [[1, 0, 0, 0], [1, 1, 0, 0]]))
+def test_a_full_rank_sublattice_with_unit_pivots_is_the_lattice(case):
+    n, vectors, coefficients = case
+    lattice = lattice_from_generators(vectors, n)
+    sub = lattice_from_generators(
+        [[sum(c * row[j] for c, row in zip(cs, lattice)) for j in range(n)] for cs in coefficients],
+        n,
+    )
+    if len(sub) == len(lattice) and all(next(filter(None, row)) == 1 for row in sub):
+        assert sub == lattice
 
 
 # H^3(G; Z) = H_2(G; Z), the Schur multiplier of the abstract group
