@@ -503,11 +503,10 @@ def lattice_from_generators(vectors, ambient: int) -> list[tuple[int, ...]]:
 def quotient_group(sub_generators, sup_generators, ambient: int) -> FgAbelianGroup:
     """Canonical form of (lattice generated by sup) / (lattice generated by sub).
 
-    Both generator lists live in Z^ambient and sub must be contained in sup.
+    Both generator lists live in Z^ambient; a sub generator off the sup
+    lattice is refused with ValueError, also when sup is 0.
     """
     sup_basis = lattice_from_generators(sup_generators, ambient)
-    if not sup_basis:
-        return FgAbelianGroup.trivial()
     coords = []
     for g in sub_generators:
         if not any(g):
@@ -516,6 +515,4 @@ def quotient_group(sub_generators, sup_generators, ambient: int) -> FgAbelianGro
         if x is None:
             raise ValueError("sub lattice not contained in sup lattice")
         coords.append(x)
-    if not coords:
-        return FgAbelianGroup.free(len(sup_basis))
     return group_from_relations(len(sup_basis), IntegerMatrix(coords))

@@ -574,7 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["text", "json"],
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for generic-point sampling")
+                        help="seed for the generic-point sampling of `pde symbol` and"
+                        " `pde involutivity`; `pde classify` and `pde singular-classify`"
+                        " check the corpus at the default seed, and other commands"
+                        " ignore it")
     common.add_argument("--expect-known-errata", action="store_true",
                         default=argparse.SUPPRESS,
                         help="exit 0 when all validation mismatches are recorded errata")

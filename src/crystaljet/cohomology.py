@@ -4,7 +4,8 @@ generated modules, crossed homomorphisms, and splitting classification.
 Cohomology is computed on a small free ZG-resolution of Z, built with
 integer linear algebra only (Ellis, "Computing group resolutions",
 J. Symb. Comp. 38, 2004): each kernel is found as a Z-lattice, and
-ZG-generators are taken from its basis until their orbits span it.  With
+ZG-generators are taken from its basis until their orbits span it (a
+span of its rank with unit pivots is all of it).  With
 Hom_ZG(F_k, M) = M^{r_k}, each coboundary map is built as its r_k * rank
 columns (1, 3, 6, 10 for O_h) where the bar complex had (|G| - 1)^k * rank;
 the columns are the coboundaries, and the kernel routine reads them as they
@@ -104,9 +105,14 @@ class GModule:
     @classmethod
     def from_generator_action(cls, group, base, bindings):
         """Extend an action given on generator matrices to the whole group
-        along ``group.walk``; inconsistent bindings are rejected by the
-        homomorphism validation."""
+        along ``group.walk``; a bound matrix that is not rank x rank is
+        refused before the walk multiplies it, and inconsistent bindings are
+        rejected by the homomorphism validation."""
         rank = base.free_rank + len(base.invariant_factors)
+        for gen, act in bindings.items():
+            if act.rows != rank or act.cols != rank:
+                raise ValueError(f"generator {list(map(list, gen.entries))} acts by a "
+                                 f"{act.rows} x {act.cols} matrix on a module of rank {rank}")
         action = {group.identity_index: IntegerMatrix.identity(rank)}
         gen_act = {group.index_of(g): a for g, a in bindings.items()}
         for a, s, b in group.walk(gen_act):
@@ -189,23 +195,22 @@ def _orbit_generators(g: FiniteMatrixGroup, kernel, ambient: int):
     """ZG-generators of a G-stable lattice given by a Z-basis.
 
     A basis vector, sparsest first, joins the generators when it is not yet
-    in the Z-span of the orbits chosen so far; the choice ends when the
-    Hermite basis of that span equals the lattice's, which is exactness at
-    this step.  Sparse generators keep the entries of d at +-1 on the point
-    groups and the ranks small (3, 6, 10, 15 for O_h).
+    in the Z-span of the orbits chosen so far, so the span ends up holding
+    the basis: exactness at this step.  It stops early once the span's
+    Hermite basis is as long as the lattice basis with unit pivots, since
+    substitution along those gives each lattice vector integer coordinates.
+    Sparse generators keep the entries of d at +-1 on the point groups and
+    the ranks small (3, 6, 10, 15 for O_h).
     """
-    target = lattice_from_generators(kernel, ambient)
     span, gens = [], []
     for v in sorted(kernel, key=lambda v: (len(v) - v.count(0), sum(map(abs, v)))):
-        if span == target:
-            break
         if lattice_coordinates(span, v) is not None:
             continue
         _check_size(len(span) + g.order, ambient, CochainBoundExceeded)
         gens.append(v)
         span = lattice_from_generators(span + _orbit(g, v), ambient)
-    if span != target:
-        raise ArithmeticError("orbit span does not reach the kernel")
+        if len(span) == len(kernel) and all(next(filter(None, row)) == 1 for row in span):
+            break
     return gens
 
 

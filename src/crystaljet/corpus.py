@@ -250,11 +250,11 @@ def _sym_index(i, j):
     return {(1, 1): 0, (1, 2): 1, (1, 3): 2, (2, 2): 3, (2, 3): 4, (3, 3): 5}[(i, j)]
 
 
-def metric_flow_system(kappa=Fraction(1)) -> PdeSystem:
+def metric_flow_system() -> PdeSystem:
     """Evolution of a Riemannian 3-metric by its Ricci curvature, encoded
     as determinant-cleared differential polynomials: each equation is
-    det(g)^2 (d/dt g_jn) - kappa * (det(g)^2 R_jn) with R the curvature of
-    the spatial metric."""
+    det(g)^2 (d/dt g_jn) - det(g)^2 R_jn with R the curvature of the
+    spatial metric (the flow at unit speed)."""
     spatial = (1, 2, 3)
 
     def g(i, j, *d):
@@ -305,7 +305,7 @@ def metric_flow_system(kappa=Fraction(1)) -> PdeSystem:
         for n in spatial:
             if j > n:
                 continue
-            equations.append(det * det * g(j, n, 0) - kappa * det2_ricci(j, n))
+            equations.append(det * det * g(j, n, 0) - det2_ricci(j, n))
     return PdeSystem(
         independent=["t", "x", "y", "z"],
         dependent=METRIC_DEPENDENT,

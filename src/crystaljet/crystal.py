@@ -91,13 +91,13 @@ class AffineElement:
 class CrystallographicGroup:
     """Space group in cocycle normal form.
 
-    ``vector_system`` maps each point-group element index to its fractional
-    translation, reduced mod Z^d.  The stored system must satisfy the
-    cocycle condition tau(ab) = tau(a) + a.tau(b) (mod Z^d).
+    ``vector_system`` maps each point-group element index to its translation
+    mod Z^d, always checked as a cocycle tau(ab) = tau(a) + a.tau(b) mod Z^d;
+    set its entries on a valid group to examine a broken one.
     """
 
     def __init__(self, dimension, point_group: FiniteMatrixGroup, vector_system=None,
-                 name=None, check=True):
+                 name=None):
         if point_group.dimension != dimension:
             raise DimensionMismatch(
                 f"point group acts on Z^{point_group.dimension}, lattice is Z^{dimension}"
@@ -110,8 +110,7 @@ class CrystallographicGroup:
             vector_system = {i: _mod1(_frac_vec(v)) for i, v in vector_system.items()}
         self.vector_system = vector_system
         self.name = name
-        if check:
-            self.check_cocycle()
+        self.check_cocycle()
 
     @classmethod
     def from_generator_system(cls, gens_with_tau, name=None):
@@ -237,18 +236,16 @@ def translation_fix_check(f: AffineElement, x: AffineElement) -> bool:
 
 
 def commuting_involutions_check(generators) -> bool:
-    """True iff all listed order-two generators pairwise commute.
+    """True iff all listed order-two generator matrices pairwise commute.
 
     A failure means the amalgamated-product obstruction applies: the group
     cannot sit inside a 3-dimensional crystallographic group.
     """
-    mats = []
-    for gen in generators:
-        m = gen.point_part if isinstance(gen, AffineElement) else gen
+    mats = list(generators)
+    for m in mats:
         ident = IntegerMatrix.identity(m.rows)
         if m == ident or (m * m) != ident:
             raise NotOrderTwo(f"generator {m!r} does not have order two")
-        mats.append(m)
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             if mats[i] * mats[j] != mats[j] * mats[i]:

@@ -1037,9 +1037,9 @@ def verify_polynomial_solution(s: PdeSystem, section) -> list:
     equation; the residual polynomials are all zero iff the section solves
     the system.
 
-    ``section`` maps dependent-variable names to polynomial expressions in
-    the independent variables (free symbols are allowed and treated as
-    constant parameters).
+    ``section`` maps dependent-variable names to the text of polynomial
+    expressions in the independent variables (free symbols are allowed and
+    treated as constant parameters).
     """
     parser = EquationParser(s.independent, s.dependent, allow_free_symbols=True)
     values = {}
@@ -1050,7 +1050,7 @@ def verify_polynomial_solution(s: PdeSystem, section) -> list:
                              f" (the system has {', '.join(s.dependent)})")
         j = s.dependent.index(name)
         try:
-            poly = text if isinstance(text, DiffPoly) else parser.parse_polynomial(text)
+            poly = parser.parse_polynomial(text)
         except ParseError as exc:
             raise ParseError(f"section {item!r}: {exc}") from None
         if poly.jet_variables():

@@ -21,7 +21,7 @@ from .bordism import (
     unoriented_bordism,
 )
 from .data import data_path, load_document
-from .jets import DEFAULT_SEED, formal_integrability_check, load_system
+from .jets import formal_integrability_check, load_system
 
 
 class HypothesisViolated(ValueError):
@@ -174,16 +174,11 @@ def singular_bordism(d: PdeDescriptor, p: int) -> FgAbelianGroup | None:
     return None
 
 
-def verify_integrability_flags(d: PdeDescriptor, seed=None):
-    """Reject a descriptor whose named corpus systems fail the machine
-    integrability check while the flags claim integrability."""
-    if not d.jets_check:
-        return
+def verify_integrability_flags(d: PdeDescriptor):
+    """Reject a descriptor whose named corpus systems fail the integrability
+    check at the default seed while the flags claim integrability."""
     for fname in d.jets_check:
-        system = load_system(str(data_path(fname)))
-        verdict = formal_integrability_check(
-            system, seed=DEFAULT_SEED if seed is None else seed
-        )
+        verdict = formal_integrability_check(load_system(str(data_path(fname))))
         if d.flags["formally_integrable"] and not verdict.passed:
             raise DescriptorRejected(
                 f"{d.name}: flags claim formal integrability but corpus system "
@@ -191,10 +186,9 @@ def verify_integrability_flags(d: PdeDescriptor, seed=None):
             )
 
 
-def classify(d: PdeDescriptor, check_corpus: bool = True) -> CrystalClassification:
-    """Headline pipeline: bordism groups, verdict, crystal group/dimension."""
-    if check_corpus:
-        verify_integrability_flags(d)
+def classify(d: PdeDescriptor) -> CrystalClassification:
+    """Headline pipeline: corpus check, bordism groups, verdict, crystal group/dimension."""
+    verify_integrability_flags(d)
     p = d.n - 1
     wb = weak_bordism(d, p)
     sb = singular_bordism(d, p)
@@ -248,11 +242,11 @@ class SingularClassification:
         }
 
 
-def classify_singular(s: SingularPdeDescriptor, check_corpus=True) -> SingularClassification:
+def classify_singular(s: SingularPdeDescriptor) -> SingularClassification:
     parts = []
     for i, comp in enumerate(s.components):
         try:
-            parts.append(classify(comp, check_corpus=check_corpus))
+            parts.append(classify(comp))
         except Exception as exc:
             named = f" ({comp.name})" if comp.name else ""
             raise type(exc)(f"component {i}{named}: {exc}") from exc

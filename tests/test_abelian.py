@@ -308,6 +308,9 @@ def test_quotient_group():
     assert quotient_group([(2, 2)], [(1, 1)], 2) == FgAbelianGroup.cyclic(2)
     assert quotient_group([], [(1, 0)], 2) == FgAbelianGroup.free(1)
     assert quotient_group([], [], 2) == FgAbelianGroup.trivial()
+    # a nonzero sub in a zero sup is not contained in it
+    with pytest.raises(ValueError, match="not contained"):
+        quotient_group([(1, 0)], [], 2)
 
 
 def test_lattice_from_generators():

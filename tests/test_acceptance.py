@@ -72,21 +72,21 @@ def test_criterion_1_bordism_values():
 def test_criterion_2_paper_examples():
     start = time.monotonic()
     checks = []
-    ricci = classify(corpus_descriptor("ricci_flow.desc"), check_corpus=False)
+    ricci = classify(corpus_descriptor("ricci_flow.desc"))
     checks.append(ricci.weak_bordism.render() == "Z/2")
     checks.append((ricci.crystal_dimension, ricci.crystal_group_name) == (2, "p2"))
-    dal = classify(corpus_descriptor("dalembert_t2.desc"), check_corpus=False)
+    dal = classify(corpus_descriptor("dalembert_t2.desc"))
     checks.append(dal.weak_bordism == FgAbelianGroup.z2_power(2))
     checks.append(dal.crystal_group_name == "p4m")
-    tri = classify(corpus_descriptor("tricomi_rp2.desc"), check_corpus=False)
+    tri = classify(corpus_descriptor("tricomi_rp2.desc"))
     checks.append(tri.weak_bordism.render() == "Z/2")
-    ns = classify(corpus_descriptor("navier_stokes.desc"), check_corpus=False)
+    ns = classify(corpus_descriptor("navier_stokes.desc"))
     checks.append(ns.weak_bordism.is_trivial())
     checks.append(ns.verdict == "ExtendedZeroCrystal")
     checks.append(any("not a 0-crystal" in c for c in ns.caveats))
-    mhd = classify_singular(corpus_descriptor("mhd_singular.desc"), check_corpus=False)
+    mhd = classify_singular(corpus_descriptor("mhd_singular.desc"))
     checks.append(mhd.verdict == "ExtendedZeroCrystalSingular")
-    table4 = classify_singular(corpus_descriptor("table4_singular.desc"), check_corpus=False)
+    table4 = classify_singular(corpus_descriptor("table4_singular.desc"))
     checks.append(
         all(c.verdict == "ExtendedZeroCrystal" for c in table4.components)
     )

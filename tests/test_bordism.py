@@ -162,11 +162,10 @@ def test_corrupted_vector_system_reported():
     from fractions import Fraction
 
     base = wallpaper_groups()["pm"]
-    broken = dict(base.vector_system)
     pg = base.point_group
     mirror_idx = next(i for i in range(pg.order) if i != pg.identity_index)
-    broken[mirror_idx] = (Fraction(1, 3), Fraction(1, 5))
-    bad = CrystallographicGroup(2, pg, broken, name="pm-broken", check=False)
+    bad = CrystallographicGroup(2, pg, base.vector_system, name="pm-broken")
+    bad.vector_system[mirror_idx] = (Fraction(1, 3), Fraction(1, 5))
     report = verify_extension_exactness(bad)
     assert not report["passed"]
     assert report["checks"][0]["check"] == "cocycle_condition"

@@ -534,6 +534,17 @@ def test_a_non_invertible_binding_is_refused(capsys, tmp_path):
     assert err.strip() == "error: ValueError: action matrices must be invertible over Z"
 
 
+@pytest.mark.parametrize("module, rank", [("Z", 1), ("Z^3", 3)])
+def test_a_binding_of_the_wrong_size_is_named(capsys, tmp_path, module, rank):
+    path = tmp_path / "identity.txt"
+    path.write_text("[[-1,0],[0,-1]] -> [[1,0],[0,1]]\n")
+    code, out, err = run_capture(capsys, ["cohomology", "--group", "plane:2", "--module", module,
+                                          "--action", str(path), "--degree", "1"])
+    assert code == 1 and not out
+    assert err.strip() == ("error: ValueError: generator [[-1, 0], [0, -1]] acts by a 2 x 2"
+                           f" matrix on a module of rank {rank}")
+
+
 @pytest.mark.parametrize("line, why", [
     (BINDING.replace("->", ""), "no '->'"),
     (BINDING.replace("0,0,1", "0,0,x"), "invalid literal for int()"),

@@ -134,6 +134,16 @@ def test_module_action_refusals(base, action, message):
         GModule(g, base, {0: ident, 1: action})
 
 
+@pytest.mark.parametrize("base", [Z, FgAbelianGroup.free(3)])
+def test_a_binding_of_the_wrong_size_names_the_generator_and_the_rank(base):
+    g = point_groups_2d()["2"]
+    rotation = IntegerMatrix([[-1, 0], [0, -1]])
+    rank = base.free_rank
+    with pytest.raises(ValueError, match=(
+            rf"^generator \[\[-1, 0\], \[0, -1\]\] acts by a 2 x 2 matrix on a module of rank {rank}$")):
+        GModule.from_generator_action(g, base, {rotation: IntegerMatrix.identity(2)})
+
+
 def test_h1_klein_free_module_vanishes():
     klein = point_group("D_2")
     mod = GModule.trivial(klein, FgAbelianGroup.free(2))

@@ -1,0 +1,76 @@
+"""No dead imports or private helpers under src/: every module is walked as
+an AST.  A name a module imports must be read in that module (the package
+``__init__`` only re-exports, so it is skipped), and a module-level
+``_private`` function or class must be referenced somewhere in src/ outside
+its own definition."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted(SRC.rglob("*.py"))
+PACKAGE_INIT = SRC / "crystaljet" / "__init__.py"
+TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+
+
+def unread_imports(tree):
+    """(line, name) of each imported name that the module never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def private_definitions(tree):
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            yield node
+
+
+def referenced_names(tree):
+    """How often each name is read, as a name or an attribute, in the tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_private(trees):
+    """(path, line, name) of each private helper that no module refers to
+    outside the helper's own definition."""
+    everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    return [(path, node.lineno, node.name)
+            for path, tree in trees.items() for node in private_definitions(tree)
+            if everywhere[node.name] == referenced_names(node)[node.name]]
+
+
+def test_the_walks_find_unread_imports_and_unreferenced_helpers():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nimport re as regex\nfrom math import gcd, lcm\n"
+                     "def _used():\n    return gcd(1, 2)\n"
+                     "def _recursive(n):\n    return _recursive(n - 1) if n else regex\n"
+                     "class _Unused:\n    pass\n"
+                     "class _Method:\n    pass\n"
+                     "def api():\n    return _used(), object()._Method\n")
+    assert unread_imports(tree) == [(2, "os"), (4, "lcm")]
+    assert [name for _, _, name in unreferenced_private({"m": tree})] == ["_recursive", "_Unused"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p != PACKAGE_INIT],
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_every_import_is_read(path):
+    unread = unread_imports(TREES[path])
+    assert not unread, f"{path.relative_to(SRC)}: imported and never read: {unread}"
+
+
+def test_every_private_helper_is_referenced():
+    dead = [f"{path.relative_to(SRC)}:{line} {name}"
+            for path, line, name in unreferenced_private(TREES)]
+    assert not dead, f"private helpers that nothing in src/ refers to: {dead}"
