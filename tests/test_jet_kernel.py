@@ -298,6 +298,58 @@ def test_rank_mod_p_is_exact_rank_for_small_entries(matrix_and_cuts):
         [exact_rank([row[:c] for row in exact]) for c in cuts] + [exact_rank(exact)])
 
 
+def dense_rank_oracle(rows, prefixes=()):
+    """The dense elimination mod p that rank_at_point replaced: every row
+    below the pivot is rewritten on every column from the pivot on."""
+    m = [list(row) for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
+    pivots = []
+    for col in range(n_cols):
+        rank = len(pivots)
+        if rank == n_rows:
+            break
+        piv = next((r for r in range(rank, n_rows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, MODULUS)
+        pivot_row = [x * inv % MODULUS for x in m[rank][col:]]
+        for r in range(rank + 1, n_rows):
+            row = m[r]
+            f = row[col]
+            if f:
+                row[col:] = [(x - f * y) % MODULUS for x, y in zip(row[col:], pivot_row)]
+        pivots.append(col)
+    return [sum(p < c for p in pivots) for c in prefixes] + [len(pivots)]
+
+
+@st.composite
+def sparse_residue_matrices(draw):
+    """Rows of residues in [0, p), mostly zeros: each row is sparse, all
+    zero, or a copy of an earlier row; and sorted column prefixes."""
+    cols = draw(st.integers(1, 12))
+    residues = st.integers(1, MODULUS - 1) | st.sampled_from([1, 2, MODULUS - 1])
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["sparse", "zero", "repeat"]))
+        if kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "zero":
+            rows.append([0] * cols)
+        else:
+            entries = draw(st.dictionaries(st.integers(0, cols - 1), residues, max_size=3))
+            rows.append([entries.get(j, 0) for j in range(cols)])
+    return rows, sorted(draw(st.lists(st.integers(0, cols), max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_residue_matrices())
+def test_rank_at_point_matches_the_dense_elimination(rows_and_prefixes):
+    rows, prefixes = rows_and_prefixes
+    assert rank_at_point(rows, prefixes) == dense_rank_oracle(rows, prefixes)
+
+
 # ---------------------------------------------------------------------------
 # sample points against the Fraction oracle
 # ---------------------------------------------------------------------------
@@ -413,6 +465,54 @@ def test_staged_document_points_match_fraction_oracle():
     })
     points = sample_points(s, count=3, seed=11)
     assert points == oracle_sample_points(s, s.equations, count=3, seed=11)[0]
+
+
+# equation 2 is solved by no stage: at a staged point it is x*y*u*w*u_y*w_x,
+# which vanishes only where a drawn numerator is 0, so most draws are off
+# the locus; the stage of w_y is singular where x = 0, and w = -1 is excluded
+ONE_UNSTAGED = {
+    "independent": ["x", "y"],
+    "dependent": ["u", "w"],
+    "order": 1,
+    "equations": ["u_x - 3", "x*w_y - u_x*w_x", "x*y*u*w*u_y*w_x*(u_x - 2)"],
+    "exclusions": ["w + 1"],
+    "solve_stages": [[[0, "u_x"]], [[1, "w_y"]]],
+}
+
+
+def test_unstaged_equation_rejections_match_fraction_oracle():
+    s = load_system(ONE_UNSTAGED)
+    # the seeds are chosen so that every reason but a denominator 0 mod p
+    # rejects a draw, in a run that finds its points and in one that does not
+    expected, rejections = oracle_sample_points(s, s.equations, count=3, seed=10)
+    assert len(expected) == 3
+    assert rejections == {"singular stage": 2, "denominator 0 mod p": 0, "exclusion": 1,
+                          "off locus": 154}
+    assert sample_points(s, count=3, seed=10) == expected
+    expected, rejections = oracle_sample_points(s, s.equations, count=50, seed=30)
+    assert len(expected) == 7 and rejections["singular stage"] and rejections["exclusion"]
+    with pytest.raises(NoGenericPoint) as info:
+        sample_points(s, count=50, seed=30)
+    assert info.value.attempts == MAX_SAMPLE_ATTEMPTS
+    assert info.value.rejections == rejections
+
+
+# equation 2 is y times equation 0 plus equation 1, so it vanishes wherever
+# the stages hold
+UNSTAGED_BY_CONSEQUENCE = {
+    "independent": ["x", "y"],
+    "dependent": ["u", "w"],
+    "order": 1,
+    "equations": ["u_x - 3", "w_y - u_x*w_x", "y*(u_x - 3) + w_y - u_x*w_x"],
+    "solve_stages": [[[0, "u_x"]], [[1, "w_y"]]],
+}
+
+
+def test_an_unstaged_consequence_accepts_every_draw():
+    s = load_system(UNSTAGED_BY_CONSEQUENCE)
+    expected, rejections = oracle_sample_points(s, s.equations, count=5, seed=3)
+    assert rejections == dict.fromkeys(jets.REJECTION_REASONS, 0)
+    assert sample_points(s, count=5, seed=3) == expected
 
 
 # the 2 x 2 stage has determinant -t*y, which vanishes at about one draw in
