@@ -6,21 +6,26 @@ Sample points are deterministic seeded rationals, placed on the equation
 locus by the solve stages and rejected where an exclusion vanishes.  The
 points are exact, and so is every decision about them, in integers only:
 each polynomial a check reads is compiled once per call and evaluated as
-an integer multiple of its rational value, and each stage is solved by
-fraction-free elimination (`abelian.bareiss`) on primitive rows, each
-divided by the gcd of its entries, which gives the same rationals as
-elimination over Q.
+an integer multiple of its rational value, at the point put over one
+common denominator once per stage or check (_scaled), and each stage is
+solved by fraction-free elimination (`abelian.bareiss`) on primitive
+rows, each divided by the gcd of its entries, which gives the same
+rationals as elimination over Q.  Only what the stages cannot settle is
+checked: a staged equation vanishes by construction, so the locus check
+evaluates the equations no stage solves, and only a solved pivot can have
+a denominator divisible by p.
 
 Generic ranks come from one kernel.  Each sample point is reduced modulo
 the prime p = 2^61 - 1.  One compiled form of a polynomial (_ScaledPoly)
 serves the exact checks and, compiled on into its partial derivatives
 (_compile_partials) and read mod p, the gradients.  One pass
 (_generic_gradients) compiles each equation once, and that compile feeds
-both the locus check of the sample points and the partials; per point it
-gives the gradient of every equation, and every Jacobian is read from
-those gradients, or built from them row by row.  Its columns are put in one order in which every
+both the sampling and the partials; per point it gives the gradient of
+every equation, and every Jacobian is read from those gradients, or built
+from them row by row.  Its columns are put in one order in which every
 column set a report needs is a prefix, and one elimination mod p per point
-(rank_at_point) gives the rank of each prefix.
+(rank_at_point, which updates a row only where the pivot row is nonzero)
+gives the rank of each prefix.
 
 What this certifies: the rank mod p of a Jacobian at a point never exceeds
 its rank over Q there, which never exceeds the generic rank, so a nonzero
@@ -40,7 +45,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from math import comb, gcd, lcm, prod
 from operator import itemgetter, mul
 
@@ -55,6 +60,7 @@ MODULUS = 2**61 - 1  # a Mersenne prime; generic ranks are taken mod MODULUS
 MAX_NESTING = 100  # parentheses and prefix minus signs; well under the recursion limit
 MAX_TERMS = 10_000  # terms a parsed product or power may expand to; checked before expanding
 MAX_COEFF_BITS = 100_000  # bits of a coefficient a parsed power may form; checked before forming
+MAX_PRODUCT_WORK = 10_000_000  # terms x terms x coefficient bits of a parsed product; checked first
 
 
 class NoGenericPoint(RuntimeError):
@@ -119,14 +125,33 @@ def _bound_terms(count: int, what: str):
         raise ParseError(f"{what} could expand to {count} terms, over MAX_TERMS = {MAX_TERMS}")
 
 
+def _bits(p) -> int:
+    """Bits of the largest coefficient of p, numerator and denominator."""
+    return max((c.numerator.bit_length() + c.denominator.bit_length()
+                for c in p.terms.values()), default=0)
+
+
+def _bound_work(a, b, what: str):
+    """Refuse the product a*b before it is formed if its term pairs times
+    the bits of the largest coefficient it can form exceed
+    MAX_PRODUCT_WORK: what the bounds on its size let through can still
+    take minutes to multiply out."""
+    work = len(a.terms) * len(b.terms) * (_bits(a) + _bits(b))
+    if work > MAX_PRODUCT_WORK:
+        raise ParseError(f"{what} could take {work} term-pair coefficient bits,"
+                         f" over MAX_PRODUCT_WORK = {MAX_PRODUCT_WORK}")
+
+
 def _times(a, b):
     """Product of two DiffPoly where None stands for the constant one,
-    refused before it is expanded if |a|*|b| exceeds MAX_TERMS."""
+    refused before it is expanded if |a|*|b| exceeds MAX_TERMS or its work
+    exceeds MAX_PRODUCT_WORK."""
     if b is None:
         return a
     if a is None:
         return b
     _bound_terms(len(a.terms) * len(b.terms), "a product")
+    _bound_work(a, b, "a product")
     return a * b
 
 
@@ -147,13 +172,24 @@ def _bound_bits(coeffs, k: int):
 def _power(p, k: int):
     """p ** k, refused before it is expanded if C(t+k-1, k), the number of
     degree-k monomials in the t terms of p, exceeds MAX_TERMS, or if its
-    coefficients could pass MAX_COEFF_BITS bits."""
+    coefficients could pass MAX_COEFF_BITS bits; then formed by repeated
+    squaring, as DiffPoly.__pow__ does, refused before any product whose
+    work exceeds MAX_PRODUCT_WORK."""
     t = len(p.terms)
     if k > 1:
         if t > 1:
             _bound_terms(comb(t + k - 1, k), "a power")
         _bound_bits(p.terms.values(), k)
-    return p ** k
+    result, base = DiffPoly.constant(1), p
+    while True:
+        if k & 1:
+            _bound_work(result, base, "a power")
+            result = result * base
+        k >>= 1
+        if not k:
+            return result
+        _bound_work(base, base, "a power")
+        base = base * base  # only while a higher bit needs it
 
 
 class _RationalExpr:
@@ -536,11 +572,7 @@ class _ScaledPoly:
     adds to a slot: its pivot column when ``columns`` maps the term's pivot
     variable to one, and the constant slot len(columns) otherwise.  The
     terms are kept in groups by slot and by the degree d of what remains of
-    the monomial; the monomials without a pivot are the polynomial's own.
-    At a rational point the variables read are put over one common
-    denominator D > 0, and every slot is its rational value times D^M,
-    where M is the largest d: an integer that is zero exactly when that
-    value is."""
+    the monomial; the monomials without a pivot are the polynomial's own."""
 
     __slots__ = ("reads", "degree", "groups")
 
@@ -562,9 +594,13 @@ class _ScaledPoly:
         self.reads = tuple({v for *_, monos in self.groups for mono in monos for v, _ in mono})
         self.degree = max((d for _, d, _, _ in self.groups), default=0)
 
-    def values(self, point, width=1) -> list:
-        den = lcm(*(point[v].denominator for v in self.reads))
-        num = {v: point[v].numerator * (den // point[v].denominator) for v in self.reads}
+    def values(self, num, den, width=1) -> list:
+        """The slots at the rational point whose value at each variable v
+        read is num[v] / den, with one common denominator den > 0 (see
+        _scaled): each slot is its rational value times den^M, where M is
+        the largest d, an integer that is zero exactly when that value is.
+        A larger common denominator scales every slot by the same positive
+        factor."""
         out = [0] * width
         for slot, d, coeffs, monos in self.groups:
             total = 0
@@ -576,12 +612,22 @@ class _ScaledPoly:
         return out
 
     def vanishes_at(self, point) -> bool:
-        return self.values(point)[0] == 0
+        return self.values(*_scaled(point, self.reads))[0] == 0
+
+
+def _scaled(point, variables):
+    """A rational point's values at the variables over one denominator, as
+    (num, den): den is the lcm of their denominators, and num maps each
+    variable to its numerator over den."""
+    values = [point[v] for v in variables]
+    den = lcm(*(q.denominator for q in values))
+    return {v: q.numerator * (den // q.denominator) for v, q in zip(variables, values)}, den
 
 
 def _compile_stages(s: PdeSystem):
-    """The solve stages as (pivot variables, compiled rows), one row per
-    equation with a column per pivot.  A stage that could never be solved
+    """The solve stages as (pivot variables, compiled rows, the variables
+    the rows read), one row per equation with a column per pivot.  A row
+    reads no pivot of its own stage.  A stage that could never be solved
     raises ValueError naming the stage and the pivot token: a repeated
     pivot, an equation solved twice (which leaves its stage with fewer
     equations than pivots), an equation that is not linear in its stage's
@@ -627,7 +673,7 @@ def _compile_stages(s: PdeSystem):
                                          f" {first[v][1]!r}, a pivot of the later stage"
                                          f" {first[v][0]}")
             rows.append(_ScaledPoly(eq, columns))
-        stages.append((pivots, rows))
+        stages.append((pivots, rows, tuple(set().union(*(row.reads for row in rows)))))
     return stages
 
 
@@ -645,6 +691,14 @@ def sample_points(s: PdeSystem, count=SAMPLE_COUNT, seed=DEFAULT_SEED, extra_var
     an equation does not.  After MAX_SAMPLE_ATTEMPTS draws NoGenericPoint
     reports how many draws each reason rejected.
 
+    Only the equations that no stage solves are evaluated for that last
+    check.  _compile_stages refuses a repeated pivot, an equation solved
+    twice, a term that is not linear in its stage's pivots and a read of a
+    later stage's pivot; so each staged equation is zero once its stage is
+    solved, and no later stage sets a variable it reads.  Likewise only the
+    solved pivots can have a denominator divisible by MODULUS: a drawn
+    denominator is at most 97.
+
     Everything is compiled once per call, and every check is exact: each
     polynomial is evaluated as an integer (see _ScaledPoly) and each stage
     solved by fraction-free elimination (see _solve_stage).  ``compiled``,
@@ -656,8 +710,9 @@ def sample_points(s: PdeSystem, count=SAMPLE_COUNT, seed=DEFAULT_SEED, extra_var
         compiled = [_ScaledPoly(e) for e in s.equations]
     exclusions = [_ScaledPoly(e) for e in s.exclusions]
     needed = set(extra_vars).union(*(p.reads for p in (*compiled, *exclusions)))
-    free = sorted(needed.difference(*(pivots for pivots, _ in stages)))
-    locus = compiled if stages else []
+    free = sorted(needed.difference(*(pivots for pivots, _, _ in stages)))
+    staged = {i for stage in s.solve_stages for i, _ in stage}
+    locus = [p for i, p in enumerate(compiled) if i not in staged] if stages else []
     rejections = dict.fromkeys(REJECTION_REASONS, 0)
     points = []
     attempts = 0
@@ -676,13 +731,19 @@ def sample_points(s: PdeSystem, count=SAMPLE_COUNT, seed=DEFAULT_SEED, extra_var
 
 def _rejection(point, stages, exclusions, locus):
     """Complete a draw through the solve stages, in place, and give the
-    reason it is rejected, or None when it is accepted."""
-    for pivots, rows in stages:
-        sol = _solve_stage(pivots, rows, point)
+    reason it is rejected, or None when it is accepted.  The reasons are
+    tested in the order of REJECTION_REASONS; ``locus`` is the compiled
+    equations that no stage solves, the only ones that can be nonzero at
+    a completed draw (see sample_points), and only the solved pivots are
+    tested for a denominator divisible by MODULUS."""
+    solved = []
+    for pivots, rows, reads in stages:
+        sol = _solve_stage(pivots, rows, _scaled(point, reads))
         if sol is None:
             return "singular stage"
         point.update(sol)
-    if any(q.denominator % MODULUS == 0 for q in point.values()):
+        solved += sol.values()
+    if any(q.denominator % MODULUS == 0 for q in solved):
         return "denominator 0 mod p"
     if any(e.vanishes_at(point) for e in exclusions):
         return "exclusion"
@@ -691,17 +752,19 @@ def _rejection(point, stages, exclusions, locus):
     return None
 
 
-def _solve_stage(pivots, rows, point):
-    """The pivot values that solve a stage at the point, or None when the
-    stage is singular there.
+def _solve_stage(pivots, rows, scaled):
+    """The pivot values that solve a stage, or None when the stage is
+    singular; ``scaled`` is the point as (num, den) over the variables the
+    rows read (see _scaled), built once for every row of the stage.
 
     Each row is its equation times a positive integer, divided by the gcd
     of its entries (see _primitive), so the integer system has the rational
-    one's unique solution.  `abelian.bareiss` is singular exactly where
-    elimination over Q is, and leaves the solution as minus the constant
-    column over the diagonal."""
+    one's unique solution, and the same primitive rows whatever common
+    denominator the point is put over.  `abelian.bareiss` is singular
+    exactly where elimination over Q is, and leaves the solution as minus
+    the constant column over the diagonal."""
     k = len(pivots)
-    aug = [_primitive(row.values(point, k + 1)) for row in rows]
+    aug = [_primitive(row.values(*scaled, k + 1)) for row in rows]
     if bareiss(aug, k) is None:
         return None
     return {v: Fraction(-aug[i][k], aug[i][i]) for i, v in enumerate(pivots)}
@@ -781,10 +844,11 @@ def _gradients(partials, point):
 def _generic_gradients(s: PdeSystem, seed, extra_vars=()):
     """The one generic-point pass of the jet layer: every generic rank is
     read off it.  The equations are compiled once and sample_points is
-    called once on that compile, which serves its locus check and its
-    sampled variables; the partials are compiled from it once the points
-    are drawn.  For each sample point in turn this yields the point mod p
-    and the gradient mod p of every equation there (see _gradients)."""
+    called once on that compile, which gives its sampled variables and the
+    locus check of the equations no stage solves; the partials are compiled
+    from it once the points are drawn.  For each sample point in turn this
+    yields the point mod p and the gradient mod p of every equation there
+    (see _gradients)."""
     compiled = [_ScaledPoly(e) for e in s.equations]
     points = sample_points(s, seed=seed, extra_vars=extra_vars, compiled=compiled)
     partials = _compile_partials(compiled)
@@ -799,7 +863,12 @@ def rank_at_point(rows, prefixes=()) -> list:
     each c in ``prefixes``, then the rank of the whole matrix.  The columns
     are eliminated in order, so the rank of a prefix is the number of pivot
     columns in it.  A nonzero r x r minor mod p is a nonzero minor over Q,
-    so each result is a lower bound on the rank of the rational matrix."""
+    so each result is a lower bound on the rank of the rational matrix.
+
+    A row is updated only in the columns where the pivot row is nonzero.
+    That gives what rewriting every column mod p would, because every entry
+    is kept a residue in [0, p): callers pass residues, and each update
+    reduces what it writes."""
     m = [list(row) for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
@@ -814,13 +883,15 @@ def rank_at_point(rows, prefixes=()) -> list:
         m[rank], m[piv] = m[piv], m[rank]
         inv = pow(m[rank][col], -1, MODULUS)
         # rows from the rank down are zero left of col
-        pivot_row = [x * inv % MODULUS for x in islice(m[rank], col, None)]
+        pivot_row = m[rank]
+        nonzero = [(j, pivot_row[j] * inv % MODULUS) for j in range(col, n_cols)
+                   if pivot_row[j]]
         for r in range(rank + 1, n_rows):
             row = m[r]
             f = row[col]
             if f:
-                row[col:] = [(x - f * y) % MODULUS
-                             for x, y in zip(islice(row, col, None), pivot_row)]
+                for j, y in nonzero:
+                    row[j] = (row[j] - f * y) % MODULUS
         pivots.append(col)
     return [bisect_left(pivots, c) for c in prefixes] + [len(pivots)]
 

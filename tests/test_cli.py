@@ -425,6 +425,17 @@ def test_an_expansion_past_the_term_bound_is_refused_fast(capsys, tmp_path):
                            " over MAX_TERMS = 10000")
 
 
+def test_a_power_past_the_work_bound_is_refused_fast(capsys, tmp_path):
+    path = tmp_path / "power.pde"
+    path.write_text("independent: [x]\ndependent: [u]\norder: 1\nequations: ['(2*u_x+3)^9999']\n")
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, ["pde", "symbol", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.strip() == ("error: ParseError: a power could take 78202016 term-pair"
+                           " coefficient bits, over MAX_PRODUCT_WORK = 10000000")
+
+
 # a flat product, and a power after a factor that is not flat
 @pytest.mark.parametrize("equation, bits", [("2^3000000*u_x", 6000000),
                                             ("(u_x+1)^1*3^2000000", 4000000)])

@@ -265,9 +265,10 @@ def test_compiled_partials_match_prefix_suffix_gradients(name, seed):
 
 
 def test_contact_rank_compiles_each_equation_once(monkeypatch):
-    # one plain compile per equation and exclusion serves the locus check,
-    # the sampled variables and the gradients; the stage rows are compiled
-    # with their pivot columns
+    # one plain compile per equation and exclusion serves the sampled
+    # variables, the check of the exclusions and the gradients (on the MHD
+    # model every equation is staged, so no locus check evaluates one); the
+    # stage rows are compiled with their pivot columns
     plain = []
 
     class Counted(jets._ScaledPoly):
@@ -515,6 +516,42 @@ def test_an_unstaged_consequence_accepts_every_draw():
     assert sample_points(s, count=5, seed=3) == expected
 
 
+@pytest.fixture
+def locus_checks(monkeypatch):
+    """The compiled polynomials whose vanishes_at is called, in order."""
+    evaluated = []
+    vanishes_at = jets._ScaledPoly.vanishes_at
+
+    def recording(self, point):
+        evaluated.append(self)
+        return vanishes_at(self, point)
+
+    monkeypatch.setattr(jets._ScaledPoly, "vanishes_at", recording)
+    return evaluated
+
+
+@pytest.mark.parametrize("boundary", [False, True])
+def test_staged_mhd_sampling_evaluates_no_equation(boundary, locus_checks):
+    # all 17 (or 32) equations are staged, so each vanishes by construction
+    s = mhd_system(boundary=boundary)
+    compiled = [jets._ScaledPoly(e) for e in s.equations]
+    points = sample_points(s, extra_vars=lifted_jets(s), compiled=compiled)
+    assert len(points) == jets.SAMPLE_COUNT
+    assert not any(p is c for p in locus_checks for c in compiled)
+
+
+def test_only_the_unstaged_equation_is_evaluated(locus_checks):
+    s = load_system(ONE_UNSTAGED)
+    compiled = [jets._ScaledPoly(e) for e in s.equations]
+    points = sample_points(s, count=3, seed=10, compiled=compiled)
+    _, rejections = oracle_sample_points(s, s.equations, count=3, seed=10)
+    # once per draw that passes the stages and the exclusion: the accepted
+    # draws and those the locus check rejects
+    equations = [p for p in locus_checks if any(p is c for c in compiled)]
+    assert len(equations) == len(points) + rejections["off locus"] == 157
+    assert all(p is compiled[2] for p in equations)
+
+
 # the 2 x 2 stage has determinant -t*y, which vanishes at about one draw in
 # a hundred; where x = 0 its elimination swaps rows
 SOMETIMES_SINGULAR = {
@@ -581,7 +618,8 @@ def test_integer_zero_test_is_exact(p, pt, on_locus):
     if on_locus:
         p = p - p.evaluate(pt)
     value = p.evaluate(pt)
-    scaled = jets._ScaledPoly(p).values(pt)[0]
-    assert jets._ScaledPoly(p).vanishes_at(pt) == (value == 0)
+    compiled = jets._ScaledPoly(p)
+    scaled = compiled.values(*jets._scaled(pt, compiled.reads))[0]
+    assert compiled.vanishes_at(pt) == (value == 0)
     # the scale is positive, so the sign is kept as well
     assert (scaled > 0) - (scaled < 0) == (value > 0) - (value < 0)

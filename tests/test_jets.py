@@ -15,6 +15,7 @@ from crystaljet.diffpoly import DiffOperator, DiffPoly, jet, par, xvar
 from crystaljet.jets import (
     MAX_COEFF_BITS,
     MAX_NESTING,
+    MAX_PRODUCT_WORK,
     MAX_SAMPLE_ATTEMPTS,
     MAX_TERMS,
     EquationParser,
@@ -402,6 +403,32 @@ def test_a_literal_power_is_bounded_before_it_is_formed(monkeypatch):
     # a power of 0 or of +-1 forms nothing; a variable's power is an exponent
     for text in ("1^3000000*u_x", "(-1)^3000000*u_x", "0^3000000 + u_x", "u_x^3000000"):
         assert parser.parse_polynomial(text).terms
+
+
+def test_the_work_of_a_product_is_bounded_before_it_is_formed(monkeypatch):
+    parser = EquationParser(["x"], ["u"])
+    assert MAX_PRODUCT_WORK == 10_000_000
+    # (x + u)*(x + 1) is 2 x 2 term pairs of coefficients with 1 + 1 bits on
+    # each side; (u_x + 1)^2 squares a base of the same size
+    for text, what in (("(x + u)*(x + 1)", "a product"), ("(u_x + 1)^2", "a power")):
+        monkeypatch.setattr(jets, "MAX_PRODUCT_WORK", 16)
+        assert parser.parse_polynomial(text).terms
+        monkeypatch.setattr(jets, "MAX_PRODUCT_WORK", 15)
+        with pytest.raises(ParseError, match=f"^{re.escape(what)} could take 16 term-pair"
+                                             " coefficient bits, over MAX_PRODUCT_WORK = 15$"):
+            parser.parse_polynomial(text)
+    monkeypatch.undo()
+    # inside MAX_TERMS (10 000 terms) and MAX_COEFF_BITS, but repeated
+    # squaring would run for minutes
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="^a power could take 78202016 term-pair coefficient"
+                                         f" bits, over MAX_PRODUCT_WORK = {MAX_PRODUCT_WORK}$"):
+        parser.parse_polynomial("(2*u_x+3)^9999")
+    assert time.perf_counter() - start < 1
+    # the bounded squaring forms the power DiffPoly.__pow__ forms
+    base = parser.parse_polynomial("u + u_x/2 + x - 3")
+    for k in (0, 1, 2, 5, 8, 13):
+        assert parser.parse_polynomial(f"(u + u_x/2 + x - 3)^{k}") == base ** k
 
 
 @pytest.mark.parametrize("text", ["u_x ", "u_x\n", " u_x \t\n", "u_x+ 1 ", "(u_x) "])
