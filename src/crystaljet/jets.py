@@ -731,11 +731,10 @@ def sample_points(s: PdeSystem, count=SAMPLE_COUNT, seed=DEFAULT_SEED, extra_var
 
 def _rejection(point, stages, exclusions, locus):
     """Complete a draw through the solve stages, in place, and give the
-    reason it is rejected, or None when it is accepted.  The reasons are
-    tested in the order of REJECTION_REASONS; ``locus`` is the compiled
-    equations that no stage solves, the only ones that can be nonzero at
-    a completed draw (see sample_points), and only the solved pivots are
-    tested for a denominator divisible by MODULUS."""
+    reason it is rejected, or None when it is accepted.  Only what the
+    stages leave open is tested (see sample_points): the denominators of
+    the solved pivots, and the equations of ``locus``, compiled, which no
+    stage solves."""
     solved = []
     for pivots, rows, reads in stages:
         sol = _solve_stage(pivots, rows, _scaled(point, reads))
