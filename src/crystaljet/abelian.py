@@ -2,12 +2,12 @@
 abelian groups.
 
 Everything here works over arbitrary-precision integers; no floats, no
-rounding.  One in-place Hermite echelon (`_echelon`) does all elimination:
-lattice bases, kernels, integer solves, coordinates in a lattice basis,
-inverses of unimodular matrices, and the Smith normal form, which
-alternates row and column echelons until the matrix is diagonal.  A
-kernel is read from plain column vectors (`kernel_basis`), the form in
-which the cohomology stack builds its maps.  The Smith form gives the
+rounding.  One in-place Hermite echelon (`_echelon`) does the lattice
+elimination: lattice bases, kernels, integer solves, coordinates in a
+lattice basis, and the Smith normal form, which alternates row and
+column echelons until the matrix is diagonal.  A kernel is read from
+plain column vectors (`kernel_basis`), the form in which the cohomology
+stack builds its maps.  The Smith form gives the
 invariant factors of a cokernel (`group_from_relations`), those of a list
 of cyclic orders (the Smith form of their diagonal matrix,
 `FgAbelianGroup.from_cyclic_orders`), and the unimodular U and V that
@@ -15,8 +15,9 @@ of cyclic orders (the Smith form of their diagonal matrix,
 Z/gcd(m, n) (`tor_product`), gives Tor, Hom from a finite group and the
 torsion part of the tensor product.
 
-One fraction-free elimination (`bareiss`) gives determinants here and
-solves the jet layer's sample-point stages.
+One fraction-free elimination (`bareiss`) gives determinants and the
+inverses of unimodular matrices here, and solves the jet layer's
+sample-point stages.
 """
 
 from __future__ import annotations
@@ -133,15 +134,16 @@ class IntegerMatrix:
         return self.rows == self.cols and self.determinant() in (1, -1)
 
     def inverse_unimodular(self):
-        """Inverse of a matrix with determinant +-1 (exact, integral): the
-        Hermite form of a unimodular A is I, so that of [A | I] is [I | A^-1]."""
-        det = self.determinant()
-        if det not in (1, -1):
-            raise ValueError("matrix is not invertible over the integers")
+        """Inverse of a matrix with determinant +-1 (exact, integral): one
+        `bareiss` pass on [A | I] leaves d * A^-1 after column n, d = +-1."""
+        if self.rows != self.cols:
+            raise ValueError("determinant of non-square matrix")
         n = self.rows
         rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
-        _echelon(rows, n)
-        return IntegerMatrix([row[n:] for row in rows])
+        solved = bareiss(rows, n)
+        if solved is None or solved[1] not in (1, -1):
+            raise ValueError("matrix is not invertible over the integers")
+        return IntegerMatrix([[solved[1] * x for x in row[n:]] for row in rows], n)
 
 
 def bareiss(rows, k):

@@ -397,7 +397,7 @@ def _parse_group_argument(name: str):
     if name in plane:
         raise KeyError(f"{name!r} names no 3-dimensional point group;"
                        f" the plane point group is plane:{name}")
-    if name.lower().startswith("cyclic"):
+    if kind.lower() == "cyclic":
         m = int(rest) if rest.lstrip("-").isdigit() else 0
         if not 1 <= m <= CYCLIC_ORDER_BOUND:
             raise ValueError(

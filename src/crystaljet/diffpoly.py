@@ -9,13 +9,25 @@ Variables are tagged tuples:
 
 Multi-indices are kept sorted, so symmetric mixed derivatives are
 identified.  Coefficients are exact Fractions throughout.
+
+The bounds on products and powers (MAX_TERMS, MAX_COEFF_BITS and
+MAX_PRODUCT_WORK) live here, so parsing, substitution and exact division
+are refused by the same checks, with a ParseError, before they form too much.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial, prod
+from math import comb, factorial, lcm, prod
+
+MAX_TERMS = 10_000  # terms a product or power may expand to; checked before expanding
+MAX_COEFF_BITS = 100_000  # bits of a coefficient a power may form; checked before forming
+MAX_PRODUCT_WORK = 10_000_000  # terms x terms x coefficient bits of a product; checked first
+
+
+class ParseError(ValueError):
+    pass
 
 
 def jet(j: int, mu) -> tuple:
@@ -93,33 +105,37 @@ class DiffPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
+        """Product, refused before it is formed past MAX_TERMS or MAX_PRODUCT_WORK."""
         other = _coerce(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                if m in out:
-                    out[m] += c
-                else:
-                    out[m] = c
-        return DiffPoly._from_clean({m: c for m, c in out.items() if c})
+        _bound_terms(len(self.terms) * len(other.terms), "a product")
+        _bound_work(self, other, "a product")
+        return _product(self, other)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, n: int):
-        if n < 0:
+    def __pow__(self, k: int):
+        """self ** k, refused before it is expanded if C(t+k-1, k), the
+        number of degree-k monomials in the t terms of self, exceeds
+        MAX_TERMS, or if its coefficients could pass MAX_COEFF_BITS bits;
+        then formed by repeated squaring, refused before any product whose
+        work exceeds MAX_PRODUCT_WORK."""
+        if k < 0:
             raise ValueError("negative powers are not polynomial")
-        result = DiffPoly.constant(1)
-        base = self
+        if k > 1:
+            if len(self.terms) > 1:
+                _bound_terms(comb(len(self.terms) + k - 1, k), "a power")
+            _bound_bits(self.terms.values(), k)
+        result, base = DiffPoly.constant(1), self
         while True:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if not n:
+            if k & 1:
+                _bound_work(result, base, "a power")
+                result = _product(result, base)
+            k >>= 1
+            if not k:
                 return result
-            base = base * base  # only while a higher bit needs it
+            _bound_work(base, base, "a power")
+            base = _product(base, base)  # only while a higher bit needs it
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -274,6 +290,56 @@ def _coerce(x) -> DiffPoly:
     raise TypeError(f"cannot coerce {x!r} to DiffPoly")
 
 
+def _product(a, b):
+    """a * b with no bound checked: the callers check the ones that apply."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = _mono_mul(m1, m2)
+            c = c1 * c2
+            if m in out:
+                out[m] += c
+            else:
+                out[m] = c
+    return DiffPoly._from_clean({m: c for m, c in out.items() if c})
+
+
+def _bound_terms(count: int, what: str):
+    if count > MAX_TERMS:
+        raise ParseError(f"{what} could expand to {count} terms, over MAX_TERMS = {MAX_TERMS}")
+
+
+def _bits(p) -> int:
+    """Bits of the largest coefficient of p, numerator and denominator."""
+    return max((c.numerator.bit_length() + c.denominator.bit_length()
+                for c in p.terms.values()), default=0)
+
+
+def _bound_work(a, b, what: str):
+    """Refuse the product a*b before it is formed if its term pairs times
+    the bits of the largest coefficient it can form exceed
+    MAX_PRODUCT_WORK: what the bounds on its size let through can still
+    take minutes to multiply out."""
+    work = len(a.terms) * len(b.terms) * (_bits(a) + _bits(b))
+    if work > MAX_PRODUCT_WORK:
+        raise ParseError(f"{what} could take {work} term-pair coefficient bits,"
+                         f" over MAX_PRODUCT_WORK = {MAX_PRODUCT_WORK}")
+
+
+def _bound_bits(coeffs, k: int):
+    """Refuse the k-th power of a sum with these coefficients before it is
+    formed if its coefficients could pass MAX_COEFF_BITS bits.  With D the
+    lcm of the denominators and S the sum of |c*D|, every coefficient of the
+    power has a numerator of at most S^k and a denominator dividing D^k, so
+    at most k times the bits of max(S, D)."""
+    den = lcm(*(c.denominator for c in coeffs))
+    height = max(den, sum(abs(c.numerator) * (den // c.denominator) for c in coeffs))
+    bits = k * height.bit_length() if height > 1 else 0
+    if bits > MAX_COEFF_BITS:
+        raise ParseError(f"a power could form a {bits}-bit coefficient, "
+                         f"over MAX_COEFF_BITS = {MAX_COEFF_BITS}")
+
+
 def _mono_mul(m1, m2):
     out = dict(m1)
     for v, e in m2:
@@ -286,7 +352,7 @@ def poly_div_exact(a: DiffPoly, b: DiffPoly):
 
     Single-divisor multivariate division in lex order; only used to clear
     declared denominators, which are honest factors when ingestion is
-    well-formed.
+    well-formed.  None too after MAX_TERMS steps.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -299,7 +365,7 @@ def poly_div_exact(a: DiffPoly, b: DiffPoly):
     guard = 0
     while not rem.is_zero():
         guard += 1
-        if guard > 10_000:
+        if guard > MAX_TERMS:
             return None
         lead_r = max(rem.terms)
         q_mono = _mono_divide(lead_r, lead_b)

@@ -36,6 +36,9 @@ degree d that is not identically zero vanishes at a random point with
 probability at most d / |S| for sample values drawn from S (Schwartz 1980;
 Zippel 1979), and reduction mod p loses it only when p divides its value.
 No floating point is involved.
+
+The bounds on what a parsed product or power may form, and ParseError,
+belong to `diffpoly`, whose arithmetic the parser uses; it adds MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -51,16 +54,13 @@ from operator import itemgetter, mul
 
 from .abelian import bareiss
 from .data import load_document
-from .diffpoly import DiffPoly, jet, par, poly_div_exact, xvar
+from .diffpoly import DiffPoly, ParseError, _bound_bits, jet, par, poly_div_exact, xvar
 
 DEFAULT_SEED = 12345
 SAMPLE_COUNT = 5
 MAX_SAMPLE_ATTEMPTS = 200
 MODULUS = 2**61 - 1  # a Mersenne prime; generic ranks are taken mod MODULUS
 MAX_NESTING = 100  # parentheses and prefix minus signs; well under the recursion limit
-MAX_TERMS = 10_000  # terms a parsed product or power may expand to; checked before expanding
-MAX_COEFF_BITS = 100_000  # bits of a coefficient a parsed power may form; checked before forming
-MAX_PRODUCT_WORK = 10_000_000  # terms x terms x coefficient bits of a parsed product; checked first
 
 
 class NoGenericPoint(RuntimeError):
@@ -72,10 +72,6 @@ class NoGenericPoint(RuntimeError):
         self.rejections = dict(rejections)
         detail = ", ".join(f"{reason}: {n}" for reason, n in self.rejections.items())
         super().__init__(f"no generic point after {attempts} attempts (rejected by {detail})")
-
-
-class ParseError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -120,76 +116,9 @@ _CARET = ("op", "^")
 _ATOMS = ("num", "name")
 
 
-def _bound_terms(count: int, what: str):
-    if count > MAX_TERMS:
-        raise ParseError(f"{what} could expand to {count} terms, over MAX_TERMS = {MAX_TERMS}")
-
-
-def _bits(p) -> int:
-    """Bits of the largest coefficient of p, numerator and denominator."""
-    return max((c.numerator.bit_length() + c.denominator.bit_length()
-                for c in p.terms.values()), default=0)
-
-
-def _bound_work(a, b, what: str):
-    """Refuse the product a*b before it is formed if its term pairs times
-    the bits of the largest coefficient it can form exceed
-    MAX_PRODUCT_WORK: what the bounds on its size let through can still
-    take minutes to multiply out."""
-    work = len(a.terms) * len(b.terms) * (_bits(a) + _bits(b))
-    if work > MAX_PRODUCT_WORK:
-        raise ParseError(f"{what} could take {work} term-pair coefficient bits,"
-                         f" over MAX_PRODUCT_WORK = {MAX_PRODUCT_WORK}")
-
-
 def _times(a, b):
-    """Product of two DiffPoly where None stands for the constant one,
-    refused before it is expanded if |a|*|b| exceeds MAX_TERMS or its work
-    exceeds MAX_PRODUCT_WORK."""
-    if b is None:
-        return a
-    if a is None:
-        return b
-    _bound_terms(len(a.terms) * len(b.terms), "a product")
-    _bound_work(a, b, "a product")
-    return a * b
-
-
-def _bound_bits(coeffs, k: int):
-    """Refuse the k-th power of a sum with these coefficients before it is
-    formed if its coefficients could pass MAX_COEFF_BITS bits.  With D the
-    lcm of the denominators and S the sum of |c*D|, every coefficient of the
-    power has a numerator of at most S^k and a denominator dividing D^k, so
-    at most k times the bits of max(S, D)."""
-    den = lcm(*(c.denominator for c in coeffs))
-    height = max(den, sum(abs(c.numerator) * (den // c.denominator) for c in coeffs))
-    bits = k * height.bit_length() if height > 1 else 0
-    if bits > MAX_COEFF_BITS:
-        raise ParseError(f"a power could form a {bits}-bit coefficient, "
-                         f"over MAX_COEFF_BITS = {MAX_COEFF_BITS}")
-
-
-def _power(p, k: int):
-    """p ** k, refused before it is expanded if C(t+k-1, k), the number of
-    degree-k monomials in the t terms of p, exceeds MAX_TERMS, or if its
-    coefficients could pass MAX_COEFF_BITS bits; then formed by repeated
-    squaring, as DiffPoly.__pow__ does, refused before any product whose
-    work exceeds MAX_PRODUCT_WORK."""
-    t = len(p.terms)
-    if k > 1:
-        if t > 1:
-            _bound_terms(comb(t + k - 1, k), "a power")
-        _bound_bits(p.terms.values(), k)
-    result, base = DiffPoly.constant(1), p
-    while True:
-        if k & 1:
-            _bound_work(result, base, "a power")
-            result = result * base
-        k >>= 1
-        if not k:
-            return result
-        _bound_work(base, base, "a power")
-        base = base * base  # only while a higher bit needs it
+    """Product of two DiffPoly where None stands for the constant one."""
+    return a if b is None else b if a is None else a * b
 
 
 class _RationalExpr:
@@ -228,8 +157,7 @@ class _RationalExpr:
         return _RationalExpr(-self.num, self.den)
 
     def __pow__(self, k: int):
-        return _RationalExpr(_power(self.num, k),
-                             None if self.den is None else _power(self.den, k))
+        return _RationalExpr(self.num ** k, None if self.den is None else self.den ** k)
 
 
 class EquationParser:

@@ -13,6 +13,7 @@ from crystaljet.abelian import (
     InfiniteGroup,
     IntegerMatrix,
     NotZ2VectorSpace,
+    _echelon,
     bareiss,
     direct_sum,
     group_from_relations,
@@ -443,6 +444,33 @@ def test_inverse_unimodular(case):
             a[i] = [x + q * y for x, y in zip(a[i], a[j])]
     a = IntegerMatrix(a)
     assert a.inverse_unimodular() * a == IntegerMatrix.identity(n)
+    assert a.inverse_unimodular() == hermite_inverse(a)
+
+
+def hermite_inverse(a):
+    """The inverse from a Hermite echelon: the Hermite form of a unimodular
+    A is I, so that of [A | I] is [I | A^-1]."""
+    n = a.rows
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.entries)]
+    _echelon(rows, n)
+    return IntegerMatrix([row[n:] for row in rows], n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_inverse_unimodular_is_the_hermite_inverse_or_refused(m):
+    a = IntegerMatrix(m, len(m))
+    if a.determinant() in (1, -1):
+        assert a.inverse_unimodular() == hermite_inverse(a)
+    else:
+        with pytest.raises(ValueError, match="^matrix is not invertible over the integers$"):
+            a.inverse_unimodular()
+
+
+def test_inverse_unimodular_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="^determinant of non-square matrix$"):
+        IntegerMatrix([[1, 0, 0], [0, 1, 0]]).inverse_unimodular()
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,14 @@ def test_bad_plane_point_group_names_the_plane_names(capsys, group, hint):
     assert err.startswith("error: KeyError: ") and hint in err
 
 
+@pytest.mark.parametrize("group", ["cyclicfoo:4", "Cyclics:4", "cyclic4"])
+def test_a_kind_that_only_starts_with_cyclic_is_an_unknown_group(capsys, group):
+    code, out, err = run_capture(capsys, ["cohomology", "--group", group, "--degree", "2"])
+    assert code == 1 and not out
+    assert err.strip() == (f"error: KeyError: \"unknown group {group!r} (use a point-group"
+                           " name, plane:<name> or cyclic:N)\"")
+
+
 BINDING = "[[-1,0,0],[0,-1,0],[0,0,1]] -> [[-1]]"
 
 
@@ -434,6 +442,31 @@ def test_a_power_past_the_work_bound_is_refused_fast(capsys, tmp_path):
     assert code == 1 and not out
     assert err.strip() == ("error: ParseError: a power could take 78202016 term-pair"
                            " coefficient bits, over MAX_PRODUCT_WORK = 10000000")
+
+
+def test_a_substituted_power_past_the_work_bound_is_refused_fast(capsys, tmp_path):
+    path = tmp_path / "power.pde"
+    path.write_text("independent: [x, y]\ndependent: [u]\norder: 1\nequations: ['u^100']\n")
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, ["pde", "verify-solution", str(path),
+                                          "--section", "u=x+y+1"])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.strip() == ("error: ParseError: a power could take 29583774 term-pair"
+                           " coefficient bits, over MAX_PRODUCT_WORK = 10000000")
+
+
+def test_a_substituted_product_past_the_term_bound_is_refused_fast(capsys, tmp_path):
+    path = tmp_path / "product.pde"
+    path.write_text("independent: [x]\ndependent: [u, w]\norder: 1\nequations: ['u*w']\n")
+    terms = "+".join(f"x^{i}" for i in range(101))
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, ["pde", "verify-solution", str(path),
+                                          "--section", f"u={terms}", "--section", f"w={terms}"])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.strip() == ("error: ParseError: a product could expand to 10201 terms,"
+                           " over MAX_TERMS = 10000")
 
 
 # a flat product, and a power after a factor that is not flat

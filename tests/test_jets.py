@@ -8,16 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystaljet import jets
+from crystaljet import diffpoly, jets
 from crystaljet.corpus import metric_flow_system, mhd_system
 from crystaljet.data import data_path, load_document
-from crystaljet.diffpoly import DiffOperator, DiffPoly, jet, par, xvar
-from crystaljet.jets import (
+from crystaljet.diffpoly import (
     MAX_COEFF_BITS,
-    MAX_NESTING,
     MAX_PRODUCT_WORK,
-    MAX_SAMPLE_ATTEMPTS,
     MAX_TERMS,
+    DiffOperator,
+    DiffPoly,
+    jet,
+    par,
+    xvar,
+)
+from crystaljet.jets import (
+    MAX_NESTING,
+    MAX_SAMPLE_ATTEMPTS,
     EquationParser,
     NoGenericPoint,
     ParseError,
@@ -357,9 +363,9 @@ def test_a_product_is_bounded_before_it_is_expanded():
 def test_a_power_is_bounded_before_it_is_expanded(monkeypatch):
     parser = EquationParser(["x"], ["u"])
     # C(4 + 5 - 1, 5) = 56 monomials of degree 5 in the 4 terms
-    monkeypatch.setattr(jets, "MAX_TERMS", 56)
+    monkeypatch.setattr(diffpoly, "MAX_TERMS", 56)
     assert len(parser.parse_polynomial("(u+u_x+x+1)^5").terms) == 56
-    monkeypatch.setattr(jets, "MAX_TERMS", 55)
+    monkeypatch.setattr(diffpoly, "MAX_TERMS", 55)
     with pytest.raises(ParseError, match="^a power could expand to 56 terms, over MAX_TERMS = 55$"):
         parser.parse_polynomial("(u+u_x+x+1)^5")
     monkeypatch.undo()
@@ -393,9 +399,9 @@ def test_a_literal_power_is_bounded_before_it_is_formed(monkeypatch):
     # (D = 7, S = 3 + 7); the numerator 3*u_x + 2 and the denominator 6 that
     # u_x/2 + 1/3 parses to
     for text, bits in (("a^4", 12), ("(a*u_x + 1)^4", 16), ("(u_x/2 + 1/3)^4", 12)):
-        monkeypatch.setattr(jets, "MAX_COEFF_BITS", bits)
+        monkeypatch.setattr(diffpoly, "MAX_COEFF_BITS", bits)
         assert parser.parse_polynomial(text).terms
-        monkeypatch.setattr(jets, "MAX_COEFF_BITS", bits - 1)
+        monkeypatch.setattr(diffpoly, "MAX_COEFF_BITS", bits - 1)
         with pytest.raises(ParseError, match=f"^a power could form a {bits}-bit coefficient,"
                                              f" over MAX_COEFF_BITS = {bits - 1}$"):
             parser.parse_polynomial(text)
@@ -411,9 +417,9 @@ def test_the_work_of_a_product_is_bounded_before_it_is_formed(monkeypatch):
     # (x + u)*(x + 1) is 2 x 2 term pairs of coefficients with 1 + 1 bits on
     # each side; (u_x + 1)^2 squares a base of the same size
     for text, what in (("(x + u)*(x + 1)", "a product"), ("(u_x + 1)^2", "a power")):
-        monkeypatch.setattr(jets, "MAX_PRODUCT_WORK", 16)
+        monkeypatch.setattr(diffpoly, "MAX_PRODUCT_WORK", 16)
         assert parser.parse_polynomial(text).terms
-        monkeypatch.setattr(jets, "MAX_PRODUCT_WORK", 15)
+        monkeypatch.setattr(diffpoly, "MAX_PRODUCT_WORK", 15)
         with pytest.raises(ParseError, match=f"^{re.escape(what)} could take 16 term-pair"
                                              " coefficient bits, over MAX_PRODUCT_WORK = 15$"):
             parser.parse_polynomial(text)
@@ -425,10 +431,12 @@ def test_the_work_of_a_product_is_bounded_before_it_is_formed(monkeypatch):
                                          f" bits, over MAX_PRODUCT_WORK = {MAX_PRODUCT_WORK}$"):
         parser.parse_polynomial("(2*u_x+3)^9999")
     assert time.perf_counter() - start < 1
-    # the bounded squaring forms the power DiffPoly.__pow__ forms
+    # the bounded squaring forms the power that repeated multiplication forms
     base = parser.parse_polynomial("u + u_x/2 + x - 3")
-    for k in (0, 1, 2, 5, 8, 13):
-        assert parser.parse_polynomial(f"(u + u_x/2 + x - 3)^{k}") == base ** k
+    expected = DiffPoly.constant(1)
+    for k in range(14):
+        assert parser.parse_polynomial(f"(u + u_x/2 + x - 3)^{k}") == expected
+        expected = expected * base
 
 
 @pytest.mark.parametrize("text", ["u_x ", "u_x\n", " u_x \t\n", "u_x+ 1 ", "(u_x) "])
@@ -855,16 +863,17 @@ def test_power_forms_no_product_above_its_degree(k, monkeypatch):
     # 2^bit_length(k), up to twice the degree of the power
     p = EquationParser(["x"], ["u"]).parse_polynomial("u + u_x + x + 1")
     degrees = []
-    mul = DiffPoly.__mul__
+    product = diffpoly._product
 
     def recording(a, b):
-        out = mul(a, b)
+        out = product(a, b)
         degrees.append(max(sum(e for _, e in mono) for mono in out.terms))
         return out
 
-    monkeypatch.setattr(DiffPoly, "__mul__", recording)
+    monkeypatch.setattr(diffpoly, "_product", recording)
     power = p ** k
     monkeypatch.undo()
+    assert bool(degrees) == (k >= 1)  # a power of k >= 1 forms products
     assert max(degrees, default=0) <= k
     expected = DiffPoly.constant(1)
     for _ in range(k):
