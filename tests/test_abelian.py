@@ -77,6 +77,17 @@ def test_snf_derived_example():
     assert d == [2, 4]
 
 
+@pytest.mark.parametrize("diag, expected", [
+    ([4, 6], [2, 12]),
+    ([2, 3, 5], [1, 1, 30]),
+    ([6, 10, 15], [1, 30, 30]),
+])
+def test_snf_of_a_diagonal_off_the_divisor_chain(diag, expected):
+    # diagonal already, so the row and column echelons leave it as it is:
+    # only the divisor-chain step can reach the invariant factors
+    assert check_snf(IntegerMatrix.diagonal(diag)) == expected
+
+
 def test_snf_random_matrices():
     rng = random.Random(7)
     for _ in range(300):

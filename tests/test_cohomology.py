@@ -118,6 +118,19 @@ def test_module_action_must_be_a_homomorphism():
             GModule(g, Z, bad)
 
 
+def test_a_product_that_breaks_torsion_is_not_a_homomorphism():
+    # both mirrors of 2mm act trivially on Z/2 x Z/4 and their product by
+    # the swap, which is invertible but does not preserve torsion: the
+    # refusal is the homomorphism check's, which reaches every element
+    g = point_groups_2d()["2mm"]
+    ident = IntegerMatrix.identity(2)
+    action = {i: ident for i in range(g.order)}
+    (product,) = [i for i, m in enumerate(g.elements) if m not in g.generators and m != ident]
+    action[product] = IntegerMatrix([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="^action is not a homomorphism$"):
+        GModule(g, FgAbelianGroup(0, (2, 4)), action)
+
+
 @pytest.mark.parametrize("base, action, message", [
     (Z, IntegerMatrix.identity(2), "action matrix of wrong size"),
     (Z, IntegerMatrix([[2]]), "action matrices must be invertible over Z"),
