@@ -10,10 +10,9 @@ from .crystal import (AffineElement, CrystallographicGroup, is_symmorphic,
                       semidirect_product, wallpaper_groups)
 from .diffpoly import DiffOperator, DiffPoly
 from .groups import FiniteMatrixGroup, close_group, enumerate_subgroups, iso_type_name, point_group
-from .jets import (PdeSystem, cartan_distribution_dimension, cartan_involutivity_test,
-                   formal_integrability_check, load_system, prolong_system,
-                   prolongation_dimension_formula, symbol_report,
-                   verify_polynomial_solution)
+from .jets import (PdeSystem, cartan_distribution_dimension, formal_integrability_check,
+                   load_system, prolong_system, prolongation_dimension_formula,
+                   symbol_report, verify_polynomial_solution)
 from .pdeclass import (CrystalClassification, PdeDescriptor, SingularPdeDescriptor,
                        classify, classify_singular, component_bordism_compare,
                        load_descriptor, singular_bordism, weak_bordism)

@@ -5,15 +5,15 @@ Everything here works over arbitrary-precision integers; no floats, no
 rounding.  One in-place Hermite echelon (`_echelon`) does the lattice
 elimination: lattice bases, kernels, integer solves, coordinates in a
 lattice basis, and the Smith normal form, which alternates row and
-column echelons until the matrix is diagonal.  A kernel is read from
-plain column vectors (`kernel_basis`), the form in which the cohomology
-stack builds its maps.  The Smith form gives the
-invariant factors of a cokernel (`group_from_relations`), those of a list
-of cyclic orders (the Smith form of their diagonal matrix,
-`FgAbelianGroup.from_cyclic_orders`), and the unimodular U and V that
-`crystal.is_symmorphic` reads.  One torsion pairing, Z/m with Z/n to
-Z/gcd(m, n) (`tor_product`), gives Tor, Hom from a finite group and the
-torsion part of the tensor product.
+column echelons until the matrix is diagonal with its entries on a
+divisor chain.  A kernel is read from plain column vectors
+(`kernel_basis`), the form in which the cohomology stack builds its maps.
+The Smith form gives the invariant factors of a cokernel
+(`group_from_relations`), those of a list of cyclic orders (the Smith
+form of their diagonal matrix, `FgAbelianGroup.from_cyclic_orders`), and
+the unimodular U and V that `crystal.is_symmorphic` reads.  One torsion
+pairing, Z/m with Z/n to Z/gcd(m, n) (`tor_product`), gives Tor, Hom
+from a finite group and the torsion part of the tensor product.
 
 One fraction-free elimination (`bareiss`) gives determinants and the
 inverses of unimodular matrices here, and solves the jet layer's
@@ -188,9 +188,11 @@ def smith_normal_form(m: IntegerMatrix):
 
     Row and column Hermite forms alternate until the matrix is diagonal
     (Kannan-Bachem 1979; Cohen, Sec. 2.4.4): `_echelon` reduces [A | U] by
-    rows, then [A^T | V^T], which applies the column operations.  A 2x2
-    step then makes the divisor chain: with s*x + t*y = g, it sends a
-    pair (x, y) of diagonal entries with x not dividing y to (g, x*y/g).
+    rows, then [A^T | V^T], which applies the column operations.  Where d_i
+    is the first entry not dividing every later one, the rows of [A | U]
+    below row i are added to it and the passes go on: d_0..d_{i-1} divide
+    every entry from (i, i) on and stay, and d_i becomes the gcd of those
+    entries, which stays too, so each i takes one such step at most.
     """
     rows, cols = m.rows, m.cols
     a = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(m.entries)]
@@ -198,29 +200,17 @@ def smith_normal_form(m: IntegerMatrix):
     while True:
         _echelon(a, cols)
         if all(not x for i, row in enumerate(a) for j, x in enumerate(row[:cols]) if i != j):
-            break
+            i = next((i for i, j in combinations(range(min(rows, cols)), 2)
+                      if gcd(a[i][i], a[j][j]) != a[i][i]), None)
+            if i is None:
+                break
+            a[i] = [sum(col) for col in zip(*a[i:])]
         at = [[row[j] for row in a] + vt[j] for j in range(cols)]
         _echelon(at, rows)
         vt = [row[rows:] for row in at]
         a = [[row[i] for row in at] + a[i][cols:] for i in range(rows)]
     d = [a[i][i] for i in range(min(rows, cols))]
-    u = [row[cols:] for row in a]
-    # after d[i] has met every later d[j], it is the gcd of d[i:]
-    for i, j in combinations(range(len(d)), 2):
-        x, y = d[i], d[j]
-        if x and y % x:
-            pair = [[x, 1, 0], [y, 0, 1]]
-            _echelon(pair, 1)
-            g, s, t = pair[0]
-            # rows i, j of U by [[s, t], [p, q]], columns i, j of V by
-            # [[1, t*p], [1, s*q]]: diag(x, y) becomes diag(g, x*y/g)
-            p, q = -y // g, x // g
-            u[i], u[j] = ([s * e + t * f for e, f in zip(u[i], u[j])],
-                          [p * e + q * f for e, f in zip(u[i], u[j])])
-            vt[i], vt[j] = ([e + f for e, f in zip(vt[i], vt[j])],
-                            [t * p * e + s * q * f for e, f in zip(vt[i], vt[j])])
-            d[i], d[j] = g, x * y // g
-    return d, IntegerMatrix(u), IntegerMatrix(zip(*vt))
+    return d, IntegerMatrix([row[cols:] for row in a]), IntegerMatrix(zip(*vt))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +417,7 @@ class FgAbelianGroup:
                 free += 1
                 continue
             head, number = part[:2], part[2:].strip()
-            if head not in ("Z^", "Z/", "Z_") or not number.lstrip("-").isdecimal():
+            if head not in ("Z^", "Z/", "Z_") or not number.removeprefix("-").isdecimal():
                 raise ValueError(f"{text!r}: cannot parse group summand {part!r}")
             value = int(number)
             if head == "Z^":
@@ -451,8 +441,6 @@ def group_from_relations(generators: int, relations: IntegerMatrix) -> FgAbelian
     """Cokernel Z^generators / (row space of relations), canonical form."""
     if relations.rows and relations.cols != generators:
         raise ValueError("relation matrix must have `generators` columns")
-    if relations.rows == 0:
-        return FgAbelianGroup.free(generators)
     d, _, _ = smith_normal_form(relations)
     rank = sum(1 for x in d if x)
     return FgAbelianGroup(generators - rank, tuple(x for x in d if x > 1))

@@ -189,7 +189,7 @@ def crystal_group_of(b: FgAbelianGroup):
     d = max(r, s)
     point = sign_flip_point_group(d, s)
     name = f"Z^{d} x| Z_2^{s}" if d else "trivial"
-    group = semidirect_product(d, point, name=name)
+    group = semidirect_product(point, name=name)
     witnesses = {
         "dimension": d,
         "split_sequence": _split_sequence_witness(group, s),

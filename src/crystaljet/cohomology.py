@@ -17,9 +17,9 @@ of switching to finite-field arithmetic.  Derivations are the 1-cocycles
 of the same resolution, carried to every group element along the edges of
 ``FiniteMatrixGroup.walk``; splitting classes are a transversal of them
 modulo the principal ones.  A module's action is one dict from element
-index to matrix, which each constructor builds, and it is checked on the
-products a*s with s a generator only, which suffices by induction on word
-length.
+index to matrix, which each constructor builds; it is checked on the
+generators only: as a homomorphism on the products a*s, by induction on
+word length, and for invertibility and torsion on their matrices.
 """
 
 from __future__ import annotations
@@ -131,13 +131,15 @@ class GModule:
             a = self.action[i]
             if a.rows != self.rank or a.cols != self.rank:
                 raise ValueError("action matrix of wrong size")
-            if not a.is_invertible_over_z():
-                raise ValueError("action matrices must be invertible over Z")
+        # the generators suffice for the rest: for a homomorphism rho(a) rho(a^-1)
+        # = rho(1) = I, and products of maps that keep the torsion relations keep them
+        gen_acts = [self.action[g.index_of(s)] for s in g.generators]
+        if not all(a.is_invertible_over_z() for a in gen_acts):
+            raise ValueError("action matrices must be invertible over Z")
         # rho(a s) = rho(a) rho(s) for every a and every generator s gives
         # rho(a b) = rho(a) rho(b) by induction on a word for b, without the
         # |G|^2 Cayley table
-        for s in g.generators:
-            act_s = self.action[g.index_of(s)]
+        for s, act_s in zip(g.generators, gen_acts):
             for i, a in enumerate(g.elements):
                 if self.action[i] * act_s != self.action[g.index_of(a * s)]:
                     raise ValueError("action is not a homomorphism")
@@ -145,8 +147,7 @@ class GModule:
         # relation lattice
         r = self.base.free_rank
         facs = self.base.invariant_factors
-        for i in range(self.group.order):
-            a = self.action[i]
+        for a in gen_acts:
             for j, dj in enumerate(facs):
                 col = a.col(r + j)
                 for row_i, entry in enumerate(col):

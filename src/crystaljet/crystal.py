@@ -23,10 +23,6 @@ from .data import load_blocks
 from .groups import SCHOENFLIES, FiniteMatrixGroup, close_group, parse_matrix
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
 class ElementNotInGroup(ValueError):
     pass
 
@@ -92,20 +88,16 @@ class CrystallographicGroup:
     """Space group in cocycle normal form.
 
     ``vector_system`` maps each point-group element index to its translation
-    mod Z^d, always checked as a cocycle tau(ab) = tau(a) + a.tau(b) mod Z^d;
-    set its entries on a valid group to examine a broken one.
+    mod Z^d, d the point group's dimension (zero when omitted), always checked
+    as a cocycle tau(ab) = tau(a) + a.tau(b) mod Z^d; set its entries on a
+    valid group to examine a broken one.
     """
 
-    def __init__(self, dimension, point_group: FiniteMatrixGroup, vector_system=None,
-                 name=None):
-        if point_group.dimension != dimension:
-            raise DimensionMismatch(
-                f"point group acts on Z^{point_group.dimension}, lattice is Z^{dimension}"
-            )
-        self.dimension = dimension
+    def __init__(self, point_group: FiniteMatrixGroup, vector_system=None, name=None):
+        self.dimension = point_group.dimension
         self.point_group = point_group
         if vector_system is None:
-            vector_system = {i: (Fraction(0),) * dimension for i in range(point_group.order)}
+            vector_system = {i: (Fraction(0),) * self.dimension for i in range(point_group.order)}
         else:
             vector_system = {i: _mod1(_frac_vec(v)) for i, v in vector_system.items()}
         self.vector_system = vector_system
@@ -117,16 +109,15 @@ class CrystallographicGroup:
         """Build the group from point generators and their translations,
         extending the vector system over the whole point group."""
         point = close_group([g for g, _ in gens_with_tau])
-        d = point.dimension
         # the generators keep their own translations (the identity's too,
         # which the check refuses if nonzero); the constructor's
         # check_cocycle refuses any inconsistency on the same edges
-        tau = {point.identity_index: (Fraction(0),) * d}
+        tau = {point.identity_index: (Fraction(0),) * point.dimension}
         tau.update((point.index_of(g), _frac_vec(t)) for g, t in gens_with_tau)
         for a, s, b in point.walk(map(point.index_of, point.generators)):
             if b not in tau:
                 tau[b] = _vec_add(tau[a], point.elements[a].apply(tau[s]))
-        return cls(d, point, tau, name=name)
+        return cls(point, tau, name=name)
 
     # -- structural checks ------------------------------------------------
     def check_cocycle(self):
@@ -166,10 +157,9 @@ class CrystallographicGroup:
         )
 
 
-def semidirect_product(lattice_rank: int, point: FiniteMatrixGroup,
-                       name=None) -> CrystallographicGroup:
+def semidirect_product(point: FiniteMatrixGroup, name=None) -> CrystallographicGroup:
     """T x| G with zero vector system; symmorphic by construction."""
-    return CrystallographicGroup(lattice_rank, point, None, name=name)
+    return CrystallographicGroup(point, name=name)
 
 
 def is_symmorphic(g: CrystallographicGroup):
@@ -339,7 +329,7 @@ def wallpaper_groups() -> dict[str, CrystallographicGroup]:
             out[name] = CrystallographicGroup.from_generator_system(gens, name=name)
         else:
             trivial = close_group([IntegerMatrix.identity(2)])
-            out[name] = CrystallographicGroup(2, trivial, None, name=name)
+            out[name] = CrystallographicGroup(trivial, name=name)
     assert len(out) == 17
     return out
 

@@ -48,20 +48,20 @@ DEFAULT_CLOSURE_BOUND = 10_000
 class FiniteMatrixGroup:
     """A finite group of integer matrices, closed under product and inverse.
 
-    ``elements[0]`` is the identity (checked here), so ``identity_index`` is
-    0.  The Cayley table is built lazily; all products are looked up by
-    matrix hash, so the group must really be closed, and ``generators`` must
-    generate it, since every check built on ``walk(generators)`` sees only
-    the elements it reaches (``close_group`` guarantees both).
+    ``elements[0]`` is the identity (checked here), which gives ``dimension``,
+    and ``identity_index`` is 0.  The Cayley table is built lazily; products
+    are looked up by matrix hash, so the group must really be closed, and
+    ``generators`` must generate it, since every check built on ``walk``
+    sees only the elements it reaches (``close_group`` guarantees both).
     """
 
     identity_index = 0
 
-    def __init__(self, dimension: int, generators, elements, name: str | None = None):
-        self.dimension = dimension
+    def __init__(self, generators, elements, name: str | None = None):
         self.generators = list(generators)
         self.elements = list(elements)
-        if self.elements[:1] != [IntegerMatrix.identity(dimension)]:
+        self.dimension = self.elements[0].rows if self.elements else 0
+        if self.elements[:1] != [IntegerMatrix.identity(self.dimension)]:
             raise ValueError("elements[0] of a FiniteMatrixGroup must be the identity")
         self.name = name
         self._index = {m: i for i, m in enumerate(self.elements)}
@@ -157,7 +157,7 @@ def close_group(generators) -> FiniteMatrixGroup:
                     raise ClosureBoundExceeded(
                         f"closure exceeded {DEFAULT_CLOSURE_BOUND} elements; group may be infinite"
                     )
-    return FiniteMatrixGroup(dim, gens, elements)
+    return FiniteMatrixGroup(gens, elements)
 
 
 @dataclass(frozen=True)

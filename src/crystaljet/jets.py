@@ -38,7 +38,8 @@ Zippel 1979), and reduction mod p loses it only when p divides its value.
 No floating point is involved.
 
 The bounds on what a parsed product or power may form, and ParseError,
-belong to `diffpoly`, whose arithmetic the parser uses; it adds MAX_NESTING.
+belong to `diffpoly`, whose arithmetic the parser uses; it adds MAX_NESTING
+and MAX_JET_COORDINATES, the bound on a loaded system's declared order.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ SAMPLE_COUNT = 5
 MAX_SAMPLE_ATTEMPTS = 200
 MODULUS = 2**61 - 1  # a Mersenne prime; generic ranks are taken mod MODULUS
 MAX_NESTING = 100  # parentheses and prefix minus signs; well under the recursion limit
+MAX_JET_COORDINATES = 10_000  # at order + 1, the widest Jacobian a report builds (MHD: 564)
 
 
 class NoGenericPoint(RuntimeError):
@@ -398,9 +400,10 @@ def _list_field(doc, key, entry_ok, entry_kind) -> list:
     return list(value)
 
 
-def load_system(source, parameter_overrides=None) -> PdeSystem:
+def load_system(source) -> PdeSystem:
     """Load a PDE system from a YAML document (path, text, or dict).  A
-    missing or malformed field raises ParseError naming the field."""
+    missing or malformed field raises ParseError naming the field, as does
+    an order whose jet space at order + 1 passes MAX_JET_COORDINATES."""
     doc = load_document(source)
     for key in ("independent", "dependent", "order", "equations"):
         if key not in doc:
@@ -414,7 +417,6 @@ def load_system(source, parameter_overrides=None) -> PdeSystem:
     params = doc.get("parameters", {})
     if not isinstance(params, dict):
         raise ParseError("the 'parameters' field must be a mapping from names to numbers")
-    params = {**params, **(parameter_overrides or {})}
     for name, value in params.items():
         try:
             Fraction(value)
@@ -439,7 +441,7 @@ def load_system(source, parameter_overrides=None) -> PdeSystem:
             first_field[name] = key
     parser = EquationParser(independent, dependent, params)
     exclusions = [parser.parse_polynomial(t) for t in exclusions]
-    return PdeSystem(
+    system = PdeSystem(
         independent=independent,
         dependent=dependent,
         order=order,
@@ -448,6 +450,10 @@ def load_system(source, parameter_overrides=None) -> PdeSystem:
         name=doc.get("name", ""),
         solve_stages=[[tuple(pair) for pair in stage] for stage in stages],
     )
+    if system.jet_space_dim(order + 1) > MAX_JET_COORDINATES:
+        raise ParseError(f"the 'order' field is too large: the jet space of order {order} + 1"
+                         f" has over MAX_JET_COORDINATES = {MAX_JET_COORDINATES} coordinates")
+    return system
 
 
 def prolong_system(s: PdeSystem, r: int) -> PdeSystem:
@@ -979,12 +985,6 @@ class IntegrabilityVerdict:
                 "g_filtration": list(self.g_dims),
             },
         }
-
-
-def cartan_involutivity_test(s: PdeSystem, seed=DEFAULT_SEED):
-    """Cartan's test, as (involutive, the IntegrabilityVerdict it is read from)."""
-    verdict = IntegrabilityVerdict.from_report(symbol_report(s, seed=seed))
-    return verdict.involutive, verdict
 
 
 def formal_integrability_check(s: PdeSystem, seed=DEFAULT_SEED) -> IntegrabilityVerdict:

@@ -287,6 +287,8 @@ def test_parse_names_the_input_and_the_bad_summand():
     for text, summand in [
         ("Z^x", "'Z^x'"),
         ("Z^-1", "'Z^-1'"),
+        ("Z^--1", "'Z^--1'"),
+        ("Z/--2", "'Z/--2'"),
         ("Z/2 x Z^x", "'Z^x'"),
         ("Z/2 x Q", "'Q'"),
         ("Z/2 x", "''"),

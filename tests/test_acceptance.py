@@ -30,7 +30,6 @@ from crystaljet.diffpoly import DiffOperator, DiffPoly, jet, xvar
 from crystaljet.groups import close_group, enumerate_subgroups, point_groups, validate_appendix_b
 from crystaljet.jets import (
     cartan_distribution_dimension,
-    cartan_involutivity_test,
     formal_integrability_check,
     load_system,
     prolongation_dimension_formula,
@@ -118,10 +117,9 @@ def test_criterion_3_jet_dimension_chains():
     checks.append(symbol_report(corpus_system("heat.pde")).ambient_jet_dim == 8)
     checks.append(aj.ambient_jet_dim == 11)
     for name in ("continuity_e1.pde", "pressure_e2.pde", "table4_component.pde"):
-        system = corpus_system(name)
-        involutive, _ = cartan_involutivity_test(system)
-        checks.append(involutive)
-        checks.append(formal_integrability_check(system).passed)
+        verdict = formal_integrability_check(corpus_system(name))
+        checks.append(verdict.involutive)
+        checks.append(verdict.passed)
     elapsed = time.monotonic() - start
     report(3, all(checks) and elapsed < 10.0, f"{len(checks)} identities, {elapsed:.2f}s")
 

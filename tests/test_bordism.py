@@ -164,7 +164,7 @@ def test_corrupted_vector_system_reported():
     base = wallpaper_groups()["pm"]
     pg = base.point_group
     mirror_idx = next(i for i in range(pg.order) if i != pg.identity_index)
-    bad = CrystallographicGroup(2, pg, base.vector_system, name="pm-broken")
+    bad = CrystallographicGroup(pg, base.vector_system, name="pm-broken")
     bad.vector_system[mirror_idx] = (Fraction(1, 3), Fraction(1, 5))
     report = verify_extension_exactness(bad)
     assert not report["passed"]

@@ -644,6 +644,7 @@ def test_unknown_input_is_usage_error(capsys):
     (["cohomology", "--group", "cyclic:25", "--degree", "0"], "'cyclic:25'"),
     (["bordism", "crystal-group", "--group", "Z^x"], "'Z^x'"),
     (["bordism", "crystal-group", "--group", "Z^-1"], "'Z^-1'"),
+    (["bordism", "crystal-group", "--group", "Z/--2"], "'Z/--2'"),
 ])
 def test_out_of_contract_input_fails_fast(capsys, argv, bad):
     code, out, err = run_capture(capsys, argv)

@@ -366,7 +366,7 @@ def test_derivations_of_o_h_with_torsion_coefficients_are_fast():
 
 def test_splitting_classes_direct_product():
     # trivial point group: the zero derivation is the only class
-    g = semidirect_product(2, close_group([IntegerMatrix.identity(2)]))
+    g = semidirect_product(close_group([IntegerMatrix.identity(2)]))
     classes = splitting_classes(g)
     assert len(classes) == 1
     assert all(all(x == 0 for x in v) for v in classes[0].values.values())
@@ -376,7 +376,7 @@ def test_splitting_classes_c2_trivial_action_on_z2():
     # 2D inversion acts by -1 on Z^2: Der = ker(1 + (-1)) = Z^2,
     # Princ = image of (g.h - h) = 2Z^2, so 4 classes
     inv2 = close_group([-IntegerMatrix.identity(2)])
-    g = semidirect_product(2, inv2)
+    g = semidirect_product(inv2)
     classes = splitting_classes(g)
     assert len(classes) == 4
     for cls in classes:

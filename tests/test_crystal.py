@@ -8,7 +8,6 @@ from crystaljet.abelian import IntegerMatrix
 from crystaljet.crystal import (
     AffineElement,
     CrystallographicGroup,
-    DimensionMismatch,
     ElementNotInGroup,
     InvalidCocycle,
     NotOrderTwo,
@@ -33,7 +32,7 @@ ROT2 = -I2  # rotation by pi in the plane
 
 
 def test_multiply_translations():
-    g = semidirect_product(2, close_group([ROT2]), name="p2")
+    g = semidirect_product(close_group([ROT2]), name="p2")
     e1 = g.element(I2, [Fraction(1, 1), Fraction(2, 1)])
     e2 = g.element(I2, [3, 5])
     prod = g.multiply(e1, e2)
@@ -41,21 +40,21 @@ def test_multiply_translations():
 
 
 def test_multiply_symmorphic_point_parts():
-    g = semidirect_product(2, close_group([ROT2]))
+    g = semidirect_product(close_group([ROT2]))
     a = g.element(ROT2, [0, 0])
     assert g.multiply(a, a).point_part == I2
 
 
 def test_multiply_rotation_with_shift():
     # with a = rotation by pi, (a,(1,0)) * (a,(1,0)) = (1,(0,0))
-    g = semidirect_product(2, close_group([ROT2]))
+    g = semidirect_product(close_group([ROT2]))
     e = g.element(ROT2, [1, 0])
     prod = g.multiply(e, e)
     assert prod.point_part == I2 and prod.translation == (0, 0)
 
 
 def test_multiply_rejects_foreign_elements():
-    g = semidirect_product(2, close_group([ROT2]))
+    g = semidirect_product(close_group([ROT2]))
     rot4 = IntegerMatrix([[0, -1], [1, 0]])
     with pytest.raises(ElementNotInGroup):
         g.multiply(AffineElement(rot4, (0, 0)), g.identity())
@@ -104,7 +103,7 @@ def test_invalid_cocycle_rejected():
     # shifting only one mirror breaks tau(mx*my) = tau(mx) + mx.tau(my)
     tau[point.index_of(mx)] = (Fraction(1, 3), Fraction(0))
     with pytest.raises(InvalidCocycle):
-        CrystallographicGroup(2, point, tau)
+        CrystallographicGroup(point, tau)
 
 
 def test_generator_translations_must_be_consistent():
@@ -159,16 +158,14 @@ def test_cocycle_checked_off_the_generators():
         tau = {j: zero for j in range(point.order)}
         tau[i] = (Fraction(1, 2), Fraction(0))
         with pytest.raises(InvalidCocycle):
-            CrystallographicGroup(2, point, tau)
+            CrystallographicGroup(point, tau)
 
 
 def test_semidirect_product_properties():
     for label, pg2 in point_groups_2d().items():
-        g = semidirect_product(2, pg2, name=label)
+        g = semidirect_product(pg2, name=label)
         ok, shift = is_symmorphic(g)
         assert ok and all(x == 0 for x in shift)
-    with pytest.raises(DimensionMismatch):
-        semidirect_product(3, close_group([ROT2]))
 
 
 def test_symmorphic_wallpaper_split():
@@ -271,7 +268,7 @@ def test_three_dimensional_screw_group():
     with pytest.raises(NotSplit):
         splitting_classes(screw)
     # the same point group with zero shift is symmorphic
-    plain = semidirect_product(3, close_group([rot]))
+    plain = semidirect_product(close_group([rot]))
     assert is_symmorphic(plain)[0]
 
 

@@ -241,11 +241,11 @@ def test_groups_outside_dimensions_two_and_three_are_unclassified():
 
 def test_element_zero_must_be_the_identity():
     rot = IntegerMatrix([[0, -1], [1, 0]])
-    assert FiniteMatrixGroup(2, [I2], [I2]).identity_index == 0
+    assert FiniteMatrixGroup([I2], [I2]).identity_index == 0
     with pytest.raises(ValueError):
-        FiniteMatrixGroup(2, [rot], [rot, I2])
+        FiniteMatrixGroup([rot], [rot, I2])
     with pytest.raises(ValueError):
-        FiniteMatrixGroup(2, [], [])
+        FiniteMatrixGroup([], [])
 
 
 def test_subgroup_records_are_in_a_total_order():

@@ -22,6 +22,7 @@ from crystaljet.diffpoly import (
     xvar,
 )
 from crystaljet.jets import (
+    MAX_JET_COORDINATES,
     MAX_NESTING,
     MAX_SAMPLE_ATTEMPTS,
     EquationParser,
@@ -29,7 +30,6 @@ from crystaljet.jets import (
     ParseError,
     PdeSystem,
     cartan_distribution_dimension,
-    cartan_involutivity_test,
     formal_integrability_check,
     load_system,
     prolong_system,
@@ -134,34 +134,29 @@ def test_symbol_report_trivial_equation():
     assert prolongation_dimension_formula(2, rep.characters, 0) == rep.dim_e
 
 
+def with_parameters(name, **values):
+    """A corpus system with some of its parameters given other values."""
+    doc = load_document(data_path(name))
+    return load_system({**doc, "parameters": {**doc["parameters"], **values}})
+
+
 def test_coefficient_instantiations_agree():
     base = symbol_report(corpus("continuity_e1.pde"))
-    other = symbol_report(
-        load_system(
-            str(data_path("continuity_e1.pde")),
-            parameter_overrides={"g1": 1, "g2": 2, "g3": 3},
-        )
-    )
+    other = symbol_report(with_parameters("continuity_e1.pde", g1=1, g2=2, g3=3))
     assert base.g_dims == other.g_dims and base.dim_e == other.dim_e
     assert base.dim_e_plus_1 == other.dim_e_plus_1
-    pressure_alt = symbol_report(
-        load_system(
-            str(data_path("pressure_e2.pde")),
-            parameter_overrides={"c1": 5, "c2": 0, "c3": 2, "b": 7},
-        )
-    )
+    pressure_alt = symbol_report(with_parameters("pressure_e2.pde", c1=5, c2=0, c3=2, b=7))
     assert pressure_alt.dim_e == 12 and pressure_alt.dim_e_plus_1 == 19
 
 
 def test_involutivity_verdicts():
-    ok, ledger = cartan_involutivity_test(corpus("continuity_e1.pde"))
-    assert ok and ledger.dim_g_plus_1 == 15 and ledger.filtration_sum == 15
-    ok, ledger = cartan_involutivity_test(corpus("pressure_e2.pde"))
-    assert ok and ledger.dim_g_plus_1 == 7
-    ok, _ = cartan_involutivity_test(corpus("table4_component.pde"))
-    assert ok
-    ok, ledger = cartan_involutivity_test(corpus("uxx_uyy.pde"))
-    assert not ok  # classic failure at order 2
+    ledger = formal_integrability_check(corpus("continuity_e1.pde"))
+    assert ledger.involutive and ledger.dim_g_plus_1 == 15 and ledger.filtration_sum == 15
+    ledger = formal_integrability_check(corpus("pressure_e2.pde"))
+    assert ledger.involutive and ledger.dim_g_plus_1 == 7
+    assert formal_integrability_check(corpus("table4_component.pde")).involutive
+    ledger = formal_integrability_check(corpus("uxx_uyy.pde"))
+    assert not ledger.involutive  # classic failure at order 2
 
 
 def test_formal_integrability():
@@ -331,6 +326,18 @@ def test_load_system_names_a_malformed_field(fields, message):
     assert str(info.value) == message
 
 
+def test_a_declared_order_is_bounded_by_its_jet_space():
+    # two independents and one dependent: order 138 has 2 + C(141, 2) = 9 872
+    # jet coordinates at order 139, order 139 has 10 013 at order 140
+    doc = {"independent": ["x", "y"], "dependent": ["u"], "equations": ["u_x"]}
+    assert load_system({**doc, "order": 138}).jet_space_dim(139) == 9872 <= MAX_JET_COORDINATES
+    for order in (139, 600, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"^the 'order' field is too large: .*order {order} "):
+            load_system({**doc, "order": order})
+        assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("nested", [
     lambda d: "(" * d + "u_x" + ")" * d,
     lambda d: "u*" + "-" * d + "u_x",
@@ -443,14 +450,6 @@ def test_the_work_of_a_product_is_bounded_before_it_is_formed(monkeypatch):
 def test_trailing_whitespace_is_accepted(text):
     parser = EquationParser(["x"], ["u"])
     assert parser.parse_polynomial(text) == parser.parse_polynomial(text.strip())
-
-
-def test_a_parameter_override_may_not_name_a_variable():
-    doc = {"independent": ["x"], "dependent": ["u"], "order": 1, "equations": ["u_x - a"],
-           "parameters": {"a": 1}}
-    assert load_system(doc, {"a": 2}).equations == load_system({**doc, "parameters": {"a": 2}}).equations
-    with pytest.raises(ParseError, match="^the 'parameters' field names 'u', already in 'dependent'$"):
-        load_system(doc, {"u": 1})
 
 
 INDEPENDENT = ["t", "x", "y"]

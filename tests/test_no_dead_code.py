@@ -1,10 +1,11 @@
-"""No dead imports or private helpers under src/: every module is walked as
-an AST.  A name a module imports must be read in that module (the package
-``__init__`` only re-exports, so it is skipped), and a module-level
-``_private`` function or class must be referenced somewhere in src/ outside
-its own definition."""
+"""No dead imports, private helpers or exception classes under src/: every
+module is walked as an AST.  A name a module imports must be read in that
+module (the package ``__init__`` only re-exports, so it is skipped), and a
+module-level ``_private`` function or class, or an exception class, must be
+referenced somewhere in src/ outside its own definition."""
 
 import ast
+import builtins
 from collections import Counter
 from pathlib import Path
 
@@ -42,13 +43,34 @@ def referenced_names(tree):
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def unreferenced_private(trees):
-    """(path, line, name) of each private helper that no module refers to
-    outside the helper's own definition."""
+def exception_definitions(trees):
+    """(path, node) of each module-level exception class: one whose base is
+    a built-in exception or another such class, in any module."""
+    names = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    classes = [(path, node) for path, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    found = []
+    while True:
+        new = [(path, node) for path, node in classes if node.name not in names
+               and any(isinstance(base, ast.Name) and base.id in names for base in node.bases)]
+        if not new:
+            return found
+        names.update(node.name for _, node in new)
+        found += new
+
+
+def unreferenced(trees, definitions):
+    """(path, line, name) of each of the (path, node) definitions that no
+    module refers to outside the definition itself."""
     everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
-    return [(path, node.lineno, node.name)
-            for path, tree in trees.items() for node in private_definitions(tree)
+    return [(path, node.lineno, node.name) for path, node in definitions
             if everywhere[node.name] == referenced_names(node)[node.name]]
+
+
+def unreferenced_private(trees):
+    return unreferenced(trees, [(path, node) for path, tree in trees.items()
+                                for node in private_definitions(tree)])
 
 
 def test_the_walks_find_unread_imports_and_unreferenced_helpers():
@@ -63,6 +85,17 @@ def test_the_walks_find_unread_imports_and_unreferenced_helpers():
     assert [name for _, _, name in unreferenced_private({"m": tree})] == ["_recursive", "_Unused"]
 
 
+def test_the_walk_finds_exception_classes_that_nothing_names():
+    tree = ast.parse("class Unraised(ValueError):\n    pass\n"
+                     "class Base(KeyError):\n    pass\n"
+                     "class Leaf(Base):\n    pass\n"
+                     "class Plain:\n    pass\n"
+                     "def api():\n    raise Leaf()\n")
+    found = exception_definitions({"m": tree})
+    assert [node.name for _, node in found] == ["Unraised", "Base", "Leaf"]
+    assert [name for _, _, name in unreferenced({"m": tree}, found)] == ["Unraised"]
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p != PACKAGE_INIT],
                          ids=lambda p: str(p.relative_to(SRC)))
 def test_every_import_is_read(path):
@@ -74,3 +107,9 @@ def test_every_private_helper_is_referenced():
     dead = [f"{path.relative_to(SRC)}:{line} {name}"
             for path, line, name in unreferenced_private(TREES)]
     assert not dead, f"private helpers that nothing in src/ refers to: {dead}"
+
+
+def test_every_exception_class_is_named():
+    dead = [f"{path.relative_to(SRC)}:{line} {name}"
+            for path, line, name in unreferenced(TREES, exception_definitions(TREES))]
+    assert not dead, f"exception classes that nothing in src/ raises or names: {dead}"
