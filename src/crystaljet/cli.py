@@ -6,6 +6,11 @@ Exit codes: 0 success, 1 usage or internal error, 2 validation mismatches
 erratum).  All numeric output is exact; JSON is canonical (sorted keys,
 no floats) and round-trips byte-identically.  Each table check returns a
 ``groups.ValidationReport``; ``tables validate`` merges them and prints one.
+
+Each ``_cmd_*`` handler returns what it computed: its JSON payload, its text
+lines and, for a table check, its exit code.  ``run`` is the one writer: it
+prints the payload under ``--format json`` and the lines otherwise, or one
+``error:`` line naming the exception.
 """
 
 from __future__ import annotations
@@ -205,19 +210,6 @@ def _validation_exit(report: ValidationReport, args) -> int:
     return 2
 
 
-# ---------------------------------------------------------------------------
-# output helpers
-# ---------------------------------------------------------------------------
-
-
-def _emit(args, payload, text_lines):
-    if args.format == "json":
-        print(canonical_json(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _report_lines(report: ValidationReport):
     lines = [f"dataset {report.dataset}: {report.checks_run} checks"]
     if not report.mismatches:
@@ -235,50 +227,48 @@ def _report_lines(report: ValidationReport):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bordism(args) -> int:
+def _cmd_bordism(args) -> tuple[dict, list[str]]:
     if args.which == "unoriented":
         g = unoriented_bordism(args.n)
         payload = {"n": args.n, "q": nondyadic_partition_count(args.n), "group": g.render()}
-        return _emit(args, payload, [g.render()]) or 0
+        return payload, [g.render()]
     if args.which == "oriented":
         g = oriented_bordism(args.n)
         payload = {"n": args.n, "group": g.render()}
-        return _emit(args, payload, [g.render()]) or 0
+        return payload, [g.render()]
     if args.which == "relative":
         betti = _parse_betti(args.betti)
         g = relative_bordism(betti, args.p)
         payload = {"betti": betti, "p": args.p, "group": g.render()}
-        return _emit(args, payload, [g.render()]) or 0
-    if args.which == "crystal-group":
-        b = FgAbelianGroup.parse(args.group)
-        group, witnesses = crystal_group_of(b)
-        try:
-            dim, name = paper_crystal_assignment(b)
-        except (UnassignedInPaper, NotCrystalShapedGroup):
-            dim, name = witnesses["dimension"], group.name
-        payload = {
-            "group": b.render(),
-            "q": len(b.invariant_factors),
-            "crystal": {"dimension": dim, "name": name},
-            "construction": group.name,
-            "chain": witnesses["chain"],
-            "split_sequence": witnesses.get("split_sequence"),
-        }
-        lines = [
-            f"group {b.render()}",
-            f"crystal dimension {dim}, crystal group {name}",
-            f"constructed companion: {group.name}",
-        ]
-        for link in witnesses["chain"]:
-            lines.append(
-                f"  {link['sub']} < {link['sup']}: "
-                + ("verified" if link["verified"] else "NOT a subgroup as printed")
-            )
-        return _emit(args, payload, lines) or 0
-    raise AssertionError(args.which)
+        return payload, [g.render()]
+    b = FgAbelianGroup.parse(args.group)
+    group, witnesses = crystal_group_of(b)
+    try:
+        dim, name = paper_crystal_assignment(b)
+    except (UnassignedInPaper, NotCrystalShapedGroup):
+        dim, name = witnesses["dimension"], group.name
+    payload = {
+        "group": b.render(),
+        "q": len(b.invariant_factors),
+        "crystal": {"dimension": dim, "name": name},
+        "construction": group.name,
+        "chain": witnesses["chain"],
+        "split_sequence": witnesses.get("split_sequence"),
+    }
+    lines = [
+        f"group {b.render()}",
+        f"crystal dimension {dim}, crystal group {name}",
+        f"constructed companion: {group.name}",
+    ]
+    for link in witnesses["chain"]:
+        lines.append(
+            f"  {link['sub']} < {link['sup']}: "
+            + ("verified" if link["verified"] else "NOT a subgroup as printed")
+        )
+    return payload, lines
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args) -> tuple:
     if args.which == "pointgroup":
         g = point_group(args.name)
         report = validate_appendix_b(g.name) if args.verify else None
@@ -296,10 +286,8 @@ def _cmd_tables(args) -> int:
         if args.verify:
             payload["validation"] = report.to_json_dict()
             lines += _report_lines(report)
-            _emit(args, payload, lines)
-            return _validation_exit(report, args)
-        _emit(args, payload, lines)
-        return 0
+            return payload, lines, _validation_exit(report, args)
+        return payload, lines
     if args.which == "spacegroups":
         rows = spacegroup_table_query(args.filter)
         payload = {
@@ -321,8 +309,7 @@ def _cmd_tables(args) -> int:
             bravais = ", ".join(f"{c}{t}" for c, t in r.bravais)
             lines.append(f"{r.syngony}: {classes} | Bravais {bravais} | total {r.class_total}")
         lines.append(f"grand total {sum(r.class_total for r in rows)}")
-        _emit(args, payload, lines)
-        return 0
+        return payload, lines
     if args.which == "wallpaper":
         if args.name:
             info = wallpaper_info(args.name)
@@ -343,8 +330,7 @@ def _cmd_tables(args) -> int:
                 f"{info['point_group']}, {'symmorphic' if sym else 'non-symmorphic'}"
             ]
             lines += [f"  {s} index {i if i is not None else '?'}" for s, i in subs]
-            _emit(args, payload, lines)
-            return 0
+            return payload, lines
         rows = wallpaper_table()
         payload = {
             "rows": [
@@ -353,13 +339,9 @@ def _cmd_tables(args) -> int:
             ],
             "count": len(rows),
         }
-        _emit(args, payload, [f"{r.name}: {r.syngony} / {r.point_group_label}" for r in rows])
-        return 0
-    if args.which == "validate":
-        report = validate_all_tables()
-        _emit(args, report.to_json_dict(), _report_lines(report))
-        return _validation_exit(report, args)
-    raise AssertionError(args.which)
+        return payload, [f"{r.name}: {r.syngony} / {r.point_group_label}" for r in rows]
+    report = validate_all_tables()
+    return report.to_json_dict(), _report_lines(report), _validation_exit(report, args)
 
 
 def _parse_betti(text: str) -> list[int]:
@@ -398,7 +380,7 @@ def _parse_group_argument(name: str):
         raise KeyError(f"{name!r} names no 3-dimensional point group;"
                        f" the plane point group is plane:{name}")
     if kind.lower() == "cyclic":
-        m = int(rest) if rest.lstrip("-").isdigit() else 0
+        m = int(rest) if rest.isdecimal() else 0
         if not 1 <= m <= CYCLIC_ORDER_BOUND:
             raise ValueError(
                 f"{name!r}: cyclic:N needs 1 <= N <= {CYCLIC_ORDER_BOUND}"
@@ -424,13 +406,15 @@ def _read_bindings(path: str, g) -> dict:
                 gen = parse_matrix(gen_text)
                 if gen not in g:
                     raise ValueError(f"{gen_text.strip()} is not in {g.name or 'the group'}")
+                if gen in bindings:
+                    raise ValueError(f"{gen_text.strip()} is bound a second time")
                 bindings[gen] = parse_matrix(act_text)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {number} {line!r}: {exc}") from None
     return bindings
 
 
-def _cmd_cohomology(args) -> int:
+def _cmd_cohomology(args) -> tuple[dict, list[str]]:
     g = _parse_group_argument(args.group)
     base = FgAbelianGroup.parse(args.module)
     if args.action == "trivial":
@@ -455,11 +439,10 @@ def _cmd_cohomology(args) -> int:
         "degree": args.degree,
         "cohomology": h.render(),
     }
-    _emit(args, payload, [h.render()])
-    return 0
+    return payload, [h.render()]
 
 
-def _cmd_symmorphic(args) -> int:
+def _cmd_symmorphic(args) -> tuple[dict, list[str]]:
     names = [args.name] if args.name else [r.name for r in wallpaper_table()]
     results = []
     for name in names:
@@ -478,14 +461,14 @@ def _cmd_symmorphic(args) -> int:
     ]
     if not args.name:
         lines.append(f"{payload['symmorphic_count']} of {len(results)} symmorphic")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_pde(args) -> int:
+def _cmd_pde(args) -> tuple[dict, list[str]]:
+    path = _resolve_path(args.file)
     seed = args.seed if args.seed is not None else jets.DEFAULT_SEED
     if args.which == "symbol":
-        system = jets.load_system(_resolve_path(args.file))
+        system = jets.load_system(path)
         rep = jets.symbol_report(system, seed=seed)
         payload = rep.to_json_dict()
         lines = [
@@ -496,10 +479,9 @@ def _cmd_pde(args) -> int:
         ]
         if rep.inconsistent_rank:
             lines.append("WARNING: rank varied across sample points (max used)")
-        _emit(args, payload, lines)
-        return 0
+        return payload, lines
     if args.which == "involutivity":
-        system = jets.load_system(_resolve_path(args.file))
+        system = jets.load_system(path)
         verdict = jets.formal_integrability_check(system, seed=seed)
         lines = [
             f"Cartan test: dim g+1 = {verdict.dim_g_plus_1} vs sum {verdict.filtration_sum}"
@@ -508,10 +490,9 @@ def _cmd_pde(args) -> int:
             f"{verdict.dim_e + verdict.dim_g_plus_1}",
             f"verdict: {'PASS' if verdict.passed else 'FAIL'} ({verdict.caveat})",
         ]
-        _emit(args, verdict.as_dict(), lines)
-        return 0
+        return verdict.as_dict(), lines
     if args.which == "classify":
-        desc = load_descriptor(_resolve_path(args.file))
+        desc = load_descriptor(path)
         if isinstance(desc, SingularPdeDescriptor):
             raise ValueError("singular descriptor: use `pde singular-classify`")
         result = classify(desc)
@@ -522,10 +503,9 @@ def _cmd_pde(args) -> int:
             f"{'unknown' if result.singular_bordism is None else result.singular_bordism.render()}",
             f"crystal group {result.crystal_group_name}, dimension {result.crystal_dimension}",
         ] + [f"caveat: {c}" for c in result.caveats]
-        _emit(args, payload, lines)
-        return 0
+        return payload, lines
     if args.which == "singular-classify":
-        desc = load_descriptor(_resolve_path(args.file))
+        desc = load_descriptor(path)
         if not isinstance(desc, SingularPdeDescriptor):
             raise ValueError("plain descriptor: use `pde classify`")
         result = classify_singular(desc)
@@ -534,29 +514,27 @@ def _cmd_pde(args) -> int:
             f"  {c.name}: {c.verdict} (weak bordism {c.weak_bordism.render()})"
             for c in result.components
         ]
-        _emit(args, payload, lines)
-        return 0
-    if args.which == "verify-solution":
-        system = jets.load_system(_resolve_path(args.file))
-        section = {}
-        for item in args.section:
-            name, sep, expr = item.partition("=")
-            if not sep:
-                raise jets.ParseError(f"--section {item!r} is not dependent=polynomial")
-            section[name.strip()] = expr.strip()
-        residuals = jets.verify_polynomial_solution(system, section)
-        ok = all(r.is_zero() for r in residuals)
-        payload = {
-            "solution": ok,
-            "residuals": [r.render(system.independent, system.dependent) for r in residuals],
-        }
-        lines = [
-            f"residual[{i}] = {r.render(system.independent, system.dependent)}"
-            for i, r in enumerate(residuals)
-        ] + ["solution verified" if ok else "NOT a solution"]
-        _emit(args, payload, lines)
-        return 0
-    raise AssertionError(args.which)
+        return payload, lines
+    system = jets.load_system(path)
+    section = {}
+    for item in args.section:
+        name, sep, expr = (part.strip() for part in item.partition("="))
+        if not sep:
+            raise jets.ParseError(f"--section {item!r} is not dependent=polynomial")
+        if name in section:
+            raise jets.ParseError(f"--section {item!r} gives {name!r} a second value")
+        section[name] = expr
+    residuals = jets.verify_polynomial_solution(system, section)
+    ok = all(r.is_zero() for r in residuals)
+    payload = {
+        "solution": ok,
+        "residuals": [r.render(system.independent, system.dependent) for r in residuals],
+    }
+    lines = [
+        f"residual[{i}] = {r.render(system.independent, system.dependent)}"
+        for i, r in enumerate(residuals)
+    ] + ["solution verified" if ok else "NOT a solution"]
+    return payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", help="wallpaper group (default: all 17)")
 
     pde = sub.add_parser("pde", parents=[common]).add_subparsers(dest="which", required=True)
-    for name in ("symbol", "involutivity"):
-        p = pde.add_parser(name, parents=[common])
-        p.add_argument("file")
-    for name in ("classify", "singular-classify"):
+    for name in ("symbol", "involutivity", "classify", "singular-classify"):
         p = pde.add_parser(name, parents=[common])
         p.add_argument("file")
     p = pde.add_parser("verify-solution", parents=[common])
@@ -663,7 +638,13 @@ def run(argv=None) -> int:
         if not hasattr(args, name):
             setattr(args, name, fallback)
     try:
-        return _DISPATCH[args.command](args) or 0
+        payload, lines, *code = _DISPATCH[args.command](args)
+        if args.format == "json":
+            print(canonical_json(payload))
+        else:
+            for line in lines:
+                print(line)
+        return code[0] if code else 0
     except BrokenPipeError:
         return 1
     except Exception as exc:

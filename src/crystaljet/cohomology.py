@@ -61,10 +61,11 @@ class NotSplit(ValueError):
 COCHAIN_BOUND = 10_000_000
 
 
-def _check_size(rows: int, cols: int, error):
+def _check_size(rows: int, cols: int):
     """Refuse a rows x cols matrix before it is built."""
     if rows * cols > COCHAIN_BOUND:
-        raise error(f"{rows} x {cols} matrix exceeds the bound of {COCHAIN_BOUND} entries")
+        raise CochainBoundExceeded(
+            f"{rows} x {cols} matrix exceeds the bound of {COCHAIN_BOUND} entries")
 
 
 class GModule:
@@ -207,7 +208,7 @@ def _orbit_generators(g: FiniteMatrixGroup, kernel, ambient: int):
     for v in sorted(kernel, key=lambda v: (len(v) - v.count(0), sum(map(abs, v)))):
         if lattice_coordinates(span, v) is not None:
             continue
-        _check_size(len(span) + g.order, ambient, CochainBoundExceeded)
+        _check_size(len(span) + g.order, ambient)
         gens.append(v)
         span = lattice_from_generators(span + _orbit(g, v), ambient)
         if len(span) == len(kernel) and all(next(filter(None, row)) == 1 for row in span):
@@ -222,7 +223,7 @@ def free_resolution(g: FiniteMatrixGroup, length: int) -> FreeResolution:
     n = g.order
     e = g.identity_index
     # ker(augmentation) has the Z-basis g - 1
-    _check_size(n - 1, n, CochainBoundExceeded)
+    _check_size(n - 1, n)
     kernel = [tuple(int(h == a) - int(h == e) for h in range(n)) for a in range(n) if a != e]
     ranks, boundaries = [1], []
     for k in range(length):
@@ -231,7 +232,7 @@ def free_resolution(g: FiniteMatrixGroup, length: int) -> FreeResolution:
         boundaries.append(gens)
         if k + 1 < length:
             rows, cols = ranks[k] * n, ranks[k + 1] * n
-            _check_size(cols, rows + cols, CochainBoundExceeded)
+            _check_size(cols, rows + cols)
             kernel = kernel_basis([w for v in gens for w in _orbit(g, v)])
     return FreeResolution(g, ranks, boundaries)
 
@@ -245,7 +246,7 @@ def _cochain_columns(res: FreeResolution, mod: GModule, k: int):
     """
     n, m = res.group.order, mod.rank
     height = res.ranks[k + 1] * m
-    _check_size(height, res.ranks[k] * m, CochainBoundExceeded)
+    _check_size(height, res.ranks[k] * m)
     columns = [[0] * height for _ in range(res.ranks[k] * m)]
     for j, image in enumerate(res.boundaries[k]):
         for idx, c in enumerate(image):
@@ -290,7 +291,7 @@ def _cocycles(res: FreeResolution, mod: GModule, degree: int):
     relations = _block_relations(mod, res.ranks[degree + 1])
     # the cocycles are the kernel of [delta_n | -relations]
     width = ambient + len(relations)
-    _check_size(width, res.ranks[degree + 1] * mod.rank + width, CochainBoundExceeded)
+    _check_size(width, res.ranks[degree + 1] * mod.rank + width)
     cocycles = _preimage_lattice(delta_n, relations)
     coboundaries = _cochain_columns(res, mod, degree - 1) if degree else []
     return cocycles, coboundaries, _block_relations(mod, res.ranks[degree]), ambient

@@ -1060,7 +1060,7 @@ def verify_polynomial_solution(s: PdeSystem, section) -> list:
         for v in eq.jet_variables():
             j, mu = v[1], v[2]
             if j not in values:
-                raise ParseError(f"section missing dependent variable index {j}")
+                raise ParseError(f"section missing dependent variable {s.dependent[j]!r}")
             d = values[j]
             for direction in mu:
                 d = d.partial(xvar(direction))

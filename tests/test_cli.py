@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 
 import pytest
@@ -138,6 +139,20 @@ def test_pde_verify_solution_names_a_bad_section(capsys, item, bad):
         capsys, ["pde", "verify-solution", "heat.pde", "--section", item])
     assert code == 1 and not out
     assert err.startswith(f"error: ParseError: {bad}")
+
+
+def test_a_dependent_given_twice_is_refused(capsys):
+    code, out, err = run_capture(capsys, ["pde", "verify-solution", "heat.pde",
+                                          "--section", "u=x", "--section", "u=y"])
+    assert code == 1 and not out
+    assert err.strip() == "error: ParseError: --section 'u=y' gives 'u' a second value"
+
+
+def test_a_section_without_a_dependent_names_it(capsys):
+    code, out, err = run_capture(capsys, ["pde", "verify-solution", "continuity_e1.pde",
+                                          "--section", "v1=x"])
+    assert code == 1 and not out
+    assert err.strip() == "error: ParseError: section missing dependent variable 'v2'"
 
 
 def test_a_missing_path_is_not_swapped_for_packaged_data(capsys):
@@ -603,6 +618,17 @@ def test_bad_bindings_line_is_named(capsys, tmp_path, line, why):
     assert err.startswith(f"error: ValueError: {path}, line 3 {line!r}: ") and why in err
 
 
+def test_a_generator_bound_twice_is_refused(capsys, tmp_path):
+    # either line alone is an answer: H^2 is Z/2 on the trivial module, 0 on the sign one
+    path = tmp_path / "twice.txt"
+    path.write_text("[[-1,0],[0,-1]] -> [[1]]\n[[-1,0],[0,-1]] -> [[-1]]\n")
+    code, out, err = run_capture(capsys, ["cohomology", "--group", "plane:2", "--module", "Z",
+                                          "--action", str(path), "--degree", "2"])
+    assert code == 1 and not out
+    assert err.strip() == (f"error: ValueError: {path}, line 2 '[[-1,0],[0,-1]] -> [[-1]]':"
+                           " [[-1,0],[0,-1]] is bound a second time")
+
+
 @pytest.mark.parametrize("module, answer", [("Z", "Z^1"), ("Z^2", "Z^2")])
 def test_cohomology_of_the_trivial_group_in_degree_zero(capsys, module, answer):
     code, out, _ = run_capture(
@@ -645,6 +671,9 @@ def test_unknown_input_is_usage_error(capsys):
     (["bordism", "crystal-group", "--group", "Z^x"], "'Z^x'"),
     (["bordism", "crystal-group", "--group", "Z^-1"], "'Z^-1'"),
     (["bordism", "crystal-group", "--group", "Z/--2"], "'Z/--2'"),
+    # int() refuses these two: the refusal is still the range message
+    (["cohomology", "--group", "cyclic:--4", "--degree", "0"], "'cyclic:--4': cyclic:N needs"),
+    (["cohomology", "--group", "cyclic:\u00b2", "--degree", "0"], "'cyclic:\u00b2': cyclic:N needs"),
 ])
 def test_out_of_contract_input_fails_fast(capsys, argv, bad):
     code, out, err = run_capture(capsys, argv)
@@ -661,6 +690,16 @@ def test_error_names_its_type_when_the_message_is_empty(capsys, monkeypatch):
     monkeypatch.setattr(cli, "unoriented_bordism", exhausted)
     code, _, err = run_capture(capsys, ["bordism", "unoriented", "--n", "4"])
     assert code == 1 and err.strip() == "error: MemoryError"
+
+
+def test_a_closed_stdout_exits_1_without_a_message(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code, _, err = run_capture(capsys, ["bordism", "unoriented", "--n", "4"])
+    assert code == 1 and not err
 
 
 def test_o_h_cohomology_answers_in_degree_two(capsys):

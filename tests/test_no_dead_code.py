@@ -2,7 +2,9 @@
 module is walked as an AST.  A name a module imports must be read in that
 module (the package ``__init__`` only re-exports, so it is skipped), and a
 module-level ``_private`` function or class, or an exception class, must be
-referenced somewhere in src/ outside its own definition."""
+referenced somewhere in src/ outside its own definition.  No parameter of a
+module-level ``_private`` function may take one value from every call: a
+literal, or a module-level name, that all of its calls (two or more) pass."""
 
 import ast
 import builtins
@@ -73,6 +75,67 @@ def unreferenced_private(trees):
                                 for node in private_definitions(tree)])
 
 
+def module_names(tree):
+    """The names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def passed_value(call, position, name, globals_):
+    """What the call passes for the parameter at that position (None for
+    keyword-only) and of that name: a literal or a module-level name, or
+    None for anything else, an omitted argument or an unpacked one."""
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    if position is not None and position < len(call.args) and not starred:
+        value = call.args[position]
+    else:
+        value = next((kw.value for kw in call.keywords if kw.arg == name), None)
+    if isinstance(value, ast.Constant):
+        return ("literal", repr(value.value))
+    if isinstance(value, ast.Name) and value.id in globals_:
+        return ("name", value.id)
+    return None
+
+
+def one_value_parameters(trees):
+    """(path, line, function, parameter) of each parameter of a module-level
+    ``_private`` function to which every call in the trees, at least two,
+    passes the same literal or module-level name.  A function that is also
+    referred to other than by a call is skipped: its callers are not known."""
+    everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    calls = {}
+    for tree in trees.values():
+        globals_ = module_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(callee, []).append((node, globals_))
+    found = []
+    for path, tree in trees.items():
+        for node in private_definitions(tree):
+            sites = calls.get(node.name, [])
+            outside = everywhere[node.name] - referenced_names(node)[node.name]
+            if not isinstance(node, ast.FunctionDef) or len(sites) < 2 or outside != len(sites):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            params = [(i, a.arg) for i, a in enumerate(positional)]
+            params += [(None, a.arg) for a in node.args.kwonlyargs]
+            for position, name in params:
+                values = {passed_value(call, position, name, globals_) for call, globals_ in sites}
+                if len(values) == 1 and None not in values:
+                    found.append((path, node.lineno, node.name, name))
+    return found
+
+
 def test_the_walks_find_unread_imports_and_unreferenced_helpers():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os.path\nimport re as regex\nfrom math import gcd, lcm\n"
@@ -96,6 +159,22 @@ def test_the_walk_finds_exception_classes_that_nothing_names():
     assert [name for _, _, name in unreferenced({"m": tree}, found)] == ["Unraised"]
 
 
+def test_the_walk_finds_a_parameter_that_every_call_gives_one_value():
+    tree = ast.parse("LIMIT = 3\n"
+                     "def _bounded(n, limit, error, *, strict):\n    return n\n"
+                     "def _once(n, flag):\n    return n\n"
+                     "def _escapes(n, flag):\n    return n\n"
+                     "def api(x):\n"
+                     "    _once(x, True)\n"
+                     "    _escapes(x, True), _escapes(x, True), [_escapes]\n"
+                     "    _bounded(x, LIMIT, ValueError, strict=False)\n"
+                     "    return _bounded(2, LIMIT, error=ValueError, strict=x)\n")
+    found = one_value_parameters({"m": tree})
+    # x is a local, 2 another literal and ValueError no module-level name of
+    # m; _once has one call, and _escapes is also passed on as a value
+    assert [(name, param) for _, _, name, param in found] == [("_bounded", "limit")]
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p != PACKAGE_INIT],
                          ids=lambda p: str(p.relative_to(SRC)))
 def test_every_import_is_read(path):
@@ -113,3 +192,9 @@ def test_every_exception_class_is_named():
     dead = [f"{path.relative_to(SRC)}:{line} {name}"
             for path, line, name in unreferenced(TREES, exception_definitions(TREES))]
     assert not dead, f"exception classes that nothing in src/ raises or names: {dead}"
+
+
+def test_no_parameter_of_a_private_function_takes_one_value():
+    fixed = [f"{path.relative_to(SRC)}:{line} {name}({param})"
+             for path, line, name, param in one_value_parameters(TREES)]
+    assert not fixed, f"parameters that every call passes the same value: {fixed}"
