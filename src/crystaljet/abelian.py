@@ -12,8 +12,8 @@ The Smith form gives the invariant factors of a cokernel
 (`group_from_relations`), those of a list of cyclic orders (the Smith
 form of their diagonal matrix, `FgAbelianGroup.from_cyclic_orders`), and
 the unimodular U and V that `crystal.is_symmorphic` reads.  One torsion
-pairing, Z/m with Z/n to Z/gcd(m, n) (`tor_product`), gives Tor, Hom
-from a finite group and the torsion part of the tensor product.
+pairing, Z/m with Z/n to Z/gcd(m, n) (`tor_product`), gives Tor and the
+torsion part of the tensor product.
 
 One fraction-free elimination (`bareiss`) gives determinants and the
 inverses of unimodular matrices here, and solves the jet layer's
@@ -27,10 +27,6 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
-
-
-class NotZ2VectorSpace(ValueError):
-    pass
 
 
 class InfiniteGroup(ValueError):
@@ -62,10 +58,6 @@ class IntegerMatrix:
         self.entries = entries
 
     @classmethod
-    def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols)
-
-    @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -86,9 +78,6 @@ class IntegerMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     def col(self, j):
         return tuple(row[j] for row in self.entries)
@@ -385,11 +374,6 @@ class FgAbelianGroup:
     def is_elementary_2(self):
         return self.free_rank == 0 and all(d == 2 for d in self.invariant_factors)
 
-    def exponent_two_rank(self):
-        if not self.is_elementary_2():
-            raise NotZ2VectorSpace(f"{self} is not a Z_2 vector space")
-        return len(self.invariant_factors)
-
     # -- rendering ------------------------------------------------------
     def render(self) -> str:
         parts = []
@@ -444,22 +428,6 @@ def group_from_relations(generators: int, relations: IntegerMatrix) -> FgAbelian
     d, _, _ = smith_normal_form(relations)
     rank = sum(1 for x in d if x)
     return FgAbelianGroup(generators - rank, tuple(x for x in d if x > 1))
-
-
-def tensor_over_z2(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
-    """Tensor product over Z_2 of two elementary abelian 2-groups."""
-    ra = a.exponent_two_rank()
-    rb = b.exponent_two_rank()
-    return FgAbelianGroup.z2_power(ra * rb)
-
-
-def hom_group(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
-    """Hom(a, b) for finite a.  Hom(Z/m, Z/n) = Z/gcd(m, n) = Tor(Z/m, Z/n)
-    and Hom(Z/m, Z) = 0, so it is `tor_product`: Hom(finite, Z^d) = 0 is
-    returned, not an error; a genuinely infinite source raises."""
-    if a.free_rank > 0:
-        raise InfiniteGroup("hom source must be finite")
-    return tor_product(a, b)
 
 
 def tensor_product(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:

@@ -362,9 +362,6 @@ class CrossedHom:
     module: GModule
     values: dict  # element index -> tuple of ints (coordinates in Z^rank)
 
-    def value(self, element: IntegerMatrix):
-        return self.values[self.module.group.index_of(element)]
-
 
 def _derivation(res: FreeResolution, mod: GModule, cocycle) -> CrossedHom:
     """The derivation of a 1-cocycle f in Hom_ZG(F_1, M) = M^{r_1}, on every

@@ -80,9 +80,6 @@ class AffineElement:
         ainv = self.point_part.inverse_unimodular()
         return AffineElement(ainv, tuple(-x for x in ainv.apply(self.translation)))
 
-    def is_translation(self) -> bool:
-        return self.point_part == IntegerMatrix.identity(self.point_part.rows)
-
 
 class CrystallographicGroup:
     """Space group in cocycle normal form.
@@ -207,22 +204,6 @@ def is_symmorphic(g: CrystallographicGroup):
         if not _is_integral(_vec_sub(delta, g.vector_system[i])):
             return False, None
     return True, witness
-
-
-def translation_fix_check(f: AffineElement, x: AffineElement) -> bool:
-    """Product comparison f.x == x.f, checked equivalent to b(v) = v (a
-    RuntimeError otherwise)."""
-    b = f.point_part
-    if any(t != 0 for t in f.translation):
-        raise ValueError("f must be a pure point operation (b, 0)")
-    if not x.is_translation():
-        raise ValueError("x must be a pure translation (1, v)")
-    v = x.translation
-    commutes = (f * x) == (x * f)
-    fixes = tuple(b.apply(v)) == tuple(v)
-    if commutes != fixes:
-        raise RuntimeError("commutation must be equivalent to b(v) = v")
-    return commutes
 
 
 def commuting_involutions_check(generators) -> bool:

@@ -859,10 +859,6 @@ class SymbolReport:
     inconsistent_rank: bool
     rank_samples: list
 
-    @property
-    def dim_g(self):
-        return self.g_dims[0]
-
     def to_json_dict(self):
         return {
             "system": self.system,
@@ -1052,17 +1048,19 @@ def verify_polynomial_solution(s: PdeSystem, section) -> list:
         except ParseError as exc:
             raise ParseError(f"section {item!r}: {exc}") from None
         if poly.jet_variables():
-            raise ParseError("sections must not contain jet variables")
+            jet_var = DiffPoly.variable(min(poly.jet_variables()))
+            raise ParseError(f"section {item!r}: {jet_var.render(s.independent, s.dependent)!r}"
+                             " is a jet variable, and sections must not contain one")
         values[j] = poly
+    missing = {v[1] for eq in s.equations for v in eq.jet_variables()} - values.keys()
+    if missing:
+        raise ParseError(f"section missing dependent variable {s.dependent[min(missing)]!r}")
     residuals = []
     for eq in s.equations:
         assignment = {}
         for v in eq.jet_variables():
-            j, mu = v[1], v[2]
-            if j not in values:
-                raise ParseError(f"section missing dependent variable {s.dependent[j]!r}")
-            d = values[j]
-            for direction in mu:
+            d = values[v[1]]
+            for direction in v[2]:
                 d = d.partial(xvar(direction))
             assignment[v] = d
         residuals.append(eq.substitute(assignment))

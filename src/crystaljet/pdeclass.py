@@ -18,7 +18,6 @@ from .bordism import (
     crystal_group_of,
     paper_crystal_assignment,
     relative_bordism,
-    unoriented_bordism,
 )
 from .data import data_path, load_document
 from .jets import formal_integrability_check, load_system
@@ -84,29 +83,6 @@ class SingularPdeDescriptor:
     def __post_init__(self):
         if not self.components:
             raise ValueError("a singular descriptor needs at least one component")
-
-
-@dataclass
-class UnknownExtension:
-    """The smooth-solution bordism group is only known as an extension
-    0 -> K -> G -> quotient -> 0 with undetermined kernel; nothing beyond
-    the weak/singular groups is computed for it."""
-
-    quotient: FgAbelianGroup
-
-    def to_json_dict(self):
-        return {
-            "kernel": "unknown",
-            "quotient": self.quotient.render(),
-            "note": "smooth-solution bordism known only as an extension",
-        }
-
-
-def smooth_bordism_extension(d: PdeDescriptor, p: int) -> UnknownExtension:
-    """The smooth-solution group in degree p, represented as an extension
-    of the absolute bordism group with undetermined kernel."""
-    _check_hypotheses(d, p)
-    return UnknownExtension(quotient=unoriented_bordism(p))
 
 
 @dataclass

@@ -1,7 +1,12 @@
 import hashlib
 import json
+import os
+import re
+import shlex
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -126,14 +131,21 @@ def test_pde_verify_solution(capsys):
     assert code == 0 and json.loads(out)["solution"] is False
 
 
-@pytest.mark.parametrize("item, bad", [
+BAD_SECTIONS = [
     ("u", "--section 'u' is not dependent=polynomial"),
     ("v=x", "section 'v=x': 'v' is not a dependent variable (the system has u)"),
     ("u=a*x+", "section 'u=a*x+': "),
     ("u=a*x+", "section 'u=a*x+': missing operand at end of input\n"),
     ("u=a*(x+", "section 'u=a*(x+': missing operand at end of input\n"),
     ("u=a*/x", "section 'u=a*/x': missing operand before '/'\n"),
-])
+    ("u=u_x", "section 'u=u_x': 'u_x' is a jet variable, and sections must not contain one\n"),
+    # the jet variable of lowest index, u_t, whatever the hash seed
+    ("u=u_xx*u_t", "section 'u=u_xx*u_t': 'u_t' is a jet variable, and sections must not"
+     " contain one\n"),
+]
+
+
+@pytest.mark.parametrize("item, bad", BAD_SECTIONS)
 def test_pde_verify_solution_names_a_bad_section(capsys, item, bad):
     code, out, err = run_capture(
         capsys, ["pde", "verify-solution", "heat.pde", "--section", item])
@@ -407,7 +419,7 @@ def test_a_system_that_declares_a_name_twice_is_refused(capsys, tmp_path):
     assert err.strip() == "error: ParseError: the 'dependent' field names 'u' twice"
 
 
-@pytest.mark.parametrize("name, text, message", [
+MALFORMED_DOCUMENTS = [
     ("twice.pde", "independent: [x]\ndependent: [u]\norder: 1\nparameters: {a: 1, a: 2}\n"
      "equations: [u_x - a]\n", "ValueError: the key 'a' is repeated on line 4"),
     ("twice.pde", "independent: [x]\ndependent: [u]\norder: 1\norder: 2\nequations: [u_x]\n",
@@ -427,7 +439,10 @@ def test_a_system_that_declares_a_name_twice_is_refused(capsys, tmp_path):
     ("deep.pde", "independent: [x]\ndependent: [u]\norder: 1\nequations: ['"
      + "(" * 3000 + "u_x" + ")" * 3000 + "']\n",
      "ParseError: expression nested deeper than MAX_NESTING = 100 levels"),
-])
+]
+
+
+@pytest.mark.parametrize("name, text, message", MALFORMED_DOCUMENTS)
 def test_a_malformed_document_is_refused_with_its_field_named(capsys, tmp_path, name, text, message):
     path = tmp_path / name
     path.write_text(text)
@@ -499,11 +514,14 @@ def test_a_literal_power_past_the_coefficient_bound_is_refused_fast(capsys, tmp_
                            " over MAX_COEFF_BITS = 100000")
 
 
-@pytest.mark.parametrize("text, message", [
+DESCRIPTORS_MISSING_A_FIELD = [
     ("{}", "descriptor is missing the 'n' field"),
     ("{singular: true, components: [{n: 2, m: 1, order: 1, betti_W: [1, 0, 0]}]}",
      "component 0 of the singular descriptor is missing the 'dim_E' field"),
-])
+]
+
+
+@pytest.mark.parametrize("text, message", DESCRIPTORS_MISSING_A_FIELD)
 def test_a_descriptor_without_a_required_field_is_refused(capsys, tmp_path, text, message):
     path = tmp_path / "bad.desc"
     path.write_text(text + "\n")
@@ -516,7 +534,7 @@ DESC = "n: {n}, m: 1, order: 2, dim_E: {dim_e}, betti_W: {betti}"
 COMPONENT = "{" + DESC.format(n=2, dim_e=7, betti="[1, 0, 0]") + "}"
 
 
-@pytest.mark.parametrize("command, text, message", [
+MALFORMED_DESCRIPTOR_FIELDS = [
     ("classify", "{" + DESC.format(n="one", dim_e=7, betti="[1, 2, 1]") + "}",
      "ValueError: descriptor: the 'n' field must be an integer, not 'one'"),
     ("classify", "{" + DESC.format(n=2, dim_e="true", betti="[1, 2, 1]") + "}",
@@ -545,7 +563,10 @@ COMPONENT = "{" + DESC.format(n=2, dim_e=7, betti="[1, 0, 0]") + "}"
      " or false, not 'no'"),
     ("singular-classify", "{singular: 'yes', components: [" + COMPONENT + "]}",
      "ValueError: descriptor: the 'singular' field must be true or false, not 'yes'"),
-])
+]
+
+
+@pytest.mark.parametrize("command, text, message", MALFORMED_DESCRIPTOR_FIELDS)
 def test_a_malformed_descriptor_field_is_named(capsys, tmp_path, command, text, message):
     path = tmp_path / "bad.desc"
     path.write_text(text + "\n")
@@ -554,7 +575,7 @@ def test_a_malformed_descriptor_field_is_named(capsys, tmp_path, command, text, 
     assert err.strip() == f"error: {message}"
 
 
-@pytest.mark.parametrize("command, text, message", [
+MISSPELT_FLAGS = [
     ("classify", "{" + DESC.format(n=2, dim_e=7, betti="[1, 2, 1]")
      + ", flags: {formaly_integrable: true, completely_integrable: true}}",
      "ValueError: descriptor: the 'flags' field names 'formaly_integrable', which is not a flag"),
@@ -562,7 +583,10 @@ def test_a_malformed_descriptor_field_is_named(capsys, tmp_path, command, text, 
      + DESC.format(n=2, dim_e=7, betti="[1, 0, 0]") + ", flags: {zero_crystal: true}}]}",
      "ValueError: component 1 of the singular descriptor: the 'flags' field names"
      " 'zero_crystal', which is not a flag"),
-])
+]
+
+
+@pytest.mark.parametrize("command, text, message", MISSPELT_FLAGS)
 def test_a_misspelt_flag_is_refused_by_name(capsys, tmp_path, command, text, message):
     path = tmp_path / "bad.desc"
     path.write_text(text + "\n")
@@ -604,11 +628,14 @@ def test_a_binding_of_the_wrong_size_is_named(capsys, tmp_path, module, rank):
                            f" matrix on a module of rank {rank}")
 
 
-@pytest.mark.parametrize("line, why", [
+BAD_BINDING_LINES = [
     (BINDING.replace("->", ""), "no '->'"),
     (BINDING.replace("0,0,1", "0,0,x"), "invalid literal for int()"),
     ("[[0,-1,0],[1,0,0],[0,0,1]] -> [[-1]]", "[[0,-1,0],[1,0,0],[0,0,1]] is not in C_2"),
-])
+]
+
+
+@pytest.mark.parametrize("line, why", BAD_BINDING_LINES)
 def test_bad_bindings_line_is_named(capsys, tmp_path, line, why):
     path = tmp_path / "bad.txt"
     path.write_text(f"# one good line, then a bad one\n{BINDING}\n{line}\n")
@@ -658,7 +685,7 @@ def test_unknown_input_is_usage_error(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("argv, bad", [
+OUT_OF_CONTRACT = [
     (["cohomology", "--group", "C_2", "--module", "Z/-2", "--degree", "2"], "'Z/-2'"),
     (["cohomology", "--group", "C_2", "--module", "Z/0", "--degree", "2"], "'Z/0'"),
     (["bordism", "relative", "--betti", "1,2,1", "--p", "-1"], "p = -1"),
@@ -674,7 +701,10 @@ def test_unknown_input_is_usage_error(capsys):
     # int() refuses these two: the refusal is still the range message
     (["cohomology", "--group", "cyclic:--4", "--degree", "0"], "'cyclic:--4': cyclic:N needs"),
     (["cohomology", "--group", "cyclic:\u00b2", "--degree", "0"], "'cyclic:\u00b2': cyclic:N needs"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, bad", OUT_OF_CONTRACT)
 def test_out_of_contract_input_fails_fast(capsys, argv, bad):
     code, out, err = run_capture(capsys, argv)
     assert code == 1 and not out
@@ -962,3 +992,99 @@ PDE_OUTPUT_SHA256 = {
 def test_pde_output_bytes_are_pinned(capsys, argv, seed):
     code, out, _ = run_capture(capsys, ["pde", *argv.split(), *seed])
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PDE_OUTPUT_SHA256[argv]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the refusals pinned above, each as an argv and the documents it reads,
+# written into the directory the run starts in
+PINNED_REFUSALS = [
+    *(([*argv], {}) for argv, _ in OUT_OF_CONTRACT),
+    *((["pde", "verify-solution", "heat.pde", "--section", item], {}) for item, _ in BAD_SECTIONS),
+    (["pde", "verify-solution", "heat.pde", "--section", "u=x", "--section", "u=y"], {}),
+    (["pde", "verify-solution", "continuity_e1.pde", "--section", "v1=x"], {}),
+    (["pde", "symbol", "/nonexistent/dir/heat.pde"], {}),
+    (["symmorphic", "zz"], {}),
+    (["tables", "wallpaper", "zz"], {}),
+    (["tables", "pointgroup", "X_9"], {}),
+    (["tables", "bogus"], {}),
+    (["tables", "validate"], {}),
+    (["bordism", "unoriented"], {}),
+    (["bordism", "unoriented", "--n", "100000"], {}),
+    (["bordism", "crystal-group", "--group", "Z/2305843009213693951"], {}),
+    *((["cohomology", "--group", group, "--degree", "1"], {})
+      for group in ("2mm", "plane:mm2", "cyclicfoo:4", "Cyclics:4", "cyclic4")),
+    *((["pde", "classify" if name.endswith(".desc") else "symbol", name], {name: text})
+      for name, text, _ in MALFORMED_DOCUMENTS),
+    *((["pde", "classify", "bad.desc"], {"bad.desc": text + "\n"})
+      for text, _ in DESCRIPTORS_MISSING_A_FIELD),
+    *((["pde", command, "bad.desc"], {"bad.desc": text + "\n"})
+      for command, text, _ in MALFORMED_DESCRIPTOR_FIELDS + MISSPELT_FLAGS),
+    (["pde", "classify", "unnamed.desc"],
+     {"unnamed.desc": "{" + DESC.format(n=2, dim_e=7, betti="[1, 2, 1]") + "}\n"}),
+    (["pde", "singular-classify", "unnamed.desc"],
+     {"unnamed.desc": "{singular: true, components: [" + COMPONENT + "]}\n"}),
+    (["pde", "symbol", "twice.pde"],
+     {"twice.pde": "independent: [x, y]\ndependent: [u, u]\norder: 1\nequations: [u_x]\n"}),
+    *((["pde", "symbol", "power.pde"],
+       {"power.pde": f"independent: [x]\ndependent: [u]\norder: 1\nequations: ['{equation}']\n"})
+      for equation in ("(u+u_x+x+1)^40", "(2*u_x+3)^9999", "2^3000000*u_x",
+                       "(u_x+1)^1*3^2000000")),
+    (["pde", "verify-solution", "power.pde", "--section", "u=x+y+1"],
+     {"power.pde": "independent: [x, y]\ndependent: [u]\norder: 1\nequations: ['u^100']\n"}),
+    (["pde", "verify-solution", "product.pde", "--section", "u=" + "+".join(f"x^{i}" for i in range(101)),
+      "--section", "w=" + "+".join(f"x^{i}" for i in range(101))],
+     {"product.pde": "independent: [x]\ndependent: [u, w]\norder: 1\nequations: ['u*w']\n"}),
+    (["cohomology", "--group", "D_2", "--module", "Z", "--action", "sign.txt", "--degree", "1"],
+     {"sign.txt": f"{BINDING}\n"}),
+    *((["cohomology", "--group", "C_2", "--module", "Z", "--action", "bad.txt", "--degree", "1"],
+       {"bad.txt": f"# one good line, then a bad one\n{BINDING}\n{line}\n"})
+      for line, _ in BAD_BINDING_LINES),
+    *((["cohomology", "--group", "plane:2", "--module", module, "--action", "action.txt",
+        "--degree", degree], {"action.txt": text})
+      for module, degree, text in [
+          ("Z", "1", "[[-1,0],[0,-1]] -> [[2]]\n"),
+          ("Z", "1", "[[-1,0],[0,-1]] -> [[1,0],[0,1]]\n"),
+          ("Z^3", "1", "[[-1,0],[0,-1]] -> [[1,0],[0,1]]\n"),
+          ("Z", "2", "[[-1,0],[0,-1]] -> [[1]]\n[[-1,0],[0,-1]] -> [[-1]]\n")]),
+]
+
+# run in a child process: each argv of the JSON list on stdin through
+# cli.run, in one process, with the documents its entry lists; prints the
+# sha256 of each run's argv, exit code, stdout and stderr, then one sha256
+# over them all
+HASH_SEED_CHILD = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from crystaljet.cli import run
+total = hashlib.sha256()
+for argv, files in json.load(sys.stdin):
+    for name, text in files.items():
+        Path(name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    digest = hashlib.sha256(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+    total.update(digest.digest())
+    print(digest.hexdigest())
+print(total.hexdigest())
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    readme = [shlex.split(line, comments=True)[1:] for block in blocks
+              for line in block.splitlines() if line.startswith("crystaljet ")]
+    assert len(readme) == 16
+    runs = [(argv, {}) for argv in readme] + PINNED_REFUSALS
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    digests = []
+    for seed in ("0", "3"):
+        workdir = tmp_path / seed
+        workdir.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        child = subprocess.run([sys.executable, "-c", HASH_SEED_CHILD], cwd=workdir, env=env,
+                               input=json.dumps(runs), capture_output=True, text=True, check=True)
+        digests.append(child.stdout.split())
+    assert len(digests[0]) == len(digests[1]) == len(runs) + 1
+    differ = [argv for (argv, _), a, b in zip(runs, *digests) if a != b]
+    assert digests[0][-1] == digests[1][-1], f"runs whose output depends on the hash seed: {differ}"

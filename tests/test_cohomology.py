@@ -483,12 +483,12 @@ def test_h2_counts_extension_classes_per_arithmetic_class():
 
 
 def test_klein_integral_cohomology_two_routes():
-    # route 1: bar cochain complex
+    # route 1: group_cohomology, from the free resolution
     klein = point_group("D_2")
     mod = GModule.trivial(klein, Z)
-    bar = [group_cohomology(klein, mod, n) for n in range(4)]
+    resolved = [group_cohomology(klein, mod, n) for n in range(4)]
     # route 2: Kunneth homology of C_2 x C_2, then universal coefficients
-    from crystaljet.abelian import direct_sum, hom_group
+    from crystaljet.abelian import direct_sum
     from crystaljet.cohomology import group_homology_cyclic
 
     h_c2 = [group_homology_cyclic(2, i) for i in range(5)]
@@ -503,5 +503,5 @@ def test_klein_integral_cohomology_two_routes():
     uct = [hom_to_z(homology[0])]
     for n in range(1, 4):
         uct.append(direct_sum(hom_to_z(homology[n]), ext_to_z(homology[n - 1])))
-    assert bar == uct
-    assert [g.render() for g in bar] == ["Z^1", "0", "Z/2 x Z/2", "Z/2"]
+    assert resolved == uct
+    assert [g.render() for g in resolved] == ["Z^1", "0", "Z/2 x Z/2", "Z/2"]

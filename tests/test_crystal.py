@@ -19,7 +19,6 @@ from crystaljet.crystal import (
     semidirect_product,
     spacegroup_table,
     spacegroup_table_query,
-    translation_fix_check,
     wallpaper_groups,
     wallpaper_info,
     wallpaper_subgroups,
@@ -231,26 +230,19 @@ def test_appendix_c_rows_commute():
             assert commuting_involutions_check(gens), product.label
 
 
-def test_translation_fix_check():
+def test_a_point_operation_commutes_with_a_translation_iff_it_fixes_it():
+    # (b, 0)(1, v) = (b, b(v)) and (1, v)(b, 0) = (b, v)
     ident3 = IntegerMatrix.identity(3)
-    v = AffineElement(ident3, (3, 0, 0))
-    mirror = AffineElement(IntegerMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]]), (0, 0, 0))
-    assert translation_fix_check(mirror, v)
-    inv2d = AffineElement(-IntegerMatrix.identity(2), (0, 0))
-    assert not translation_fix_check(inv2d, AffineElement(I2, (1, 0)))
-    assert translation_fix_check(
-        AffineElement(ident3, (0, 0, 0)), AffineElement(ident3, (5, -2, 7))
-    )
-
-
-def test_translation_fix_check_raises_when_the_equivalence_fails(monkeypatch):
-    # the equivalence is a theorem, so break b(v) to see the check fire; it
-    # must be a raise, which python -O keeps, not an assert
-    mirror = AffineElement(IntegerMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]]), (0, 0, 0))
-    v = AffineElement(IntegerMatrix.identity(3), (3, 0, 0))
-    monkeypatch.setattr(IntegerMatrix, "apply", lambda self, w: [c + 1 for c in w])
-    with pytest.raises(RuntimeError, match="^commutation must be equivalent to b\\(v\\) = v$"):
-        translation_fix_check(mirror, v)
+    mirror = IntegerMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    cases = [(mirror, (3, 0, 0), True), (mirror, (0, 1, 0), False),
+             (-I2, (1, 0), False), (ident3, (5, -2, 7), True)]
+    cases += [(b, v, tuple(b.apply(v)) == v)
+              for g in point_groups_2d().values() for b in g.elements
+              for v in [(1, 0), (0, 1), (1, 1), (2, -1)]]
+    for b, v, fixes in cases:
+        f = AffineElement(b, (0,) * b.rows)
+        x = AffineElement(IntegerMatrix.identity(b.rows), v)
+        assert ((f * x) == (x * f)) == fixes
 
 
 def test_three_dimensional_screw_group():

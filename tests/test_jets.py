@@ -113,14 +113,14 @@ def test_symbol_report_continuity():
 
 def test_symbol_report_pressure():
     rep = symbol_report(corpus("pressure_e2.pde"))
-    assert (rep.dim_e, rep.dim_g, rep.g_dims[1], rep.g_dims[2]) == (12, 5, 2, 0)
+    assert (rep.dim_e, rep.g_dims[0], rep.g_dims[1], rep.g_dims[2]) == (12, 5, 2, 0)
     assert rep.dim_g_plus_1 == 7 and rep.dim_e_plus_1 == 19
 
 
 def test_symbol_report_table4():
     rep = symbol_report(corpus("table4_component.pde"))
     assert rep.ambient_jet_dim == 11
-    assert (rep.dim_e, rep.dim_g, rep.dim_g_plus_1, rep.dim_e_plus_1) == (8, 3, 3, 11)
+    assert (rep.dim_e, rep.g_dims[0], rep.dim_g_plus_1, rep.dim_e_plus_1) == (8, 3, 3, 11)
 
 
 def test_symbol_report_trivial_equation():
@@ -130,7 +130,7 @@ def test_symbol_report_trivial_equation():
     rep = symbol_report(s)
     # alpha^1 = dim g^(0) - dim g^(1) = 0 here; the closed prolongation
     # formula then gives dim(p_1) = (n + m) + 0 = 2 = dim E, exactly right
-    assert rep.dim_g == 0 and rep.characters == [0]
+    assert rep.g_dims[0] == 0 and rep.characters == [0]
     assert prolongation_dimension_formula(2, rep.characters, 0) == rep.dim_e
 
 

@@ -1,22 +1,35 @@
-"""No dead imports, private helpers or exception classes under src/: every
-module is walked as an AST.  A name a module imports must be read in that
-module (the package ``__init__`` only re-exports, so it is skipped), and a
+"""No dead imports, helpers or exception classes under src/: every module
+is walked as an AST.  A name a module imports must be read in that module
+(the package ``__init__`` only re-exports, so it is skipped), and a
 module-level ``_private`` function or class, or an exception class, must be
-referenced somewhere in src/ outside its own definition.  No parameter of a
-module-level ``_private`` function may take one value from every call: a
-literal, or a module-level name, that all of its calls (two or more) pass."""
+referenced somewhere in src/ outside its own definition.  A public
+module-level function or class must be named outside its definition and
+outside tests/: referred to or imported by a module in src/ (the package
+``__init__`` included), or named as a word in the text of a perfbench/
+file, a demo, README.md or the CI workflow.  Methods are not scanned, since
+one method name (``zero``, ``order``, ``render``) is defined on several
+classes.  No parameter of a module-level ``_private`` function may take one
+value from every call: a literal, or a module-level name, that all of its
+calls (two or more) pass."""
 
 import ast
 import builtins
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PACKAGE = SRC / "crystaljet"
 MODULES = sorted(SRC.rglob("*.py"))
-PACKAGE_INIT = SRC / "crystaljet" / "__init__.py"
+PACKAGE_INIT = PACKAGE / "__init__.py"
 TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+# the files outside src/ and tests/ whose text can name a public definition
+CALLERS = sorted(path for path in [*(ROOT / "perfbench").rglob("*"), *(ROOT / "demos").rglob("*.py"),
+                                   ROOT / "README.md", ROOT / ".github" / "workflows" / "tier1.yml"]
+                 if path.is_file() and "__pycache__" not in path.parts)
 
 
 def unread_imports(tree):
@@ -68,6 +81,25 @@ def unreferenced(trees, definitions):
     everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
     return [(path, node.lineno, node.name) for path, node in definitions
             if everywhere[node.name] == referenced_names(node)[node.name]]
+
+
+def imported_names(tree):
+    """How often each name is imported by name (``from m import name``)."""
+    return Counter(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   for alias in node.names)
+
+
+def unnamed_public(trees, texts):
+    """(path, line, name) of each public module-level function or class
+    that no module refers to or imports outside the definition itself, and
+    that none of the texts names as a word."""
+    everywhere = sum((referenced_names(tree) + imported_names(tree) for tree in trees.values()),
+                     Counter())
+    return [(path, node.lineno, node.name) for path, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and everywhere[node.name] == referenced_names(node)[node.name]
+            and not any(re.search(rf"\b{node.name}\b", text) for text in texts)]
 
 
 def unreferenced_private(trees):
@@ -159,6 +191,21 @@ def test_the_walk_finds_exception_classes_that_nothing_names():
     assert [name for _, _, name in unreferenced({"m": tree}, found)] == ["Unraised"]
 
 
+def test_the_walk_finds_public_definitions_that_nothing_names():
+    lib = ast.parse("def imported():\n    pass\n"
+                    "class Read:\n    pass\n"
+                    "def in_text():\n    pass\n"
+                    "def recursive(n):\n    return recursive(n - 1) if n else Read\n"
+                    "class Unnamed:\n    def method(self):\n        return Unnamed\n"
+                    "def _private():\n    pass\n"
+                    "def twin():\n    pass\n")
+    user = ast.parse("from lib import imported\n")
+    texts = ["run in_text() first", "twin_a and a_twin are other names"]
+    found = unnamed_public({"lib": lib, "user": user}, texts)
+    # a method is not scanned, and _private is the other walk's
+    assert [name for _, _, name in found] == ["recursive", "Unnamed", "twin"]
+
+
 def test_the_walk_finds_a_parameter_that_every_call_gives_one_value():
     tree = ast.parse("LIMIT = 3\n"
                      "def _bounded(n, limit, error, *, strict):\n    return n\n"
@@ -198,3 +245,9 @@ def test_no_parameter_of_a_private_function_takes_one_value():
     fixed = [f"{path.relative_to(SRC)}:{line} {name}({param})"
              for path, line, name, param in one_value_parameters(TREES)]
     assert not fixed, f"parameters that every call passes the same value: {fixed}"
+
+
+def test_every_public_definition_is_named_outside_the_tests():
+    texts = [path.read_text(errors="replace") for path in CALLERS]
+    dead = [f"{path.relative_to(PACKAGE)} {name}" for path, _, name in unnamed_public(TREES, texts)]
+    assert not dead, f"public definitions that only tests/ names: {dead}"

@@ -198,17 +198,6 @@ def test_component_bordism_compare_hypotheses():
         component_bordism_compare(small, 0, 1, 1)
 
 
-def test_smooth_bordism_is_unknown_extension():
-    from crystaljet.bordism import unoriented_bordism
-    from crystaljet.pdeclass import UnknownExtension, smooth_bordism_extension
-
-    ricci = corpus("ricci_flow.desc")
-    ext = smooth_bordism_extension(ricci, 3)
-    assert isinstance(ext, UnknownExtension)
-    assert ext.quotient == unoriented_bordism(3)
-    assert ext.to_json_dict()["kernel"] == "unknown"
-
-
 def test_affine_bundle_base_reported_when_different():
     from crystaljet.pdeclass import weak_bordism_over_base
 
