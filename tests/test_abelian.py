@@ -182,21 +182,31 @@ def test_order_multiplicative():
         FgAbelianGroup.free(1).order()
 
 
-def test_tensor_and_tor():
-    z = FgAbelianGroup.cyclic
+def test_tensor_over_z2():
+    # (Z/2)^a (x) (Z/2)^b = (Z/2)^(ab); a factor that is not a Z/2 vector
+    # space is a tensor_product input like any other
     z2 = FgAbelianGroup.z2_power
-    assert tensor_product(z(2), z(3)).is_trivial()
-    assert tensor_product(z(0), z(6)) == z(6)
-    # (Z/2)^a (x) (Z/2)^b = (Z/2)^(ab)
     assert tensor_product(z2(2), z2(1)) == z2(2)
     assert tensor_product(z2(0), z2(3)) == z2(0)
     assert tensor_product(z2(3), z2(2)) == z2(6)
+    assert tensor_product(FgAbelianGroup.cyclic(4), z2(1)) == z2(1)
+
+
+def test_hom_group():
+    # Hom(A, B) = Tor(A, B) for finite A: Hom(Z/m, Z/n) = Z/gcd, Hom(Z/m, Z) = 0
+    z = FgAbelianGroup.cyclic
+    assert tor_product(z(2), z(2)) == z(2)
+    assert tor_product(z(4), z(6)) == z(2)  # gcd oracle
+    assert tor_product(FgAbelianGroup.z2_power(3), FgAbelianGroup.free(3)).is_trivial()
+
+
+def test_tensor_and_tor():
+    z = FgAbelianGroup.cyclic
+    assert tensor_product(z(2), z(3)).is_trivial()
+    assert tensor_product(z(0), z(6)) == z(6)
     assert tor_product(z(2), z(3)).is_trivial()
     assert tor_product(z(4), z(6)) == z(2)
     assert tor_product(FgAbelianGroup.free(2), z(6)).is_trivial()
-    # Hom(A, B) = Tor(A, B) for finite A: Hom(Z/m, Z/n) = Z/gcd, Hom(Z/m, Z) = 0
-    assert tor_product(z(2), z(2)) == z(2)
-    assert tor_product(z2(3), FgAbelianGroup.free(3)).is_trivial()
 
 
 # a group drawn as Z^free x the product of Z/o over its cyclic orders o,
