@@ -2,18 +2,25 @@
 abelian groups.
 
 Everything here works over arbitrary-precision integers; no floats, no
-rounding.  One in-place Hermite echelon (`_echelon`) does the lattice
-elimination: lattice bases, kernels, integer solves, coordinates in a
-lattice basis, and the Smith normal form, which alternates row and
-column echelons until the matrix is diagonal with its entries on a
-divisor chain.  A kernel is read from plain column vectors
-(`kernel_basis`), the form in which the cohomology stack builds its maps.
-The Smith form gives the invariant factors of a cokernel
-(`group_from_relations`), those of a list of cyclic orders (the Smith
-form of their diagonal matrix, `FgAbelianGroup.from_cyclic_orders`), and
-the unimodular U and V that `crystal.is_symmorphic` reads.  One torsion
-pairing, Z/m with Z/n to Z/gcd(m, n) (`tor_product`), gives Tor and the
-torsion part of the tensor product.
+rounding.  One in-place echelon (`_echelon`) does the lattice elimination:
+lattice bases, kernels, integer solves, coordinates in a lattice basis,
+and the Smith normal form, which alternates row and column echelons until
+the matrix is diagonal with its entries on a divisor chain.  Its rows are
+sparse, {column: value} with the zero entries absent, so a row update
+costs the entries it touches rather than the width; the public functions
+take and give tuples, and `kernel_basis`, `lattice_coordinates` and
+`lattice_from_generators` also take the sparse rows that the cohomology
+stack builds its resolutions in.  Clearing the entries above a pivot only
+rewrites the rows above it, so the rows past the rank (a kernel) and the
+pivots of the rest (all that membership reads) are the same without it;
+kernels and sparse spans skip it, and everything that reads a Hermite
+basis or the unimodular factors keeps it.  The Smith form gives the
+invariant factors of a cokernel (`group_from_relations`), those of a list
+of cyclic orders (the Smith form of their diagonal matrix,
+`FgAbelianGroup.from_cyclic_orders`), and the unimodular U and V that
+`crystal.is_symmorphic` reads.  One torsion pairing, Z/m with Z/n to
+Z/gcd(m, n) (`tor_product`), gives Tor and the torsion part of the tensor
+product.
 
 One fraction-free elimination (`bareiss`) gives determinants and the
 inverses of unimodular matrices here, and solves the jet layer's
@@ -184,22 +191,37 @@ def smith_normal_form(m: IntegerMatrix):
     entries, which stays too, so each i takes one such step at most.
     """
     rows, cols = m.rows, m.cols
-    a = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(m.entries)]
-    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    a = [{**_sparse(row), cols + i: 1} for i, row in enumerate(m.entries)]
+    vt = [{j: 1} for j in range(cols)]
     while True:
         _echelon(a, cols)
-        if all(not x for i, row in enumerate(a) for j, x in enumerate(row[:cols]) if i != j):
+        if all(j == i or j >= cols for i, row in enumerate(a) for j in row):
             i = next((i for i, j in combinations(range(min(rows, cols)), 2)
-                      if gcd(a[i][i], a[j][j]) != a[i][i]), None)
+                      if gcd(a[i].get(i, 0), a[j].get(j, 0)) != a[i].get(i, 0)), None)
             if i is None:
                 break
-            a[i] = [sum(col) for col in zip(*a[i:])]
-        at = [[row[j] for row in a] + vt[j] for j in range(cols)]
+            total = {}
+            for row in a[i:]:
+                for j, x in row.items():
+                    total[j] = total.get(j, 0) + x
+            a[i] = {j: x for j, x in total.items() if x}
+        at = [{rows + k: x for k, x in row.items()} for row in vt]
+        for i, row in enumerate(a):
+            for j, x in row.items():
+                if j < cols:
+                    at[j][i] = x
         _echelon(at, rows)
-        vt = [row[rows:] for row in at]
-        a = [[row[i] for row in at] + a[i][cols:] for i in range(rows)]
-    d = [a[i][i] for i in range(min(rows, cols))]
-    return d, IntegerMatrix([row[cols:] for row in a]), IntegerMatrix(zip(*vt))
+        a = [{j: x for j, x in row.items() if j >= cols} for row in a]
+        vt = [{} for _ in range(cols)]
+        for j, row in enumerate(at):
+            for i, x in row.items():
+                if i < rows:
+                    a[i][j] = x
+                else:
+                    vt[j][i - rows] = x
+    d = [a[i].get(i, 0) for i in range(min(rows, cols))]
+    return (d, IntegerMatrix([_dense(row, rows, cols) for row in a]),
+            IntegerMatrix([[v.get(i, 0) for v in vt] for i in range(cols)]))
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +229,54 @@ def smith_normal_form(m: IntegerMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _echelon(rows, width: int) -> list[int]:
-    """Bring `rows` to Hermite normal form on their first `width` columns by
-    unimodular row operations, in place, and return the pivot columns.
+def _sparse(v) -> dict:
+    """The nonzero entries of a sequence, as {index: value}."""
+    return {j: x for j, x in enumerate(v) if x}
 
-    Each pivot is positive, the entries below it are zero and the entries
-    above it lie in [0, pivot); the rows after the last pivot row are zero
-    on the first `width` columns.  Columns past `width` take part in every
-    row operation, so a block [A | I] comes out as [U*A | U].
+
+def _dense(row: dict, length: int, start: int = 0) -> tuple[int, ...]:
+    """Entries start .. start + length - 1 of a sparse row, as a tuple."""
+    out = [0] * length
+    for j, x in row.items():
+        if start <= j < start + length:
+            out[j - start] = x
+    return tuple(out)
+
+
+def _subtract(row: dict, q: int, other: dict):
+    """row -= q * other in place for q != 0, dropping the entries that cancel."""
+    for j, y in other.items():
+        x = row.get(j, 0) - q * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _echelon(rows, width: int, clear: bool = True) -> list[int]:
+    """Bring the sparse rows {column: value} to echelon form on their first
+    `width` columns by unimodular row operations, in place, and return the
+    pivot columns.
+
+    Each pivot is positive and the entries below it are zero; the rows
+    after the last pivot row are zero on the first `width` columns.  With
+    `clear`, the entries above each pivot are reduced into [0, pivot) as
+    well, which gives the Hermite normal form.  Columns past `width` take
+    part in every row operation, so a block [A | I] comes out as [U*A | U].
+
+    A pivot is taken at the first row of least |entry| below the pivot
+    rows, and the rows below it are reduced by Euclid quotients; clearing
+    only ever changes rows above the current pivot.  So the pivot columns,
+    the pivot values and every row from the rank on are the same with and
+    without `clear`, and the pivot rows span the same lattice: a kernel read
+    from the rows past the rank, or a membership test by substitution along
+    the pivots, does not depend on it.
     """
     pivots = []
     n = len(rows)
     for c in range(width):
         r = len(pivots)
-        below = [i for i in range(r, n) if rows[i][c]]
+        below = [i for i in range(r, n) if c in rows[i]]
         if not below:
             continue
         # Euclid down the column: every other row drops below the smallest
@@ -230,34 +286,42 @@ def _echelon(rows, width: int) -> list[int]:
             p = prow[c]
             for i in below:
                 if i != best:
-                    q = rows[i][c] // p
-                    rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
-            below = [i for i in below if rows[i][c]]
+                    _subtract(rows[i], rows[i][c] // p, prow)
+            below = [i for i in below if c in rows[i]]
         i = below[0]
-        prow = rows[i] if rows[i][c] > 0 else [-x for x in rows[i]]
+        prow = rows[i] if rows[i][c] > 0 else {j: -x for j, x in rows[i].items()}
         rows[i] = rows[r]
         rows[r] = prow
-        p = prow[c]
-        for i in range(r):
-            q = rows[i][c] // p
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
+        if clear:
+            p = prow[c]
+            for i in range(r):
+                q = rows[i].get(c, 0) // p
+                if q:
+                    _subtract(rows[i], q, prow)
         pivots.append(c)
     return pivots
 
 
-def kernel_basis(columns) -> list[tuple[int, ...]]:
+def kernel_basis(columns) -> list:
     """Basis of the integer relations {x : sum_j x_j * columns[j] = 0}.
 
-    With A the matrix of these columns, the Hermite form of the rows
+    With A the matrix of these columns, the echelon form of the rows
     [column_j | e_j] is U*[A^T | I]; its rows whose A^T part vanishes carry
     rows u of the unimodular U with u*A^T = 0, so they span the kernel of A
-    and it is saturated.
+    and it is saturated.  Those rows do not depend on clearing above the
+    pivots, so none is done.  Sequence columns give the basis as tuples;
+    sparse {row: value} columns give it as sparse dicts.
     """
-    height = len(columns[0]) if columns else 0
-    rows = [list(col) + [int(i == j) for j in range(len(columns))] for i, col in enumerate(columns)]
-    rank = len(_echelon(rows, height))
-    return [tuple(row[height:]) for row in rows[rank:]]
+    sparse = bool(columns) and isinstance(columns[0], dict)
+    if not sparse:
+        columns = [_sparse(col) for col in columns]
+    # the e_j block starts past the last nonzero entry of the columns
+    height = 1 + max((max(col, default=-1) for col in columns), default=-1)
+    rows = [{**col, height + i: 1} for i, col in enumerate(columns)]
+    rank = len(_echelon(rows, height, clear=False))
+    if sparse:
+        return [{j - height: x for j, x in row.items()} for row in rows[rank:]]
+    return [_dense(row, len(columns), height) for row in rows[rank:]]
 
 
 def lattice_coordinates(basis, v) -> list[int] | None:
@@ -265,22 +329,24 @@ def lattice_coordinates(basis, v) -> list[int] | None:
 
     `basis` is echelon rows with positive pivots (as `lattice_from_generators`
     returns them); the coordinates follow by substitution along the pivots.
-    Rows longer than v are read on v's columns only.
+    v and the rows are sequences, rows longer than v read on v's columns
+    only, or all sparse {column: value} dicts.
     """
-    v = list(v)
+    if isinstance(v, dict):
+        v = dict(v)
+    else:
+        basis = [_sparse(row[:len(v)]) for row in basis]
+        v = _sparse(v)
     y = []
-    c = 0
     for row in basis:
-        while not row[c]:
-            c += 1
-        q, rem = divmod(v[c], row[c])
+        c = min(row)
+        q, rem = divmod(v.get(c, 0), row[c])
         if rem:
             return None
         if q:
-            v = [x - q * w for x, w in zip(v, row)]
+            _subtract(v, q, row)
         y.append(q)
-        c += 1
-    return None if any(v) else y
+    return None if v else y
 
 
 def solve_integer(m: IntegerMatrix, b) -> tuple[int, ...] | None:
@@ -291,16 +357,17 @@ def solve_integer(m: IntegerMatrix, b) -> tuple[int, ...] | None:
     b = tuple(b)
     if len(b) != m.rows:
         raise ValueError("shape mismatch")
-    rows = [list(col) + [int(i == j) for j in range(m.cols)]
-            for i, col in enumerate(m.transpose().entries)]
-    y = lattice_coordinates(rows[:len(_echelon(rows, m.rows))], b)
+    rows = [{**_sparse(col), m.rows + i: 1} for i, col in enumerate(m.transpose().entries)]
+    rank = len(_echelon(rows, m.rows))
+    y = lattice_coordinates([{j: x for j, x in row.items() if j < m.rows} for row in rows[:rank]],
+                            _sparse(b))
     if y is None:
         return None
-    x = [0] * m.cols
+    x = {}
     for q, row in zip(y, rows):
         if q:
-            x = [a + q * u for a, u in zip(x, row[m.rows:])]
-    return tuple(x)
+            _subtract(x, -q, row)
+    return _dense(x, m.cols, m.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +517,22 @@ def tor_product(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-def lattice_from_generators(vectors, ambient: int) -> list[tuple[int, ...]]:
-    """Basis of the lattice spanned by `vectors` inside Z^ambient: the
-    nonzero rows of their Hermite normal form."""
-    rows = [list(v) for v in vectors if any(v)]
+def lattice_from_generators(vectors, ambient: int) -> list:
+    """Basis of the lattice spanned by `vectors` inside Z^ambient.
+
+    Sequences give the nonzero rows of their Hermite normal form, as tuples.
+    Sparse {column: value} dicts, the form the resolution build keeps its
+    vectors in, give the rows of an echelon form without clearing above
+    the pivots, as dicts: the same lattice and the same pivots, which is
+    all that membership by `lattice_coordinates` reads.
+    """
+    vectors = list(vectors)
+    if vectors and isinstance(vectors[0], dict):
+        rows = [dict(v) for v in vectors if v]
+        return rows[:len(_echelon(rows, ambient, clear=False))]
+    rows = [row for row in map(_sparse, vectors) if row]
     rank = len(_echelon(rows, ambient))
-    return [tuple(row) for row in rows[:rank]]
+    return [_dense(row, len(vectors[0])) for row in rows[:rank]]
 
 
 def quotient_group(sub_generators, sup_generators, ambient: int) -> FgAbelianGroup:
@@ -464,10 +541,10 @@ def quotient_group(sub_generators, sup_generators, ambient: int) -> FgAbelianGro
     Both generator lists live in Z^ambient; a sub generator off the sup
     lattice is refused with ValueError, also when sup is 0.
     """
-    sup_basis = lattice_from_generators(sup_generators, ambient)
+    sup_basis = [_sparse(row) for row in lattice_from_generators(sup_generators, ambient)]
     coords = []
-    for g in sub_generators:
-        if not any(g):
+    for g in map(_sparse, sub_generators):
+        if not g:
             continue
         x = lattice_coordinates(sup_basis, g)
         if x is None:

@@ -5,21 +5,27 @@ Cohomology is computed on a small free ZG-resolution of Z, built with
 integer linear algebra only (Ellis, "Computing group resolutions",
 J. Symb. Comp. 38, 2004): each kernel is found as a Z-lattice, and
 ZG-generators are taken from its basis until their orbits span it (a
-span of its rank with unit pivots is all of it).  With
-Hom_ZG(F_k, M) = M^{r_k}, each coboundary map is built as its r_k * rank
-columns (1, 3, 6, 10 for O_h) where the bar complex had (|G| - 1)^k * rank;
-the columns are the coboundaries, and the kernel routine reads them as they
-are.  Cocycles are an integer kernel, and the quotient by the coboundaries
-is read off in a Hermite basis of the cocycle lattice, whose relation matrix
-then goes through the Smith normal form.  Torsion coefficients are handled
-by carrying an explicit relation lattice next to each cochain group instead
-of switching to finite-field arithmetic.  Derivations are the 1-cocycles
-of the same resolution, carried to every group element along the edges of
+span of its rank with unit pivots is all of it).  The vectors of each F_k
+stay sparse, {index: value}, through the build: the kernels, the orbits
+and the spans, which are echelon bases not cleared above their pivots,
+since membership and the pivots are all the build reads of them.  Only the
+boundaries of the finished resolution are written out as dense tuples.
+With Hom_ZG(F_k, M) = M^{r_k}, each coboundary map is built as its
+r_k * rank columns (1, 3, 6, 10 for O_h) where the bar complex had
+(|G| - 1)^k * rank; the columns are the coboundaries, and the kernel
+routine reads them as they are.  Cocycles are an integer kernel, and the
+quotient by the coboundaries is read off in a Hermite basis of the
+cocycle lattice, whose relation matrix then goes through the Smith normal
+form.  Torsion coefficients are handled by carrying an explicit relation
+lattice next to each cochain group instead of switching to finite-field
+arithmetic.  Derivations are the 1-cocycles of the same resolution,
+carried to every group element along the edges of
 ``FiniteMatrixGroup.walk``; splitting classes are a transversal of them
 modulo the principal ones.  A module's action is one dict from element
 index to matrix, which each constructor builds; it is checked on the
-generators only: as a homomorphism on the products a*s, by induction on
-word length, and for invertibility and torsion on their matrices.
+generators only: as a homomorphism on the edges (a, s, a*s) of the same
+walk, by induction on word length, and for invertibility and torsion on
+their matrices.
 """
 
 from __future__ import annotations
@@ -54,8 +60,9 @@ class NotSplit(ValueError):
     pass
 
 
-# entries of the largest dense matrix built: a resolution's kernel or
-# orbit-span echelon, or a cochain matrix with its relations.  H^3 of
+# a bound on the rows x cols shape of each echelon: a resolution's kernel
+# or orbit-span echelon, or a cochain matrix with its relations.  The rows
+# are sparse, so the shape bounds the entries stored from above.  H^3 of
 # O_h peaks at 480 x 768 (the kernel echelon of d_3); a group of order
 # 3 840 is refused at the first step (3 839 x 3 840)
 COCHAIN_BOUND = 10_000_000
@@ -134,16 +141,16 @@ class GModule:
                 raise ValueError("action matrix of wrong size")
         # the generators suffice for the rest: for a homomorphism rho(a) rho(a^-1)
         # = rho(1) = I, and products of maps that keep the torsion relations keep them
-        gen_acts = [self.action[g.index_of(s)] for s in g.generators]
+        gen_index = [g.index_of(s) for s in g.generators]
+        gen_acts = [self.action[s] for s in gen_index]
         if not all(a.is_invertible_over_z() for a in gen_acts):
             raise ValueError("action matrices must be invertible over Z")
-        # rho(a s) = rho(a) rho(s) for every a and every generator s gives
-        # rho(a b) = rho(a) rho(b) by induction on a word for b, without the
-        # |G|^2 Cayley table
-        for s, act_s in zip(g.generators, gen_acts):
-            for i, a in enumerate(g.elements):
-                if self.action[i] * act_s != self.action[g.index_of(a * s)]:
-                    raise ValueError("action is not a homomorphism")
+        # rho(a s) = rho(a) rho(s) on every edge (a, s, a s) of the walk, that
+        # is for every a and every generator s, gives rho(a b) = rho(a) rho(b)
+        # by induction on a word for b, without the |G|^2 Cayley table
+        for a, s, b in g.walk(gen_index):
+            if self.action[a] * self.action[s] != self.action[b]:
+                raise ValueError("action is not a homomorphism")
         # torsion must be preserved: column j with factor d_j maps into the
         # relation lattice
         r = self.base.free_rank
@@ -180,38 +187,35 @@ class FreeResolution:
     boundaries: list
 
 
-def _orbit(g: FiniteMatrixGroup, v):
-    """The |G| translates h*v of a vector of some F_k."""
+def _orbit(g: FiniteMatrixGroup, v: dict):
+    """The |G| translates h*v of a sparse vector {index: value} of some F_k."""
     n = g.order
-    terms = [(idx - idx % n, idx % n, x) for idx, x in enumerate(v) if x]
-    out = []
-    for row in g.cayley:
-        w = [0] * len(v)
-        for base, h, x in terms:
-            w[base + row[h]] = x
-        out.append(w)
-    return out
+    terms = [(idx - idx % n, idx % n, x) for idx, x in v.items()]
+    return [{base + row[h]: x for base, h, x in terms} for row in g.cayley]
 
 
 def _orbit_generators(g: FiniteMatrixGroup, kernel, ambient: int):
-    """ZG-generators of a G-stable lattice given by a Z-basis.
+    """ZG-generators of a G-stable lattice given by a Z-basis of sparse
+    vectors.
 
     A basis vector, sparsest first, joins the generators when it is not yet
     in the Z-span of the orbits chosen so far, so the span ends up holding
     the basis: exactness at this step.  It stops early once the span's
-    Hermite basis is as long as the lattice basis with unit pivots, since
+    echelon basis is as long as the lattice basis with unit pivots, since
     substitution along those gives each lattice vector integer coordinates.
-    Sparse generators keep the entries of d at +-1 on the point groups and
-    the ranks small (3, 6, 10, 15 for O_h).
+    Both tests read only the span's lattice and its pivots, so the span is
+    kept as an echelon basis, not cleared above its pivots.  Sparse
+    generators keep the entries of d at +-1 on the point groups and the
+    ranks small (3, 6, 10, 15 for O_h).
     """
     span, gens = [], []
-    for v in sorted(kernel, key=lambda v: (len(v) - v.count(0), sum(map(abs, v)))):
+    for v in sorted(kernel, key=lambda v: (len(v), sum(map(abs, v.values())))):
         if lattice_coordinates(span, v) is not None:
             continue
         _check_size(len(span) + g.order, ambient)
         gens.append(v)
         span = lattice_from_generators(span + _orbit(g, v), ambient)
-        if len(span) == len(kernel) and all(next(filter(None, row)) == 1 for row in span):
+        if len(span) == len(kernel) and all(row[min(row)] == 1 for row in span):
             break
     return gens
 
@@ -219,17 +223,22 @@ def _orbit_generators(g: FiniteMatrixGroup, kernel, ambient: int):
 def free_resolution(g: FiniteMatrixGroup, length: int) -> FreeResolution:
     """A free ZG-resolution of Z up to F_length (Ellis, J. Symb. Comp. 38,
     2004): each F_{k+1} is free on ZG-generators of ker d_k, chosen among
-    the vectors of a Z-basis of that kernel."""
+    the vectors of a Z-basis of that kernel.  The vectors stay sparse
+    {index: value} dicts through the build and are written out dense in
+    ``boundaries``."""
     n = g.order
     e = g.identity_index
     # ker(augmentation) has the Z-basis g - 1
     _check_size(n - 1, n)
-    kernel = [tuple(int(h == a) - int(h == e) for h in range(n)) for a in range(n) if a != e]
+    kernel = [{a: 1, e: -1} for a in range(n) if a != e]
     ranks, boundaries = [1], []
     for k in range(length):
         gens = _orbit_generators(g, kernel, ranks[k] * n)
         ranks.append(len(gens))
-        boundaries.append(gens)
+        # each tuple from a list of known length, which CPython takes from its
+        # free list of that length; a tuple of a generator is grown from a
+        # guess and never does, so the free list would only ever fill
+        boundaries.append([tuple([v.get(i, 0) for i in range(ranks[k] * n)]) for v in gens])
         if k + 1 < length:
             rows, cols = ranks[k] * n, ranks[k + 1] * n
             _check_size(cols, rows + cols)

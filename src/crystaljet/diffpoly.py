@@ -413,11 +413,6 @@ class DiffOperator:
         self.coeffs = clean
 
     @classmethod
-    def derivative(cls, n: int, direction: int):
-        mu = tuple(1 if i == direction else 0 for i in range(n))
-        return cls(n, {mu: DiffPoly.constant(1)})
-
-    @classmethod
     def multiplication(cls, n: int, poly):
         return cls(n, {(0,) * n: _coerce(poly)})
 

@@ -9,14 +9,14 @@ check, here and in the CLI, reports its findings as ``TableMismatch``
 records in one ``ValidationReport``.
 
 Every group keeps its identity as element 0, so index 0 is the identity in
-every Cayley table and walk.  ``close_group`` and ``reach`` are each one
-breadth-first loop over a list that grows while it is read, so elements are
-numbered in breadth-first order from the identity.  Groups are named by
-one rule, a lookup of the order and the multiset of (det, trace) pairs of
-the elements.  Every finite subgroup of GL_3(Z) or GL_2(Z) is conjugate
-over Q to one of the 32 or 10 representatives (the geometric crystal
-classes; International Tables for Crystallography, Vol. A), that
-fingerprint is invariant under such conjugation, and the 42
+every Cayley table and walk.  ``close_group``, ``reach`` and ``walk`` are
+each one breadth-first loop over a list that grows while it is read, so
+elements are numbered in breadth-first order from the identity.  Groups
+are named by one rule, a lookup of the order and the multiset of
+(det, trace) pairs of the elements.  Every finite subgroup of GL_3(Z) or
+GL_2(Z) is conjugate over Q to one of the 32 or 10 representatives (the
+geometric crystal classes; International Tables for Crystallography,
+Vol. A), that fingerprint is invariant under such conjugation, and the 42
 representatives have 42 distinct fingerprints, so the lookup names every
 finite group in dimensions 2 and 3.
 """
@@ -66,6 +66,7 @@ class FiniteMatrixGroup:
         self.name = name
         self._index = {m: i for i, m in enumerate(self.elements)}
         self._cayley = None
+        self._columns = {}
 
     @property
     def order(self) -> int:
@@ -105,11 +106,27 @@ class FiniteMatrixGroup:
                     reached.append(b)
         return reached
 
+    def _column(self, s: int) -> list:
+        """The indices of a*s for every element index a: column s of the
+        Cayley table, read off the table when it is built and otherwise
+        formed as |G| products, and kept either way."""
+        col = self._columns.get(s)
+        if col is None:
+            if self._cayley is not None:
+                col = [row[s] for row in self._cayley]
+            else:
+                m, index = self.elements[s], self._index
+                col = [index[a * m] for a in self.elements]
+            self._columns[s] = col
+        return col
+
     def walk(self, generators):
         """Every edge (a, s, a*s) of the Cayley graph on the generator
-        indices, read off ``reach``: for each reached a in breadth-first
-        order, one edge per generator, so a is reached before any edge
-        leaving it.
+        indices: for each reached a in breadth-first order (that of
+        ``reach``), one edge per generator, so a is reached before any edge
+        leaving it.  The edges are read off the generators' columns of the
+        Cayley table (``_column``), so a walk takes |G| products per
+        generator, once per group, and never builds the |G|^2 table.
 
         This licenses induction on word length: a rule for f(a*s) in terms
         of f(a) and s that holds on every edge holds for every product of
@@ -117,11 +134,17 @@ class FiniteMatrixGroup:
         rule is checked on these edges alone (the orbit algorithm, Holt,
         Eick & O'Brien, Handbook of Computational Group Theory, 2005, 4.1).
         """
-        cay, generators = self.cayley, list(generators)
-        for a in self.reach(generators):
-            row = cay[a]
-            for s in generators:
-                yield a, s, row[s]
+        generators = list(generators)
+        columns = [self._column(s) for s in generators]
+        reached = [self.identity_index]
+        seen = set(reached)
+        for a in reached:  # grows while it is read: a breadth-first queue
+            for s, col in zip(generators, columns):
+                b = col[a]
+                yield a, s, b
+                if b not in seen:
+                    seen.add(b)
+                    reached.append(b)
 
     def conjugated(self, p: IntegerMatrix) -> "FiniteMatrixGroup":
         """The group p G p^-1 for unimodular p (same abstract group)."""

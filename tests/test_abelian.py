@@ -457,13 +457,79 @@ def test_inverse_unimodular(case):
     assert a.inverse_unimodular() == hermite_inverse(a)
 
 
+def dense_echelon(rows, width):
+    """The Hermite echelon on dense rows, as the library ran it before its
+    rows became sparse: the oracle of `_echelon`.  The same pivot choice
+    (the first row of least |entry|), Euclid quotients, row swaps and
+    above-pivot clearing, each row update across the full width."""
+    pivots = []
+    n = len(rows)
+    for c in range(width):
+        r = len(pivots)
+        below = [i for i in range(r, n) if rows[i][c]]
+        if not below:
+            continue
+        while len(below) > 1:
+            best = min(below, key=lambda i: abs(rows[i][c]))
+            prow = rows[best]
+            p = prow[c]
+            for i in below:
+                if i != best:
+                    q = rows[i][c] // p
+                    rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
+            below = [i for i in below if rows[i][c]]
+        i = below[0]
+        prow = rows[i] if rows[i][c] > 0 else [-x for x in rows[i]]
+        rows[i] = rows[r]
+        rows[r] = prow
+        p = prow[c]
+        for i in range(r):
+            q = rows[i][c] // p
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+    return pivots
+
+
 def hermite_inverse(a):
     """The inverse from a Hermite echelon: the Hermite form of a unimodular
     A is I, so that of [A | I] is [I | A^-1]."""
     n = a.rows
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.entries)]
-    _echelon(rows, n)
+    dense_echelon(rows, n)
     return IntegerMatrix([row[n:] for row in rows], n)
+
+
+def sparse_echelon(rows, width, clear):
+    """`_echelon` on the sparse form of dense rows, read back dense."""
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    pivots = _echelon(sparse, width, clear=clear)
+    return [[row.get(j, 0) for j in range(len(r))] for row, r in zip(sparse, rows)], pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda width: st.lists(
+    st.lists(st.integers(-9, 9), min_size=width, max_size=width), max_size=6)
+    .map(lambda a: (width, [row + [int(i == j) for j in range(len(a))]
+                            for i, row in enumerate(a)]))))
+@example((2, [[2, 4, 1, 0], [2, 3, 0, 1]]))  # a tie for least |entry|
+@example((2, [[0, 6, 1, 0, 0], [0, 4, 0, 1, 0], [3, 5, 0, 0, 1]]))  # a zero column
+def test_sparse_echelon_is_the_dense_oracle(case):
+    # [A | I] rows: with clearing, the sparse echelon is the oracle row for
+    # row; without, the pivots, the rows from the rank on and the lattice of
+    # the pivot rows stay
+    width, rows = case
+    want = deepcopy(rows)
+    pivots = dense_echelon(want, width)
+    assert sparse_echelon(rows, width, True) == (want, pivots)
+    got, got_pivots = sparse_echelon(rows, width, False)
+    rank = len(pivots)
+    assert got_pivots == pivots
+    assert [row[c] for row, c in zip(got, pivots)] == [row[c] for row, c in zip(want, pivots)]
+    assert got[rank:] == want[rank:]
+    ambient = len(rows[0]) if rows else 0
+    assert (lattice_from_generators(got[:rank], ambient)
+            == lattice_from_generators(want[:rank], ambient))
 
 
 @settings(max_examples=200, deadline=None)

@@ -204,6 +204,16 @@ def test_walk_reaches_every_element_once_breadth_first():
     assert [b for _, _, b in g.walk([])] == []
 
 
+def test_walk_forms_the_table_edges_before_the_table_is_built():
+    # a fresh group has no Cayley table, so its walk forms the generators'
+    # columns as products; the edges are those read off the table
+    g = close_group(point_group("O_h").generators)
+    gens = [g.index_of(s) for s in g.generators]
+    by_products = list(g.walk(gens))
+    assert g._cayley is None
+    assert by_products == list(_inline_walk(g, gens)) == list(g.walk(gens))
+
+
 def test_all_computed_lattices_satisfy_lagrange():
     for name, g in point_groups().items():
         for rec in enumerate_subgroups(g):
@@ -261,8 +271,8 @@ def test_subgroup_records_are_in_a_total_order():
 
 
 def _inline_walk(g, generators):
-    """The Cayley-graph walk as one inline loop, yielding each edge as it
-    is found: the oracle for ``walk`` over ``reach``."""
+    """The Cayley-graph walk as one inline loop over the Cayley table,
+    yielding each edge as it is found: the oracle for ``walk``."""
     cay, generators = g.cayley, list(generators)
     reached = [g.identity_index]
     seen = set(reached)
