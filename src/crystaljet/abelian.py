@@ -200,11 +200,8 @@ def smith_normal_form(m: IntegerMatrix):
                       if gcd(a[i].get(i, 0), a[j].get(j, 0)) != a[i].get(i, 0)), None)
             if i is None:
                 break
-            total = {}
-            for row in a[i:]:
-                for j, x in row.items():
-                    total[j] = total.get(j, 0) + x
-            a[i] = {j: x for j, x in total.items() if x}
+            for row in a[i + 1:]:
+                _subtract(a[i], -1, row)
         at = [{rows + k: x for k, x in row.items()} for row in vt]
         for i, row in enumerate(a):
             for j, x in row.items():
