@@ -8,13 +8,16 @@ and the Smith normal form, which alternates row and column echelons until
 the matrix is diagonal with its entries on a divisor chain.  Its rows are
 sparse, {column: value} with the zero entries absent, so a row update
 costs the entries it touches rather than the width; the public functions
-take and give tuples, and `kernel_basis`, `lattice_coordinates` and
-`lattice_from_generators` also take the sparse rows that the cohomology
-stack builds its resolutions in.  Clearing the entries above a pivot only
-rewrites the rows above it, so the rows past the rank (a kernel) and the
-pivots of the rest (all that membership reads) are the same without it;
-kernels and sparse spans skip it, and everything that reads a Hermite
-basis or the unimodular factors keeps it.  The Smith form gives the
+take and give tuples, and `kernel_basis` and `lattice_coordinates` also
+take sparse rows, the form the cohomology stack builds its resolutions in.
+Clearing the entries above a pivot only rewrites the rows above it, so
+the rows past the rank (a kernel) and the pivots of the rest (all that
+membership reads) are the same without it; kernels skip it, and
+everything that reads a Hermite basis or the unimodular factors keeps it.
+A span that grows one vector at a time is kept as a pivot table instead,
+{pivot column: echelon row}, into which `_join` adds each vector by
+reduction along the pivots and a Euclid step where it meets one, and
+along which `_reduce` tests membership.  The Smith form gives the
 invariant factors of a cokernel (`group_from_relations`), those of a list
 of cyclic orders (the Smith form of their diagonal matrix,
 `FgAbelianGroup.from_cyclic_orders`), and the unimodular U and V that
@@ -55,7 +58,10 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols=None):
-        entries = tuple(tuple(map(operator.index, row)) for row in entries)
+        # each tuple from a list, which CPython takes from its free list of
+        # that length; a tuple of a map or a generator is grown from a guess
+        # and never does, so the free lists would only ever fill
+        entries = tuple([tuple(list(map(operator.index, row))) for row in entries])
         self.rows = len(entries)
         if cols is None:
             cols = len(entries[0]) if entries else 0
@@ -299,6 +305,41 @@ def _echelon(rows, width: int, clear: bool = True) -> list[int]:
     return pivots
 
 
+def _reduce(pivots: dict, v: dict) -> dict:
+    """Reduce the sparse vector v along the echelon rows `pivots` {pivot
+    column: row}, in place, by floor quotients at its leading column until
+    that column has no pivot or an entry the pivot does not divide, and
+    return what is left: empty exactly when v lies in the rows' lattice."""
+    while v:
+        c = min(v)
+        row = pivots.get(c)
+        if row is None:
+            break
+        q = v[c] // row[c]
+        if q:
+            _subtract(v, q, row)
+        if c in v:
+            break
+    return v
+
+
+def _join(pivots: dict, v: dict) -> int:
+    """Join the sparse vector v to the lattice of the echelon rows `pivots`
+    {pivot column: row}, in place, and return by how much the number of
+    pivots other than 1 grew.  What `_reduce` leaves of v takes its leading
+    column, with a positive entry; the pivot row it displaces goes on down
+    in its place, so two rows that meet at a column run Euclid's algorithm."""
+    grew = 0
+    while v := _reduce(pivots, v):
+        c = min(v)
+        if v[c] < 0:
+            v = {j: -x for j, x in v.items()}
+        old = pivots.get(c, {})
+        grew += (v[c] != 1) - (old.get(c, 1) != 1)
+        pivots[c], v = v, old
+    return grew
+
+
 def kernel_basis(columns) -> list:
     """Basis of the integer relations {x : sum_j x_j * columns[j] = 0}.
 
@@ -515,18 +556,9 @@ def tor_product(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
 
 
 def lattice_from_generators(vectors, ambient: int) -> list:
-    """Basis of the lattice spanned by `vectors` inside Z^ambient.
-
-    Sequences give the nonzero rows of their Hermite normal form, as tuples.
-    Sparse {column: value} dicts, the form the resolution build keeps its
-    vectors in, give the rows of an echelon form without clearing above
-    the pivots, as dicts: the same lattice and the same pivots, which is
-    all that membership by `lattice_coordinates` reads.
-    """
+    """Basis of the lattice spanned by the sequences `vectors` inside
+    Z^ambient: the nonzero rows of their Hermite normal form, as tuples."""
     vectors = list(vectors)
-    if vectors and isinstance(vectors[0], dict):
-        rows = [dict(v) for v in vectors if v]
-        return rows[:len(_echelon(rows, ambient, clear=False))]
     rows = [row for row in map(_sparse, vectors) if row]
     rank = len(_echelon(rows, ambient))
     return [_dense(row, len(vectors[0])) for row in rows[:rank]]
@@ -536,9 +568,12 @@ def quotient_group(sub_generators, sup_generators, ambient: int) -> FgAbelianGro
     """Canonical form of (lattice generated by sup) / (lattice generated by sub).
 
     Both generator lists live in Z^ambient; a sub generator off the sup
-    lattice is refused with ValueError, also when sup is 0.
+    lattice is refused with ValueError, also when sup is 0.  The sub
+    generators' coordinates are read in the sup lattice's Hermite basis,
+    kept as the sparse rows of its one echelon.
     """
-    sup_basis = [_sparse(row) for row in lattice_from_generators(sup_generators, ambient)]
+    sup_basis = [row for row in map(_sparse, sup_generators) if row]
+    sup_basis = sup_basis[:len(_echelon(sup_basis, ambient))]
     coords = []
     for g in map(_sparse, sub_generators):
         if not g:

@@ -7,9 +7,11 @@ J. Symb. Comp. 38, 2004): each kernel is found as a Z-lattice, and
 ZG-generators are taken from its basis until their orbits span it (a
 span of its rank with unit pivots is all of it).  The vectors of each F_k
 stay sparse, {index: value}, through the build: the kernels, the orbits
-and the spans, which are echelon bases not cleared above their pivots,
-since membership and the pivots are all the build reads of them.  Only the
-boundaries of the finished resolution are written out as dense tuples.
+and the span.  Each step keeps its span as one pivot table, {pivot
+column: echelon row}, into which every orbit vector is joined once and
+which is never re-echeloned; membership is a reduction along the same
+pivots.  Only the boundaries of the finished resolution are written out as
+dense tuples.
 With Hom_ZG(F_k, M) = M^{r_k}, each coboundary map is built as its
 r_k * rank columns (1, 3, 6, 10 for O_h) where the bar complex had
 (|G| - 1)^k * rank; the columns are the coboundaries, and the kernel
@@ -36,6 +38,8 @@ from itertools import product as iproduct
 from .abelian import (
     FgAbelianGroup,
     IntegerMatrix,
+    _join,
+    _reduce,
     direct_sum,
     kernel_basis,
     lattice_coordinates,
@@ -61,10 +65,11 @@ class NotSplit(ValueError):
 
 
 # a bound on the rows x cols shape of each echelon: a resolution's kernel
-# or orbit-span echelon, or a cochain matrix with its relations.  The rows
-# are sparse, so the shape bounds the entries stored from above.  H^3 of
-# O_h peaks at 480 x 768 (the kernel echelon of d_3); a group of order
-# 3 840 is refused at the first step (3 839 x 3 840)
+# echelon, a cochain matrix with its relations, or a step's orbit span as a
+# generator's orbit is about to join it (the span's pivots plus |G| rows).
+# The rows are sparse, so the shape bounds the entries stored from above.
+# H^3 of O_h peaks at 480 x 768 (the kernel echelon of d_3); a group of
+# order 3 840 is refused at the first step (3 839 x 3 840)
 COCHAIN_BOUND = 10_000_000
 
 
@@ -200,23 +205,32 @@ def _orbit_generators(g: FiniteMatrixGroup, kernel, ambient: int):
 
     A basis vector, sparsest first, joins the generators when it is not yet
     in the Z-span of the orbits chosen so far, so the span ends up holding
-    the basis: exactness at this step.  It stops early once the span's
-    echelon basis is as long as the lattice basis with unit pivots, since
-    substitution along those gives each lattice vector integer coordinates.
-    Both tests read only the span's lattice and its pivots, so the span is
-    kept as an echelon basis, not cleared above its pivots.  Sparse
-    generators keep the entries of d at +-1 on the point groups and the
-    ranks small (3, 6, 10, 15 for O_h).
+    the basis: exactness at this step.  The span is one pivot table for the
+    whole step, {pivot column: echelon row}: each vector of a new orbit is
+    joined into it once (`abelian._join`), and membership reduces along
+    the same pivots (`abelian._reduce`).  The pivot columns and values of
+    an echelon basis are the Hermite diagonal of its lattice, so every
+    answer is the one a fresh echelon of the span would give.
+
+    The build stops once the span has as many pivots as the lattice basis
+    has vectors, all of them 1: substitution along unit pivots then gives
+    every lattice vector integer coordinates, so the span is the whole
+    lattice.  That is checked after each join, with a running count of the
+    pivots other than 1; the orbit vectors not yet joined lie in the
+    lattice, hence in the span, so leaving them out mid-orbit changes
+    nothing.  Sparse generators keep the entries of d at +-1 on the point
+    groups and the ranks small (3, 6, 10, 15 for O_h).
     """
-    span, gens = [], []
+    pivots, gens, non_unit = {}, [], 0
     for v in sorted(kernel, key=lambda v: (len(v), sum(map(abs, v.values())))):
-        if lattice_coordinates(span, v) is not None:
+        if not _reduce(pivots, dict(v)):
             continue
-        _check_size(len(span) + g.order, ambient)
+        _check_size(len(pivots) + g.order, ambient)
         gens.append(v)
-        span = lattice_from_generators(span + _orbit(g, v), ambient)
-        if len(span) == len(kernel) and all(row[min(row)] == 1 for row in span):
-            break
+        for w in _orbit(g, v):
+            non_unit += _join(pivots, w)
+            if len(pivots) == len(kernel) and not non_unit:
+                return gens
     return gens
 
 

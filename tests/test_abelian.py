@@ -13,6 +13,8 @@ from crystaljet.abelian import (
     InfiniteGroup,
     IntegerMatrix,
     _echelon,
+    _join,
+    _reduce,
     bareiss,
     direct_sum,
     group_from_relations,
@@ -530,6 +532,41 @@ def test_sparse_echelon_is_the_dense_oracle(case):
     ambient = len(rows[0]) if rows else 0
     assert (lattice_from_generators(got[:rank], ambient)
             == lattice_from_generators(want[:rank], ambient))
+
+
+# sparse vectors on 5 columns, the zero vector and negative leading entries
+# included; a drawn list repeats a vector often enough
+sparse_vectors = st.dictionaries(st.integers(0, 4), st.integers(-9, 9).filter(bool), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(sparse_vectors, max_size=8), st.lists(sparse_vectors, max_size=4))
+@example([{0: 4, 2: 1}, {0: 3, 1: -1}], [{0: 1, 1: -1, 2: -1}])  # 3 < 4: Euclid swaps
+@example([{}, {1: -2, 3: 5}, {1: -2, 3: 5}, {}], [{1: 2, 3: -5}, {1: 1}])  # zeros, repeats
+@example([{0: 6, 1: 1}, {0: 4}, {0: 9, 4: 2}], [{0: 1}, {0: 2, 1: 1}])  # gcd of three
+def test_joining_one_vector_at_a_time_is_the_echelon_of_all(vectors, probes):
+    # the pivot table joined one vector at a time has the pivots of the echelon
+    # of all the vectors at once, the same lattice, and the same membership
+    width = 5
+    pivots, non_unit = {}, 0
+    for v in vectors:
+        non_unit += _join(pivots, dict(v))
+    assert non_unit == sum(row[c] != 1 for c, row in pivots.items())
+    for c, row in pivots.items():
+        assert min(row) == c and row[c] > 0
+    rows = [dict(v) for v in vectors if v]
+    columns = _echelon(rows, width, clear=False)
+    assert sorted(pivots) == columns
+    assert [pivots[c][c] for c in columns] == [row[c] for row, c in zip(rows, columns)]
+
+    def dense(v):
+        return tuple(v.get(j, 0) for j in range(width))
+
+    hermite = lattice_from_generators(map(dense, vectors), width)
+    assert lattice_from_generators(map(dense, pivots.values()), width) == hermite
+    for w in [*vectors, *probes]:
+        member = lattice_coordinates(hermite, dense(w)) is not None
+        assert (not _reduce(pivots, dict(w))) == member
 
 
 @settings(max_examples=200, deadline=None)

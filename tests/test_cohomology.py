@@ -6,7 +6,14 @@ import pytest
 
 from test_resolution import bar_cohomology
 
-from crystaljet.abelian import FgAbelianGroup, IntegerMatrix, group_from_relations, quotient_group
+from crystaljet import cohomology
+from crystaljet.abelian import (
+    FgAbelianGroup,
+    IntegerMatrix,
+    group_from_relations,
+    kernel_basis,
+    quotient_group,
+)
 from crystaljet.cohomology import (
     CochainBoundExceeded,
     DegreeTooHigh,
@@ -14,6 +21,8 @@ from crystaljet.cohomology import (
     NotSplit,
     _block_relations,
     _cochain_columns,
+    _orbit,
+    _orbit_generators,
     _preimage_lattice,
     derivations,
     free_resolution,
@@ -193,6 +202,28 @@ def test_degree_and_size_guards():
         with pytest.raises(CochainBoundExceeded, match="3839 x 3840 matrix exceeds the bound"):
             compute()
         assert time.perf_counter() - start < 1
+
+
+def test_the_span_bound_refuses_the_shape_of_the_span_and_its_next_orbit(monkeypatch):
+    # before each generator joins, the span's rank plus |G| rows are checked
+    # against the ambient width: for O_h, the third generator of the first
+    # step meets a span of rank 46 (94 x 48), and the sixth of the second
+    # step one of rank 90 (138 x 144); one entry below either shape refuses it
+    g = point_group("O_h")
+    first, second = free_resolution(g, 1), free_resolution(g, 2)
+    monkeypatch.setattr(cohomology, "COCHAIN_BOUND", 94 * 48)
+    assert free_resolution(g, 1) == first
+    monkeypatch.setattr(cohomology, "COCHAIN_BOUND", 94 * 48 - 1)
+    with pytest.raises(CochainBoundExceeded, match="^94 x 48 matrix exceeds the bound of 4511 "):
+        free_resolution(g, 1)
+    gens = [{i: x for i, x in enumerate(v) if x} for v in first.boundaries[0]]
+    kernel = kernel_basis([w for v in gens for w in _orbit(g, v)])
+    monkeypatch.setattr(cohomology, "COCHAIN_BOUND", 138 * 144)
+    assert _orbit_generators(g, kernel, 144) == [
+        {i: x for i, x in enumerate(v) if x} for v in second.boundaries[1]]
+    monkeypatch.setattr(cohomology, "COCHAIN_BOUND", 138 * 144 - 1)
+    with pytest.raises(CochainBoundExceeded, match="^138 x 144 matrix exceeds the bound of 19871 "):
+        _orbit_generators(g, kernel, 144)
 
 
 def test_module_must_be_over_the_same_group():
