@@ -5,19 +5,20 @@ Everything here works over arbitrary-precision integers; no floats, no
 rounding.  One in-place echelon (`_echelon`) does the lattice elimination:
 lattice bases, kernels, integer solves, coordinates in a lattice basis,
 and the Smith normal form, which alternates row and column echelons until
-the matrix is diagonal with its entries on a divisor chain.  Its rows are
-sparse, {column: value} with the zero entries absent, so a row update
-costs the entries it touches rather than the width; the public functions
-take and give tuples, and `kernel_basis` and `lattice_coordinates` also
-take sparse rows, the form the cohomology stack builds its resolutions in.
+the matrix is diagonal with its entries on a divisor chain.  Every lattice
+vector is sparse, {index: value} with no zero entries, so a row update
+costs the entries it touches rather than the width; the lattice functions
+take and give only that form, and `IntegerMatrix`, which
+`smith_normal_form` and `solve_integer` read, is the one dense edge.
 Clearing the entries above a pivot only rewrites the rows above it, so
 the rows past the rank (a kernel) and the pivots of the rest (all that
 membership reads) are the same without it; kernels skip it, and
 everything that reads a Hermite basis or the unimodular factors keeps it.
-A span that grows one vector at a time is kept as a pivot table instead,
-{pivot column: echelon row}, into which `_join` adds each vector by
-reduction along the pivots and a Euclid step where it meets one, and
-along which `_reduce` tests membership.  The Smith form gives the
+A lattice basis is a pivot table, {pivot column: echelon row}, in Hermite
+form from `lattice_from_generators`; a span that grows one vector at a
+time keeps one, into which `_join` adds each vector by reduction along
+the pivots and a Euclid step where it meets one, and along which
+`_reduce` tests membership.  The Smith form gives the
 invariant factors of a cokernel (`group_from_relations`), those of a list
 of cyclic orders (the Smith form of their diagonal matrix,
 `FgAbelianGroup.from_cyclic_orders`), and the unimodular U and V that
@@ -93,7 +94,7 @@ class IntegerMatrix:
         return self.entries[i][j]
 
     def col(self, j):
-        return tuple(row[j] for row in self.entries)
+        return tuple([row[j] for row in self.entries])
 
     def transpose(self):
         return IntegerMatrix(zip(*self.entries) if self.rows else [()] * self.cols, self.rows)
@@ -123,7 +124,7 @@ class IntegerMatrix:
         """Matrix times column vector (any scalar type supporting * and +)."""
         if len(vector) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum(a * v for a, v in zip(row, vector)) for row in self.entries)
+        return tuple([sum(a * v for a, v in zip(row, vector)) for row in self.entries])
 
     def determinant(self):
         """Exact determinant, sign * d from `bareiss`."""
@@ -340,50 +341,39 @@ def _join(pivots: dict, v: dict) -> int:
     return grew
 
 
-def kernel_basis(columns) -> list:
-    """Basis of the integer relations {x : sum_j x_j * columns[j] = 0}.
+def kernel_basis(columns) -> list[dict]:
+    """Basis of the integer relations {x : sum_j x_j * columns[j] = 0} among
+    the sparse columns {row: value}, as sparse vectors {j: x_j}.
 
     With A the matrix of these columns, the echelon form of the rows
     [column_j | e_j] is U*[A^T | I]; its rows whose A^T part vanishes carry
     rows u of the unimodular U with u*A^T = 0, so they span the kernel of A
     and it is saturated.  Those rows do not depend on clearing above the
-    pivots, so none is done.  Sequence columns give the basis as tuples;
-    sparse {row: value} columns give it as sparse dicts.
+    pivots, so none is done.
     """
-    sparse = bool(columns) and isinstance(columns[0], dict)
-    if not sparse:
-        columns = [_sparse(col) for col in columns]
     # the e_j block starts past the last nonzero entry of the columns
     height = 1 + max((max(col, default=-1) for col in columns), default=-1)
     rows = [{**col, height + i: 1} for i, col in enumerate(columns)]
     rank = len(_echelon(rows, height, clear=False))
-    if sparse:
-        return [{j - height: x for j, x in row.items()} for row in rows[rank:]]
-    return [_dense(row, len(columns), height) for row in rows[rank:]]
+    return [{j - height: x for j, x in row.items()} for row in rows[rank:]]
 
 
-def lattice_coordinates(basis, v) -> list[int] | None:
-    """y with v = sum_k y_k * basis[k], or None when v is off the lattice.
+def lattice_coordinates(basis: dict, v: dict) -> dict | None:
+    """y with v = sum_c y[c] * basis[c] as a sparse vector {pivot column:
+    y[c]}, or None when v is off the lattice.
 
-    `basis` is echelon rows with positive pivots (as `lattice_from_generators`
-    returns them); the coordinates follow by substitution along the pivots.
-    v and the rows are sequences, rows longer than v read on v's columns
-    only, or all sparse {column: value} dicts.
+    `basis` is a pivot table in increasing pivot order with positive pivots
+    (as `lattice_from_generators` returns it); the coordinates follow by
+    substitution along the pivots.
     """
-    if isinstance(v, dict):
-        v = dict(v)
-    else:
-        basis = [_sparse(row[:len(v)]) for row in basis]
-        v = _sparse(v)
-    y = []
-    for row in basis:
-        c = min(row)
+    v, y = dict(v), {}
+    for c, row in basis.items():
         q, rem = divmod(v.get(c, 0), row[c])
         if rem:
             return None
         if q:
             _subtract(v, q, row)
-        y.append(q)
+            y[c] = q
     return None if v else y
 
 
@@ -396,15 +386,14 @@ def solve_integer(m: IntegerMatrix, b) -> tuple[int, ...] | None:
     if len(b) != m.rows:
         raise ValueError("shape mismatch")
     rows = [{**_sparse(col), m.rows + i: 1} for i, col in enumerate(m.transpose().entries)]
-    rank = len(_echelon(rows, m.rows))
-    y = lattice_coordinates([{j: x for j, x in row.items() if j < m.rows} for row in rows[:rank]],
-                            _sparse(b))
+    table = dict(zip(_echelon(rows, m.rows), rows))
+    y = lattice_coordinates({c: {j: x for j, x in row.items() if j < m.rows}
+                             for c, row in table.items()}, _sparse(b))
     if y is None:
         return None
     x = {}
-    for q, row in zip(y, rows):
-        if q:
-            _subtract(x, -q, row)
+    for c, q in y.items():
+        _subtract(x, -q, table[c])
     return _dense(x, m.cols, m.rows)
 
 
@@ -427,7 +416,7 @@ class FgAbelianGroup:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        facs = tuple(int(d) for d in self.invariant_factors)
+        facs = tuple([int(d) for d in self.invariant_factors])
         if any(d < 2 for d in facs):
             raise ValueError("invariant factors must be >= 2")
         for a, b in zip(facs, facs[1:]):
@@ -462,7 +451,7 @@ class FgAbelianGroup:
         """Z^free_rank x the product of Z/o over `orders`; orders <= 1 add
         nothing.  The invariant factors are the Smith form of diag(orders)."""
         d, _, _ = smith_normal_form(IntegerMatrix.diagonal([o for o in orders if o > 1]))
-        return cls(free_rank, tuple(x for x in d if x > 1))
+        return cls(free_rank, tuple([x for x in d if x > 1]))
 
     # -- basic structure ----------------------------------------------
     def is_trivial(self):
@@ -532,7 +521,7 @@ def group_from_relations(generators: int, relations: IntegerMatrix) -> FgAbelian
         raise ValueError("relation matrix must have `generators` columns")
     d, _, _ = smith_normal_form(relations)
     rank = sum(1 for x in d if x)
-    return FgAbelianGroup(generators - rank, tuple(x for x in d if x > 1))
+    return FgAbelianGroup(generators - rank, tuple([x for x in d if x > 1]))
 
 
 def tensor_product(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
@@ -555,31 +544,26 @@ def tor_product(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-def lattice_from_generators(vectors, ambient: int) -> list:
-    """Basis of the lattice spanned by the sequences `vectors` inside
-    Z^ambient: the nonzero rows of their Hermite normal form, as tuples."""
-    vectors = list(vectors)
-    rows = [row for row in map(_sparse, vectors) if row]
-    rank = len(_echelon(rows, ambient))
-    return [_dense(row, len(vectors[0])) for row in rows[:rank]]
+def lattice_from_generators(vectors, ambient: int) -> dict:
+    """Hermite basis of the lattice spanned by the sparse `vectors` inside
+    Z^ambient, as its pivot table {pivot column: Hermite row}."""
+    rows = [dict(v) for v in vectors if v]
+    return dict(zip(_echelon(rows, ambient), rows))
 
 
 def quotient_group(sub_generators, sup_generators, ambient: int) -> FgAbelianGroup:
     """Canonical form of (lattice generated by sup) / (lattice generated by sub).
 
-    Both generator lists live in Z^ambient; a sub generator off the sup
-    lattice is refused with ValueError, also when sup is 0.  The sub
-    generators' coordinates are read in the sup lattice's Hermite basis,
-    kept as the sparse rows of its one echelon.
+    Both generator lists are sparse vectors in Z^ambient; a sub generator
+    off the sup lattice is refused with ValueError, also when sup is 0.
+    The sub generators' coordinates in the sup lattice's Hermite basis are
+    the relations, one column per pivot.
     """
-    sup_basis = [row for row in map(_sparse, sup_generators) if row]
-    sup_basis = sup_basis[:len(_echelon(sup_basis, ambient))]
+    basis = lattice_from_generators(sup_generators, ambient)
     coords = []
-    for g in map(_sparse, sub_generators):
-        if not g:
-            continue
-        x = lattice_coordinates(sup_basis, g)
-        if x is None:
+    for g in filter(None, sub_generators):
+        y = lattice_coordinates(basis, g)
+        if y is None:
             raise ValueError("sub lattice not contained in sup lattice")
-        coords.append(x)
-    return group_from_relations(len(sup_basis), IntegerMatrix(coords))
+        coords.append([y.get(c, 0) for c in basis])
+    return group_from_relations(len(basis), IntegerMatrix(coords))

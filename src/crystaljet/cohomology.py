@@ -5,13 +5,13 @@ Cohomology is computed on a small free ZG-resolution of Z, built with
 integer linear algebra only (Ellis, "Computing group resolutions",
 J. Symb. Comp. 38, 2004): each kernel is found as a Z-lattice, and
 ZG-generators are taken from its basis until their orbits span it (a
-span of its rank with unit pivots is all of it).  The vectors of each F_k
-stay sparse, {index: value}, through the build: the kernels, the orbits
-and the span.  Each step keeps its span as one pivot table, {pivot
-column: echelon row}, into which every orbit vector is joined once and
-which is never re-echeloned; membership is a reduction along the same
-pivots.  Only the boundaries of the finished resolution are written out as
-dense tuples.
+span of its rank with unit pivots is all of it).  Every lattice vector
+here is sparse, {index: value} with no zero entries, as in `abelian`: the
+kernels, the orbits, the span, the boundaries of the resolution, the
+coboundary columns, the relations and the cocycles.  Each step keeps its
+span as one pivot table, {pivot column: echelon row}, into which every
+orbit vector is joined once and which is never re-echeloned; membership
+is a reduction along the same pivots.
 With Hom_ZG(F_k, M) = M^{r_k}, each coboundary map is built as its
 r_k * rank columns (1, 3, 6, 10 for O_h) where the bar complex had
 (|G| - 1)^k * rank; the columns are the coboundaries, and the kernel
@@ -40,6 +40,7 @@ from .abelian import (
     IntegerMatrix,
     _join,
     _reduce,
+    _subtract,
     direct_sum,
     kernel_basis,
     lattice_coordinates,
@@ -183,8 +184,9 @@ class FreeResolution:
     """F_len -> ... -> F_1 -> F_0 = ZG -> Z, exact and free over ZG.
 
     F_k has the ZG-basis e_0, ..., e_{r_k - 1} and the Z-basis h*e_i, at
-    index i*|G| + h.  ``boundaries[k][j]`` is d_{k+1}(e_j) in those
-    coordinates of F_k; d is ZG-linear, so d(h*e_j) = h*d(e_j).
+    index i*|G| + h.  ``boundaries[k][j]`` is d_{k+1}(e_j), the sparse
+    vector {index: value} of F_k that was chosen as a generator; d is
+    ZG-linear, so d(h*e_j) = h*d(e_j).
     """
 
     group: FiniteMatrixGroup
@@ -237,9 +239,7 @@ def _orbit_generators(g: FiniteMatrixGroup, kernel, ambient: int):
 def free_resolution(g: FiniteMatrixGroup, length: int) -> FreeResolution:
     """A free ZG-resolution of Z up to F_length (Ellis, J. Symb. Comp. 38,
     2004): each F_{k+1} is free on ZG-generators of ker d_k, chosen among
-    the vectors of a Z-basis of that kernel.  The vectors stay sparse
-    {index: value} dicts through the build and are written out dense in
-    ``boundaries``."""
+    the sparse vectors of a Z-basis of that kernel."""
     n = g.order
     e = g.identity_index
     # ker(augmentation) has the Z-basis g - 1
@@ -249,10 +249,7 @@ def free_resolution(g: FiniteMatrixGroup, length: int) -> FreeResolution:
     for k in range(length):
         gens = _orbit_generators(g, kernel, ranks[k] * n)
         ranks.append(len(gens))
-        # each tuple from a list of known length, which CPython takes from its
-        # free list of that length; a tuple of a generator is grown from a
-        # guess and never does, so the free list would only ever fill
-        boundaries.append([tuple([v.get(i, 0) for i in range(ranks[k] * n)]) for v in gens])
+        boundaries.append(gens)
         if k + 1 < length:
             rows, cols = ranks[k] * n, ranks[k + 1] * n
             _check_size(cols, rows + cols)
@@ -262,44 +259,40 @@ def free_resolution(g: FiniteMatrixGroup, length: int) -> FreeResolution:
 
 def _cochain_columns(res: FreeResolution, mod: GModule, k: int):
     """delta^k : Hom(F_k, M) = M^{r_k} -> M^{r_{k+1}}, f -> f o d_{k+1}, as
-    its r_k * rank columns.
+    its r_k * rank sparse columns.
 
     Block (j, i) is the sum over h of c * rho(h), where c is the
-    coefficient of h*e_i in d_{k+1}(e_j).
+    coefficient of h*e_i in d_{k+1}(e_j).  Entries that cancel are
+    dropped: in degree 0 with the trivial module, s_j - 1 cancels in all.
     """
     n, m = res.group.order, mod.rank
-    height = res.ranks[k + 1] * m
-    _check_size(height, res.ranks[k] * m)
-    columns = [[0] * height for _ in range(res.ranks[k] * m)]
+    _check_size(res.ranks[k + 1] * m, res.ranks[k] * m)
+    columns = [{} for _ in range(res.ranks[k] * m)]
     for j, image in enumerate(res.boundaries[k]):
-        for idx, c in enumerate(image):
-            if c:
-                i, h = divmod(idx, n)
-                for p, arow in enumerate(mod.action[h].entries):
-                    for q, a in enumerate(arow):
-                        if a:
-                            columns[i * m + q][j * m + p] += c * a
-    return columns
+        for idx, c in image.items():
+            i, h = divmod(idx, n)
+            for p, arow in enumerate(mod.action[h].entries):
+                for q, a in enumerate(arow):
+                    if a:
+                        column = columns[i * m + q]
+                        column[j * m + p] = column.get(j * m + p, 0) + c * a
+    return [{r: x for r, x in column.items() if x} for column in columns]
 
 
 def _block_relations(mod: GModule, ncopies: int):
     """Relation generators for M^ncopies inside Z^(rank*ncopies): each
     invariant factor d_j at its torsion coordinate of each copy."""
     rank, r = mod.rank, mod.base.free_rank
-    rels = []
-    for c in range(ncopies):
-        for j, d in enumerate(mod.base.invariant_factors):
-            w = [0] * (rank * ncopies)
-            w[c * rank + r + j] = d
-            rels.append(tuple(w))
-    return rels
+    return [{c * rank + r + j: d} for c in range(ncopies)
+            for j, d in enumerate(mod.base.invariant_factors)]
 
 
 def _preimage_lattice(columns, relations):
     """Generators of {x : sum_j x_j * columns[j] lies in the lattice spanned
     by relations}: the kernel of [columns | -relations], cut to x."""
     n = len(columns)
-    return [x[:n] for x in kernel_basis([*columns, *([-v for v in r] for r in relations)])]
+    negated = [{i: -x for i, x in r.items()} for r in relations]
+    return [{j: x for j, x in v.items() if j < n} for v in kernel_basis([*columns, *negated])]
 
 
 def _cocycles(res: FreeResolution, mod: GModule, degree: int):
@@ -386,9 +379,9 @@ class CrossedHom:
     values: dict  # element index -> tuple of ints (coordinates in Z^rank)
 
 
-def _derivation(res: FreeResolution, mod: GModule, cocycle) -> CrossedHom:
-    """The derivation of a 1-cocycle f in Hom_ZG(F_1, M) = M^{r_1}, on every
-    element.
+def _derivation(res: FreeResolution, mod: GModule, cocycle: dict) -> CrossedHom:
+    """The derivation of a sparse 1-cocycle f in Hom_ZG(F_1, M) = M^{r_1},
+    on every element.
 
     d_1(e_j) = s_j - 1, where s_j is the +1 entry (F_1's generators are
     taken from the Z-basis {a - 1} of ker(augmentation)), and the s_j
@@ -398,7 +391,8 @@ def _derivation(res: FreeResolution, mod: GModule, cocycle) -> CrossedHom:
     element from d(1) = 0.
     """
     g, m = res.group, mod.rank
-    steps = {v.index(1): cocycle[j * m : (j + 1) * m] for j, v in enumerate(res.boundaries[0])}
+    steps = {next(h for h, x in v.items() if x == 1): [cocycle.get(j * m + p, 0) for p in range(m)]
+             for j, v in enumerate(res.boundaries[0])}
     values = {g.identity_index: (0,) * m}
     for a, s, b in g.walk(steps):
         if b not in values:
@@ -427,20 +421,20 @@ def splitting_classes(crystal_group) -> list[CrossedHom]:
     res = free_resolution(g, 2)
     cocycles, principal, _, ambient = _cocycles(res, mod, 1)
     basis = lattice_from_generators(cocycles, ambient)
-    k = len(basis)
-    # coordinates of the principal lattice in the cocycle basis
-    coords = []
-    for p in principal:
-        x = lattice_coordinates(basis, p)
-        assert x is not None, "principal derivations must be cocycles"
-        coords.append(x)
+    # coordinates of the principal lattice in the cocycle basis, indexed by
+    # the basis's pivot columns
+    coords = [lattice_coordinates(basis, p) for p in principal]
+    assert None not in coords, "principal derivations must be cocycles"
     # the box of the Hermite diagonal of the principal lattice L is one
-    # transversal of Z^k / L
-    herm = lattice_from_generators(coords, k)
-    if len(herm) < k:
+    # transversal of Z^k / L; at full rank its pivots are the basis's
+    herm = lattice_from_generators(coords, ambient)
+    if len(herm) < len(basis):
         raise NotSplit("splitting classes are not finite (unexpected)")
     out = []
-    for rep in iproduct(*(range(row[i]) for i, row in enumerate(herm))):
-        vec = [sum(c * v[i] for c, v in zip(rep, basis)) for i in range(ambient)]
+    for rep in iproduct(*(range(row[c]) for c, row in herm.items())):
+        vec = {}
+        for q, row in zip(rep, basis.values()):
+            if q:
+                _subtract(vec, -q, row)
         out.append(_derivation(res, mod, vec))
     return out

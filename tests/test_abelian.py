@@ -30,6 +30,21 @@ from crystaljet.abelian import (
 )
 
 
+def sparse(v):
+    """The nonzero entries of a sequence, as {index: value}."""
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def dense(v, n):
+    """Entries 0 .. n - 1 of a sparse vector, as a tuple."""
+    return tuple(v.get(j, 0) for j in range(n))
+
+
+def columns(m):
+    """The columns of an IntegerMatrix, as sparse vectors."""
+    return [sparse(col) for col in m.transpose().entries]
+
+
 def check_snf(m):
     d, u, v = smith_normal_form(m)
     assert u.determinant() in (1, -1)
@@ -66,7 +81,7 @@ def test_snf_empty_relations():
     assert (v.rows, v.cols) == (3, 3)
     assert group_from_relations(3, m) == FgAbelianGroup.free(3)
     # no equations: every vector is in the kernel
-    assert kernel_basis(m.transpose().entries) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel_basis(columns(m)) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_snf_derived_example():
@@ -303,10 +318,10 @@ def test_parse_names_the_input_and_the_bad_summand():
 
 def test_kernel_and_solve():
     m = IntegerMatrix([[1, 2, 3], [2, 4, 6]])
-    basis = kernel_basis(m.transpose().entries)
+    basis = kernel_basis(columns(m))
     assert len(basis) == 2
     for vec in basis:
-        assert all(x == 0 for x in m.apply(vec))
+        assert all(x == 0 for x in m.apply(dense(vec, m.cols)))
     x = solve_integer(IntegerMatrix([[2, 0], [0, 3]]), (4, 9))
     assert x == (2, 3)
     assert solve_integer(IntegerMatrix([[2]]), (3,)) is None
@@ -314,34 +329,34 @@ def test_kernel_and_solve():
 
 def test_quotient_group():
     # Z^2 / <(2,0),(0,2)> = Z_2 x Z_2
-    sup = [(1, 0), (0, 1)]
-    sub = [(2, 0), (0, 2)]
+    sup = [{0: 1}, {1: 1}]
+    sub = [{0: 2}, {1: 2}]
     assert quotient_group(sub, sup, 2) == FgAbelianGroup(0, (2, 2))
     # <(1,1)> / <(2,2)> = Z_2
-    assert quotient_group([(2, 2)], [(1, 1)], 2) == FgAbelianGroup.cyclic(2)
-    assert quotient_group([], [(1, 0)], 2) == FgAbelianGroup.free(1)
+    assert quotient_group([{0: 2, 1: 2}], [{0: 1, 1: 1}], 2) == FgAbelianGroup.cyclic(2)
+    assert quotient_group([], [{0: 1}], 2) == FgAbelianGroup.free(1)
     assert quotient_group([], [], 2) == FgAbelianGroup.trivial()
     # a nonzero sub in a zero sup is not contained in it
     with pytest.raises(ValueError, match="not contained"):
-        quotient_group([(1, 0)], [], 2)
+        quotient_group([{0: 1}], [], 2)
 
 
 def test_lattice_from_generators():
-    basis = lattice_from_generators([(2, 0), (0, 3), (2, 3)], 2)
+    basis = lattice_from_generators([{0: 2}, {1: 3}, {0: 2, 1: 3}], 2)
     assert len(basis) == 2
-    q = quotient_group(basis, [(1, 0), (0, 1)], 2)
+    q = quotient_group(basis.values(), [{0: 1}, {1: 1}], 2)
     assert q == FgAbelianGroup.cyclic(6)
 
 
 def test_quotient_order_equals_determinant():
     rng = random.Random(41)
-    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    basis = [{0: 1}, {1: 1}, {2: 1}]
     for _ in range(100):
         m = IntegerMatrix([[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)])
         det = abs(m.determinant())
         if det == 0:
             continue
-        q = quotient_group(list(m.entries), basis, 3)
+        q = quotient_group([sparse(row) for row in m.entries], basis, 3)
         assert q.order() == det
 
 
@@ -395,35 +410,38 @@ def test_smith_form_is_the_gcd_of_the_minors(m):
 @settings(max_examples=200, deadline=None)
 @given(matrices)
 def test_lattice_basis_is_hermite_and_spans_the_input(m):
-    vectors = list(m.entries)
-    basis = lattice_from_generators(vectors, m.cols)
+    basis = lattice_from_generators(map(sparse, m.entries), m.cols)
     assert len(basis) == snf_rank(m)
     last = -1
-    for k, row in enumerate(basis):
-        c = next(j for j, x in enumerate(row) if x)
+    rows = list(basis.items())
+    for k, (c, row) in enumerate(rows):
+        # each row is keyed by its leading column
+        assert c == min(row)
         assert c > last and row[c] > 0
-        assert all(0 <= above[c] < row[c] for above in basis[:k])
+        assert all(0 <= above.get(c, 0) < row[c] for _, above in rows[:k])
         last = c
     # every generator is an integer combination of the basis ...
-    for v in vectors:
-        y = lattice_coordinates(basis, v)
+    for v in m.entries:
+        y = lattice_coordinates(basis, sparse(v))
         assert y is not None
-        assert tuple(sum(q * row[j] for q, row in zip(y, basis)) for j in range(m.cols)) == v
+        assert tuple(sum(y.get(c, 0) * row.get(j, 0) for c, row in basis.items())
+                     for j in range(m.cols)) == v
     # ... and every basis row one of the generators
     generators = m.transpose()
-    for row in basis:
-        assert snf_solvable(generators, row)
+    for row in basis.values():
+        assert snf_solvable(generators, dense(row, m.cols))
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices)
 def test_kernel_basis_is_a_saturated_basis(m):
-    basis = kernel_basis(m.transpose().entries)
+    basis = kernel_basis(columns(m))
     assert len(basis) == m.cols - snf_rank(m)
     for x in basis:
-        assert not any(m.apply(x))
+        assert not any(m.apply(dense(x, m.cols)))
     if basis:
-        assert not group_from_relations(m.cols, IntegerMatrix(basis)).invariant_factors
+        relations = IntegerMatrix([dense(x, m.cols) for x in basis])
+        assert not group_from_relations(m.cols, relations).invariant_factors
 
 
 @settings(max_examples=200, deadline=None)
@@ -530,8 +548,8 @@ def test_sparse_echelon_is_the_dense_oracle(case):
     assert [row[c] for row, c in zip(got, pivots)] == [row[c] for row, c in zip(want, pivots)]
     assert got[rank:] == want[rank:]
     ambient = len(rows[0]) if rows else 0
-    assert (lattice_from_generators(got[:rank], ambient)
-            == lattice_from_generators(want[:rank], ambient))
+    assert (lattice_from_generators(map(sparse, got[:rank]), ambient)
+            == lattice_from_generators(map(sparse, want[:rank]), ambient))
 
 
 # sparse vectors on 5 columns, the zero vector and negative leading entries
@@ -559,13 +577,10 @@ def test_joining_one_vector_at_a_time_is_the_echelon_of_all(vectors, probes):
     assert sorted(pivots) == columns
     assert [pivots[c][c] for c in columns] == [row[c] for row, c in zip(rows, columns)]
 
-    def dense(v):
-        return tuple(v.get(j, 0) for j in range(width))
-
-    hermite = lattice_from_generators(map(dense, vectors), width)
-    assert lattice_from_generators(map(dense, pivots.values()), width) == hermite
+    hermite = lattice_from_generators(vectors, width)
+    assert lattice_from_generators(pivots.values(), width) == hermite
     for w in [*vectors, *probes]:
-        member = lattice_coordinates(hermite, dense(w)) is not None
+        member = lattice_coordinates(hermite, w) is not None
         assert (not _reduce(pivots, dict(w))) == member
 
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from test_abelian import dense, sparse
 from test_resolution import bar_cohomology
 
 from crystaljet import cohomology
@@ -49,7 +50,7 @@ def coboundary_squared_is_zero(g, mod, degree):
     m = mod.rank
     for column in first:
         for i in range(res.ranks[degree + 2] * m):
-            x = sum(c * image[i] for c, image in zip(column, second))
+            x = sum(c * second[j].get(i, 0) for j, c in column.items())
             coord = i % m
             modulus = rels[coord - r] if coord >= r else 0
             if (x % modulus if modulus else x) != 0:
@@ -216,14 +217,51 @@ def test_the_span_bound_refuses_the_shape_of_the_span_and_its_next_orbit(monkeyp
     monkeypatch.setattr(cohomology, "COCHAIN_BOUND", 94 * 48 - 1)
     with pytest.raises(CochainBoundExceeded, match="^94 x 48 matrix exceeds the bound of 4511 "):
         free_resolution(g, 1)
-    gens = [{i: x for i, x in enumerate(v) if x} for v in first.boundaries[0]]
-    kernel = kernel_basis([w for v in gens for w in _orbit(g, v)])
+    kernel = kernel_basis([w for v in first.boundaries[0] for w in _orbit(g, v)])
     monkeypatch.setattr(cohomology, "COCHAIN_BOUND", 138 * 144)
-    assert _orbit_generators(g, kernel, 144) == [
-        {i: x for i, x in enumerate(v) if x} for v in second.boundaries[1]]
+    assert _orbit_generators(g, kernel, 144) == second.boundaries[1]
     monkeypatch.setattr(cohomology, "COCHAIN_BOUND", 138 * 144 - 1)
     with pytest.raises(CochainBoundExceeded, match="^138 x 144 matrix exceeds the bound of 19871 "):
         _orbit_generators(g, kernel, 144)
+
+
+def dense_cochain_columns(res, mod, k):
+    """delta^k as dense columns, accumulated entry by entry over the dense
+    boundaries: the oracle of the sparse `_cochain_columns`."""
+    n, m = res.group.order, mod.rank
+    height = res.ranks[k + 1] * m
+    columns = [[0] * height for _ in range(res.ranks[k] * m)]
+    for j, image in enumerate(res.boundaries[k]):
+        for idx, c in enumerate(dense(image, res.ranks[k] * n)):
+            if c:
+                i, h = divmod(idx, n)
+                for p, arow in enumerate(mod.action[h].entries):
+                    for q, a in enumerate(arow):
+                        if a:
+                            columns[i * m + q][j * m + p] += c * a
+    return columns
+
+
+ALL_GROUPS = {**point_groups(), **point_groups_2d()}
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_sparse_cochain_columns_are_the_dense_oracle(name):
+    # every entry of the dense oracle, and no zero entry: in degree 0 with
+    # the trivial module, s_j - 1 cancels in every entry
+    g = ALL_GROUPS[name]
+    res = free_resolution(g, 3)
+    modules = {"trivial": GModule.trivial(g, Z), "sign": GModule.sign(g, Z),
+               "natural": GModule.natural(g)}
+    for kind, mod in modules.items():
+        for k in range(3):
+            got = _cochain_columns(res, mod, k)
+            height = res.ranks[k + 1] * mod.rank
+            want = [tuple(col) for col in dense_cochain_columns(res, mod, k)]
+            assert [dense(col, height) for col in got] == want, (kind, k)
+            assert all(all(col.values()) for col in got), (kind, k)
+            if kind == "trivial" and k == 0:
+                assert not any(got)
 
 
 def test_module_must_be_over_the_same_group():
@@ -350,7 +388,8 @@ def elementwise_derivations(g, mod):
                 for j in range(m):
                     row[b * m + j] -= act[(i, j)]
                 rows.append(row)
-    cocycles = _preimage_lattice(IntegerMatrix(rows).transpose().entries, _block_relations(mod, n * n))
+    columns = [sparse(col) for col in IntegerMatrix(rows).transpose().entries]
+    cocycles = _preimage_lattice(columns, _block_relations(mod, n * n))
     principal = []
     for j in range(m):
         vec = [0] * ambient
@@ -358,7 +397,7 @@ def elementwise_derivations(g, mod):
             col = mod.action[a].col(j)
             for i in range(m):
                 vec[a * m + i] = col[i] - (i == j)
-        principal.append(tuple(vec))
+        principal.append(sparse(vec))
     relations = _block_relations(mod, n)
     return (
         quotient_group(relations, cocycles, ambient),
@@ -444,14 +483,20 @@ def test_splitting_class_count_matches_h1_all_symmorphic_wallpaper():
 
 
 # sha256 of the exact bases that `kernel_basis` hands on: the ranks and the
-# boundary images of the length-3 resolution of each of the 32 + 10 point
-# groups, and the sorted values of every splitting class of the 13
-# symmorphic wallpaper groups; a kernel with another (equally valid) basis
-# changes both
+# boundary images, rendered as dense tuples, of the length-3 resolution of
+# each of the 32 + 10 point groups, and the sorted values of every
+# splitting class of the 13 symmorphic wallpaper groups; a kernel with
+# another (equally valid) basis changes both
 RESOLUTIONS_SHA256 = "fec9f2010158dce2bd3e492e253b1070cd0fd21d7a6dbbeebd1ce08a938cc28c"
 SPLITTING_CLASSES_SHA256 = "44bc014e3e6de80f970392abe9e2d0a81e075542aee782c5f9a7e636519e4ea4"
 # the same digest over the length-4 resolutions (O_h ranks 1, 3, 6, 10, 15)
 LENGTH_FOUR_RESOLUTIONS_SHA256 = "921a746d425e11e6adf2b1cd10ddc56bdf2dc7cd1545e6c72615c427c1e1897a"
+
+
+def dense_boundaries(res):
+    """The sparse boundary images d_{k+1}(e_j) as dense tuples over F_k."""
+    n = res.group.order
+    return [[dense(v, res.ranks[k] * n) for v in images] for k, images in enumerate(res.boundaries)]
 
 
 def test_resolutions_and_splitting_classes_are_pinned():
@@ -460,7 +505,7 @@ def test_resolutions_and_splitting_classes_are_pinned():
     assert len(groups) == 42
     for name, g in groups:
         res = free_resolution(g, 3)
-        digest.update(repr((name, res.ranks, res.boundaries)).encode())
+        digest.update(repr((name, res.ranks, dense_boundaries(res))).encode())
     assert digest.hexdigest() == RESOLUTIONS_SHA256
     digest = hashlib.sha256()
     symmorphic = [(name, g) for name, g in wallpaper_groups().items() if is_symmorphic(g)[0]]
@@ -476,7 +521,7 @@ def test_length_four_resolutions_are_pinned():
     groups = [*point_groups().items(), *point_groups_2d().items()]
     for name, g in groups:
         res = free_resolution(g, 4)
-        digest.update(repr((name, res.ranks, res.boundaries)).encode())
+        digest.update(repr((name, res.ranks, dense_boundaries(res))).encode())
         if name == "O_h":
             assert res.ranks == [1, 3, 6, 10, 15]
     assert digest.hexdigest() == LENGTH_FOUR_RESOLUTIONS_SHA256

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_abelian import dense, sparse
+
 from crystaljet.abelian import (
     FgAbelianGroup,
     IntegerMatrix,
@@ -86,31 +88,34 @@ def bar_cohomology(g, mod, degree):
         # every coordinate is taken mod one d, and the unimodular row
         # operations of a Hermite echelon keep d*Z^rows: reduce delta first
         d = moduli.pop()
-        rows = lattice_from_generators(delta_n.entries, delta_n.cols)
-        relations = [[d * (i == j) for j in range(len(rows))] for i in range(len(rows))]
-        cocycles = _preimage_lattice(IntegerMatrix(rows, delta_n.cols).transpose().entries, relations)
+        hermite = lattice_from_generators(map(sparse, delta_n.entries), delta_n.cols)
+        rows = [dense(row, delta_n.cols) for row in hermite.values()]
+        relations = [{i: d} for i in range(len(rows))]
+        columns = IntegerMatrix(rows, delta_n.cols).transpose().entries
+        cocycles = _preimage_lattice(list(map(sparse, columns)), relations)
     else:
-        cocycles = _preimage_lattice(delta_n.transpose().entries, _block_relations(mod, delta_n.rows // m))
+        columns = delta_n.transpose().entries
+        cocycles = _preimage_lattice(list(map(sparse, columns)), _block_relations(mod, delta_n.rows // m))
     if not cocycles:
         return FgAbelianGroup.trivial()
     sub = _block_relations(mod, ntup)
     if degree > 0:
         delta_prev = _coboundary_matrix(mod, degree - 1)
-        sub.extend(delta_prev.col(j) for j in range(delta_prev.cols))
+        sub.extend(sparse(delta_prev.col(j)) for j in range(delta_prev.cols))
     return quotient_group(sub, cocycles, ambient)
 
 
 def _orbit_columns(g, images):
-    """The Z-columns h*v of a ZG-map given by its images v of the basis."""
+    """The sparse Z-columns h*v of a ZG-map given by its sparse images v of
+    the basis."""
     n = g.order
     cols = []
     for v in images:
         for h in range(n):
-            w = [0] * len(v)
-            for idx, x in enumerate(v):
-                if x:
-                    i, k = divmod(idx, n)
-                    w[i * n + g.cayley[h][k]] = x
+            w = {}
+            for idx, x in v.items():
+                i, k = divmod(idx, n)
+                w[i * n + g.cayley[h][k]] = x
             cols.append(w)
     return cols
 
@@ -125,9 +130,9 @@ def test_resolution_is_exact_up_to_length_three(name):
     res = free_resolution(g, 3)
     assert res.ranks[0] == 1 and len(res.ranks) == 4
     # the augmentation kills im d_1, and im d_1 is all of ker(augmentation)
-    assert all(sum(v) == 0 for v in res.boundaries[0])
+    assert all(sum(v.values()) == 0 for v in res.boundaries[0])
     augmentation_kernel = [
-        [int(h == a) - int(h == g.identity_index) for h in range(n)]
+        sparse([int(h == a) - int(h == g.identity_index) for h in range(n)])
         for a in range(n) if a != g.identity_index
     ]
     image = lattice_from_generators(_orbit_columns(g, res.boundaries[0]), n)
@@ -155,12 +160,13 @@ def test_resolution_is_exact_up_to_length_three(name):
 @example((2, [[2, 0], [0, 1]], [[1, 0, 0, 0], [1, 1, 0, 0]]))
 def test_a_full_rank_sublattice_with_unit_pivots_is_the_lattice(case):
     n, vectors, coefficients = case
-    lattice = lattice_from_generators(vectors, n)
+    lattice = lattice_from_generators(map(sparse, vectors), n)
     sub = lattice_from_generators(
-        [[sum(c * row[j] for c, row in zip(cs, lattice)) for j in range(n)] for cs in coefficients],
+        [sparse([sum(c * row.get(j, 0) for c, row in zip(cs, lattice.values())) for j in range(n)])
+         for cs in coefficients],
         n,
     )
-    if len(sub) == len(lattice) and all(next(filter(None, row)) == 1 for row in sub):
+    if len(sub) == len(lattice) and all(row[c] == 1 for c, row in sub.items()):
         assert sub == lattice
 
 
